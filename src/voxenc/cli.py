@@ -46,8 +46,17 @@ def _load(path: str) -> np.ndarray:
     raise AssertionError("unreachable")
 
 
+def _parse_threads(value: object, source: str) -> int:
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{source} must be an integer thread count, got {value!r}")
+
+
 def _default_threads() -> int:
-    return int(os.environ.get("VOXENC_THREADS", "1"))
+    return _parse_threads(os.environ.get("VOXENC_THREADS", "1"), "VOXENC_THREADS")
 
 
 @click.group()
@@ -119,7 +128,14 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
     mats = [_load(p) for p in features.split(",")]
     X = np.hstack(mats)
     Y = _load(response_path)
-    threads = threads if threads is not None else _default_threads()
+    if Y.ndim != 2:
+        _fail(EXIT_USAGE, f"response file {response_path} must be a 2-D scans x targets "
+                          f"matrix, got shape {Y.shape}")
+    if threads is None:
+        try:
+            threads = _default_threads()
+        except ValueError as exc:
+            _fail(EXIT_USAGE, str(exc))
     try:
         resp = ResponseMatrix(Y)
         if detrend:
@@ -300,7 +316,6 @@ def _resolve_run_config(doc: dict) -> dict:
     if "out_dir" not in doc:
         raise ValueError("config requires out_dir")
     resolved = {
-        "threads": _default_threads(),
         "seed": 0,
         "q": 0.05,
         "alternative": "greater",
@@ -308,6 +323,8 @@ def _resolve_run_config(doc: dict) -> dict:
         "lambda_grid": {"min": 10.0, "max": 1e8, "num": 20},
         **doc,
     }
+    resolved["threads"] = (_parse_threads(doc["threads"], "config key 'threads'")
+                           if "threads" in doc else _default_threads())
     return resolved
 
 

@@ -3,15 +3,18 @@ exact leave-one-out lambda selection on an SVD path, and Pearson scoring.
 
 Per outer fold the training design is standardized, decomposed once with a
 thin SVD, and every lambda on the grid is evaluated through the closed-form
-LOO residual identity e_i = (y_i - yhat_i) / (1 - h_ii). Each target picks
-its own lambda (ties break toward stronger regularization), then full-train
-weights for the winning lambda are assembled per lambda-group.
+LOO residual identity e_i = (y_i - yhat_i) / (1 - h_ii). Its mean square is
+taken as a weighted sum, mean(e^2) = W @ r^2 with r = y - yhat and
+W_i = 1 / (n (1 - h_ii)^2), so one GEMV per lambda scores a whole chunk of
+targets from a single in-place residual buffer. Each target picks its own
+lambda (ties break toward stronger regularization), then full-train weights
+for the winning lambda are assembled per lambda-group.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +50,6 @@ class SplitPlan:
 class RidgeFit:
     weights: np.ndarray  # d_x x d_y
     chosen_lambda: np.ndarray  # per target
-    x_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    x_std: np.ndarray = field(default=None)  # type: ignore[assignment]
-    y_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    y_std: np.ndarray = field(default=None)  # type: ignore[assignment]
 
 
 def detrend_blocks(y: ResponseMatrix, blocks: list[tuple[int, int]]) -> ResponseMatrix:
@@ -111,37 +110,46 @@ def ridge_solve(
 ) -> RidgeFit:
     """Per-target ridge with exact-LOO lambda selection over the grid.
 
-    X and Y are assumed already standardized (no intercept is fit). A single
-    thin SVD of X serves every lambda; LOO mean squared error is evaluated in
-    closed form and the minimizing lambda is refit on the full training set.
+    X and Y are assumed already standardized (no intercept is fit); a 1-D Y
+    is one target. A single thin SVD of X serves every lambda; LOO mean
+    squared error is evaluated in closed form and the minimizing lambda is
+    refit on the full training set.
     """
     grid = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise ValueError(f"ridge_solve needs X (n, p) and Y (n,) or (n, targets); "
+                         f"got {X.shape} and {Y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("non-finite inputs to ridge_solve")
     if X.shape[0] < 2:
         raise ValueError("need >= 2 training rows")
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     UtY = U.T @ Y
-    U2 = U**2
     s2 = s**2
+    # per lambda: shrinkage D (grid x k) and LOO weights W (grid x n)
+    D = s2 / (s2 + grid[:, None])
+    W = 1.0 / (X.shape[0] * (1.0 - D @ (U**2).T) ** 2)
 
     n_targets = Y.shape[1]
     chosen_idx = np.empty(n_targets, dtype=np.intp)
     chunks = [slice(a, min(a + _CHUNK, n_targets)) for a in range(0, n_targets, _CHUNK)]
 
     def _select(chunk: slice) -> None:
-        loo_mse = np.empty((len(grid), chunk.stop - chunk.start))
         Yc = Y[:, chunk]
         UtYc = UtY[:, chunk]
-        for gi, lam in enumerate(grid):
-            d = s2 / (s2 + lam)
-            resid = Yc - U @ (d[:, None] * UtYc)
-            one_minus_h = 1.0 - U2 @ d
-            loo_mse[gi] = np.mean((resid / one_minus_h[:, None]) ** 2, axis=0)
+        shrunk = np.empty(UtYc.shape)
+        resid = np.empty(Yc.shape)
+        loo_mse = np.empty((len(grid), Yc.shape[1]))
+        for gi in range(len(grid)):
+            np.multiply(D[gi, :, None], UtYc, out=shrunk)
+            np.matmul(U, shrunk, out=resid)
+            np.subtract(Yc, resid, out=resid)
+            np.square(resid, out=resid)
+            np.matmul(W[gi], resid, out=loo_mse[gi])
         # ties break toward the larger lambda: scan from the top of the grid
         rev_best = np.argmin(loo_mse[::-1], axis=0)
         chosen_idx[chunk] = len(grid) - 1 - rev_best

@@ -58,6 +58,35 @@ def test_missing_input_exit_2(runner, tmp_path):
     assert "not found" in res.output
 
 
+def _assert_input_error(res, *needles):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    for needle in needles:
+        assert needle in res.output
+
+
+def test_score_one_dimensional_response_exit_2(runner, tmp_path):
+    out = _synth_dir(runner, tmp_path, "linear")
+    flat = tmp_path / "flat.fmx"
+    matrixio.write_matrix(flat, matrixio.read_matrix(out / "sub000.fmx")[:, 0])
+    res = runner.invoke(main, ["score", "--features", str(out / "features.fmx"),
+                               "--response", str(flat),
+                               "--manifest", str(out / "manifest.json"),
+                               "--out", str(tmp_path / "o.fmx")])
+    _assert_input_error(res, str(flat), "(60,)")
+
+
+def test_score_bad_threads_env_exit_2(runner, tmp_path):
+    out = _synth_dir(runner, tmp_path, "linear")
+    res = runner.invoke(main, ["score", "--features", str(out / "features.fmx"),
+                               "--response", str(out / "sub000.fmx"),
+                               "--manifest", str(out / "manifest.json"),
+                               "--out", str(tmp_path / "o.fmx")],
+                        env={"VOXENC_THREADS": "abc"})
+    _assert_input_error(res, "VOXENC_THREADS", "'abc'")
+
+
 def test_group_stats_cmd(runner, tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(0.5, 0.2, size=(10, 15))
@@ -145,6 +174,24 @@ class TestRun:
         res = runner.invoke(main, ["run", "--config", str(path)])
         assert res.exit_code == 2
         assert "unknown config keys" in res.output
+
+    def test_bad_threads_config_exit_2(self, runner, tmp_path):
+        path, _ = self._config(tmp_path, threads="abc")
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        _assert_input_error(res, "config key 'threads'", "'abc'")
+        assert not (tmp_path / "run_out").exists()
+
+    def test_bad_threads_env_exit_2(self, runner, tmp_path):
+        path, _ = self._config(tmp_path)
+        res = runner.invoke(main, ["run", "--config", str(path)], env={"VOXENC_THREADS": "abc"})
+        _assert_input_error(res, "VOXENC_THREADS", "'abc'")
+
+    def test_threads_config_overrides_env(self, runner, tmp_path):
+        path, _ = self._config(tmp_path, threads=2)
+        res = runner.invoke(main, ["run", "--config", str(path)], env={"VOXENC_THREADS": "abc"})
+        assert res.exit_code == 0, res.output
+        snapshot = json.loads((tmp_path / "run_out" / "resolved_config.json").read_text())
+        assert snapshot["threads"] == 2
 
     def test_missing_config_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["run", "--config", str(tmp_path / "none.json")])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxenc.encode import (
+    _CHUNK,
     DEFAULT_LAMBDA_GRID,
     brain_score,
     detrend_blocks,
@@ -152,6 +153,55 @@ class TestRidgeSolve:
         Ys2, _, _, _ = standardize(7.5 * Y)
         l2 = ridge_solve(X, Ys2).chosen_lambda
         assert np.allclose(l1, l2)
+
+    @staticmethod
+    def _oracle_lambda(X, Y):
+        # mean squared closed-form LOO residual per target and grid value;
+        # argmin with ties going to the larger lambda
+        mse = np.array([np.mean(loo_residuals(X, Y, lam) ** 2, axis=0)
+                        for lam in DEFAULT_LAMBDA_GRID])
+        best = mse.shape[0] - 1 - np.argmin(mse[::-1], axis=0)
+        return DEFAULT_LAMBDA_GRID[best]
+
+    def test_selection_matches_oracle_multi_chunk(self):
+        rng = np.random.default_rng(12)
+        n_targets = 2 * _CHUNK + 37
+        X = rng.normal(size=(60, 10))
+        snr = rng.uniform(0.0, 2.0, n_targets)
+        Y = rng.normal(size=(60, n_targets)) + (X @ rng.normal(size=(10, n_targets))) * snr
+        fit = ridge_solve(X, Y)
+        oracle = self._oracle_lambda(X, Y)
+        assert np.array_equal(fit.chosen_lambda, oracle)
+        assert len(np.unique(oracle)) > 3  # the oracle's choices spread over the grid
+
+    def test_selection_matches_oracle_p_greater_than_n(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(25, 40))
+        Y = rng.normal(size=(25, 50)) + X @ rng.normal(size=(40, 50)) * 0.2
+        assert np.array_equal(ridge_solve(X, Y).chosen_lambda, self._oracle_lambda(X, Y))
+
+    def test_selection_zero_target_picks_largest_lambda(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(30, 5))
+        Y = rng.normal(size=(30, 4)) + X @ rng.normal(size=(5, 4))
+        Y[:, 2] = 0.0
+        fit = ridge_solve(X, Y)
+        assert np.array_equal(fit.chosen_lambda, self._oracle_lambda(X, Y))
+        assert fit.chosen_lambda[2] == DEFAULT_LAMBDA_GRID[-1]
+        assert np.all(fit.weights[:, 2] == 0.0)
+
+    def test_one_dimensional_target(self):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(30, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=30)
+        f1 = ridge_solve(X, y)
+        f2 = ridge_solve(X, y[:, None])
+        assert np.array_equal(f1.weights, f2.weights)
+        assert np.array_equal(f1.chosen_lambda, f2.chosen_lambda)
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="ridge_solve needs"):
+            ridge_solve(np.ones((5, 2)), np.ones((4, 1)))
 
     def test_threaded_selection_identical(self):
         rng = np.random.default_rng(6)
