@@ -46,6 +46,16 @@ def _load(path: str) -> np.ndarray:
     raise AssertionError("unreachable")
 
 
+def _load_manifest(path: str) -> matrixio.DatasetManifest:
+    if not Path(path).exists():
+        _fail(EXIT_USAGE, f"input file not found: {path}")
+    try:
+        return matrixio.read_manifest(path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON or field layout
+        _fail(EXIT_USAGE, f"malformed manifest {path}: {type(exc).__name__}: {exc}")
+    raise AssertionError("unreachable")
+
+
 def _parse_threads(value: object, source: str) -> int:
     if not isinstance(value, bool) and isinstance(value, (int, str)):
         try:
@@ -119,18 +129,26 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
           report_path: str | None, threads: int | None, detrend: bool) -> None:
     """Cross-validated ridge brain scores per target."""
-    if not Path(manifest_path).exists():
-        _fail(EXIT_USAGE, f"input file not found: {manifest_path}")
-    manifest = matrixio.read_manifest(manifest_path)
+    manifest = _load_manifest(manifest_path)
     problems = matrixio.validate_manifest(manifest)
     if problems:
         _fail(EXIT_USAGE, "; ".join(problems))
-    mats = [_load(p) for p in features.split(",")]
-    X = np.hstack(mats)
+    feature_paths = features.split(",")
+    mats = [_load(p) for p in feature_paths]
+    for path, mat in zip(feature_paths, mats):
+        if mat.ndim != 2:
+            _fail(EXIT_USAGE, f"feature file {path} must be a 2-D scans x features "
+                              f"matrix, got shape {mat.shape}")
     Y = _load(response_path)
     if Y.ndim != 2:
         _fail(EXIT_USAGE, f"response file {response_path} must be a 2-D scans x targets "
                           f"matrix, got shape {Y.shape}")
+    rows = {path: mat.shape[0] for path, mat in zip(feature_paths, mats)}
+    rows[response_path] = Y.shape[0]
+    if len(set(rows.values())) > 1:
+        _fail(EXIT_USAGE, "feature and response files must have the same number of rows: "
+                          + ", ".join(f"{path} has {n}" for path, n in rows.items()))
+    X = np.hstack(mats)
     if threads is None:
         try:
             threads = _default_threads()
@@ -181,6 +199,7 @@ def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
 def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None, out_path: str) -> None:
     """Wilcoxon across subjects per target, BH-FDR across targets."""
     values = _load(in_path)
+    rois = _load_manifest(rois_path).rois if rois_path else None
     try:
         stats = groupstats.group_test(values, alternative, q)
     except ValueError as exc:
@@ -195,12 +214,12 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
         "p_raw": [None if np.isnan(p) else float(p) for p in stats.p_raw],
         "significant": stats.significant.tolist(),
     }
-    if rois_path:
-        manifest = matrixio.read_manifest(rois_path)
+    if rois is not None:
         mean_vals = values.mean(axis=0)
-        doc["roi_means"] = {
-            name: groupstats.roi_mean(mean_vals, idx) for name, idx in manifest.rois.items()
-        }
+        try:
+            doc["roi_means"] = {name: groupstats.roi_mean(mean_vals, idx) for name, idx in rois.items()}
+        except ValueError as exc:
+            _fail(EXIT_USAGE, f"ROI manifest {rois_path}: {exc}")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -325,12 +344,29 @@ def _resolve_run_config(doc: dict) -> dict:
     }
     resolved["threads"] = (_parse_threads(doc["threads"], "config key 'threads'")
                            if "threads" in doc else _default_threads())
+    _check_lambda_grid(resolved["lambda_grid"])
     return resolved
+
+
+def _check_lambda_grid(grid: object) -> None:
+    if not isinstance(grid, dict) or set(grid) != {"min", "max", "num"}:
+        raise ValueError(f"config key 'lambda_grid' must be an object with exactly the keys "
+                         f"min, max and num, got {grid!r}")
+    for key in ("min", "max"):
+        v = grid[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            raise ValueError(f"config key 'lambda_grid.{key}' must be a finite number, got {v!r}")
+    if not 0 < grid["min"] < grid["max"]:
+        raise ValueError(f"config key 'lambda_grid' needs 0 < min < max, "
+                         f"got min={grid['min']!r}, max={grid['max']!r}")
+    num = grid["num"]
+    if isinstance(num, bool) or not isinstance(num, int) or num < 1:
+        raise ValueError(f"config key 'lambda_grid.num' must be an integer >= 1, got {num!r}")
 
 
 def _grid_from(cfg: dict) -> np.ndarray:
     g = cfg["lambda_grid"]
-    return np.logspace(np.log10(g["min"]), np.log10(g["max"]), int(g["num"]))
+    return np.logspace(np.log10(g["min"]), np.log10(g["max"]), g["num"])
 
 
 @main.command()

@@ -3,6 +3,10 @@
 Frame layout is the same for both feature types: frame t covers samples
 [t*stride, t*stride + window), and the frame count is
 floor((len - window) / stride) + 1.
+
+scipy is imported only inside ``read_wav`` (WAV parsing) and
+``resample_to_mono_16k`` (polyphase resampling): importing this module and
+computing features do not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import get_window, resample_poly
 
 from .types import FeatureMatrix
 
@@ -35,6 +37,8 @@ class StftConfig:
     def __post_init__(self) -> None:
         if self.stride_samples <= 0:
             raise ValueError("stride must be positive")
+        if self.window_samples < 1:
+            raise ValueError("window must span at least one sample")
         if self.n_fft < self.window_samples:
             raise ValueError(f"n_fft={self.n_fft} smaller than window of {self.window_samples} samples")
 
@@ -77,6 +81,13 @@ def _frame(signal: np.ndarray, window: int, stride: int) -> np.ndarray:
     return signal[idx]
 
 
+def periodic_hann(n: int) -> np.ndarray:
+    """Periodic (FFT) Hann window of n samples: the first n of a symmetric n+1 window."""
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
 def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> FeatureMatrix:
     """Squared-magnitude STFT: frames x (n_fft/2 + 1) non-negative powers.
 
@@ -84,7 +95,7 @@ def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> Feat
     """
     cfg = cfg or StftConfig()
     frames = _frame(signal, cfg.window_samples, cfg.stride_samples)
-    win = get_window("hann", cfg.window_samples, fftbins=True)
+    win = periodic_hann(cfg.window_samples)
     spec = np.abs(np.fft.rfft(frames * win, n=cfg.n_fft, axis=1)) ** 2
     return FeatureMatrix(spec, sample_rate=1.0 / cfg.stride_seconds, name="spectrogram")
 
@@ -164,6 +175,8 @@ def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
         raise ValueError(f"expected 1-D or 2-D signal, got ndim={sig.ndim}")
     if rate == target:
         return sig
+    from scipy.signal import resample_poly
+
     rate_i = int(round(rate))
     g = np.gcd(target, rate_i)
     return resample_poly(sig, target // g, rate_i // g)
@@ -174,6 +187,8 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
 
     Integer samples are scaled to [-1, 1).
     """
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0

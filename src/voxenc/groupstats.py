@@ -4,18 +4,28 @@ Benjamini-Hochberg FDR across targets, and ROI aggregation.
 The signed-rank test is exact (full null distribution of W+ built by dynamic
 programming over rank subsets) up to EXACT_LIMIT subjects, and switches to a
 normal approximation with tie and continuity corrections above that. Ranks
-are doubled internally so midranks from ties stay integral.
+are midranks (ties share their average rank), doubled internally so they stay
+integral. Only numpy and the standard library are used, so importing this
+module does not load scipy.
+
+``group_test`` ranks every target at once where it can: the targets with at
+most EXACT_LIMIT subjects and no zero or tied differences share one null
+distribution, so one argsort over the subjects axis and cumulative sums of the
+cached null counts give all their W+ and p-values. Every other target takes
+the per-target ``wilcoxon_signed_rank``. The null counts are integers below
+2**53, so both paths return bit-identical results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 EXACT_LIMIT = 25
+_ALTERNATIVES = ("greater", "two_sided")
 
 
 @dataclass
@@ -29,6 +39,27 @@ class StatMap:
 
 class DegenerateSample(ValueError):
     """All differences are zero; the test statistic is undefined."""
+
+
+def _check_alternative(alternative: str) -> None:
+    if alternative not in _ALTERNATIVES:
+        raise ValueError(f"unknown alternative {alternative!r}")
+
+
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; each run of ties gets its average rank."""
+    order = np.argsort(a, kind="stable")
+    srt = a[order]
+    starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+    ends = np.r_[starts[1:], a.size]  # exclusive; the run holds ranks starts+1..ends
+    ranks = np.empty(a.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def _norm_sf(z: float) -> float:
+    """Upper tail of the standard normal distribution."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def _null_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
@@ -56,16 +87,17 @@ def wilcoxon_signed_rank(
     Zero differences are dropped first. Returns (W+, p). ``alternative`` is
     "greater" (positive shift) or "two_sided".
     """
-    if alternative not in ("greater", "two_sided"):
-        raise ValueError(f"unknown alternative {alternative!r}")
+    _check_alternative(alternative)
     d = np.asarray(diffs, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("differences contain non-finite values")
     d = d[d != 0]
     n = d.size
     if n == 0:
         raise DegenerateSample("all differences are zero")
     if n < 5:
         raise ValueError(f"need >= 5 nonzero differences, got {n}")
-    ranks = rankdata(np.abs(d))
+    ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if n <= EXACT_LIMIT:
@@ -91,11 +123,34 @@ def wilcoxon_signed_rank(
     sd = np.sqrt(var)
     if alternative == "greater":
         z = (w_plus - mean - 0.5) / sd
-        p = float(norm.sf(z))
+        p = _norm_sf(z)
     else:
         z = (w_plus - mean - np.sign(w_plus - mean) * 0.5) / sd
-        p = float(min(1.0, 2.0 * norm.sf(abs(z))))
+        p = min(1.0, 2.0 * _norm_sf(abs(z)))
     return w_plus, p
+
+
+def _exact_tiefree(
+    values: np.ndarray, order: np.ndarray, alternative: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """W+ and exact p for columns with no zero or tied |value|.
+
+    ``order`` argsorts ``|values|`` along axis 0, so the row at sorted position
+    i has rank i + 1 and the columns share the tie-free null of n = rows.
+    """
+    n = values.shape[0]
+    positive = np.take_along_axis(values, order, axis=0) > 0
+    w_plus = np.arange(1, n + 1) @ positive  # integer W+ per column
+    counts = _null_counts_tiefree(n)
+    total = counts.sum()
+    w2 = 2 * w_plus
+    # cumulative sums of integer counts below 2**53 are exact, so these equal
+    # counts[w2:].sum() and counts[:w2 + 1].sum() bit for bit
+    p = np.cumsum(counts[::-1])[::-1][w2] / total
+    if alternative == "two_sided":
+        p_le = np.cumsum(counts)[w2] / total
+        p = np.minimum(1.0, 2.0 * np.minimum(p, p_le))
+    return w_plus.astype(np.float64), p
 
 
 def fdr_bh(p_values: np.ndarray, q: float = 0.05) -> np.ndarray:
@@ -116,17 +171,34 @@ def group_test(
 ) -> StatMap:
     """Per-target Wilcoxon across subjects followed by BH correction.
 
-    ``values`` is subjects x targets (scores or delta-R). Targets whose
-    differences are all zero are flagged undefined and excluded from FDR.
+    ``values`` is subjects x targets (scores or delta-R) and must be finite.
+    Targets whose differences are all zero are flagged undefined and excluded
+    from FDR.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n_subjects, n_targets = values.shape
     if n_subjects < 5:
         raise ValueError(f"need >= 5 subjects, got {n_subjects}")
+    _check_alternative(alternative)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise ValueError(f"{int(bad.sum())} non-finite values across subjects x targets; "
+                         f"first in target {first}")
     stat = np.full(n_targets, np.nan)
     p_raw = np.full(n_targets, np.nan)
     undefined = np.zeros(n_targets, dtype=bool)
-    for j in range(n_targets):
+    tiefree = np.zeros(n_targets, dtype=bool)
+    if n_subjects <= EXACT_LIMIT:
+        mag = np.abs(values)
+        order = np.argsort(mag, axis=0, kind="stable")
+        srt = np.take_along_axis(mag, order, axis=0)
+        tiefree = (srt[0] > 0) & np.all(srt[1:] != srt[:-1], axis=0)
+        if tiefree.any():
+            stat[tiefree], p_raw[tiefree] = _exact_tiefree(
+                values[:, tiefree], order[:, tiefree], alternative
+            )
+    for j in np.flatnonzero(~tiefree):
         try:
             stat[j], p_raw[j] = wilcoxon_signed_rank(values[:, j], alternative)
         except DegenerateSample:

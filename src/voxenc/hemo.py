@@ -1,13 +1,16 @@
 """Hemodynamic alignment: [0,1] normalization, double-gamma HRF convolution,
 and downsampling from activation rate (50 Hz) to acquisition rate (0.5 Hz).
+
+The gamma densities of the HRF are evaluated in log space with numpy and
+``math.lgamma``, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
 
 from .types import FeatureMatrix
 
@@ -54,6 +57,14 @@ def minmax_normalize(activations: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(out, activations.sample_rate, activations.name, activations.layer_index)
 
 
+def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """Gamma density at t >= 0: x**(shape-1) exp(-x) / (Gamma(shape) scale), x = t/scale."""
+    x = t / scale
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives a density of 0 at t = 0
+        log_pdf = (shape - 1.0) * np.log(x) - x - math.lgamma(shape)
+    return np.exp(log_pdf) / scale
+
+
 def glover_hrf(oversample_hz: float = 50.0, duration_seconds: float = DEFAULT_DURATION) -> HrfKernel:
     """Canonical double-gamma impulse response, peak-normalized to 1.
 
@@ -65,8 +76,8 @@ def glover_hrf(oversample_hz: float = 50.0, duration_seconds: float = DEFAULT_DU
         raise ValueError("duration_seconds must be >= 20")
     n = int(round(duration_seconds * oversample_hz))
     t = np.arange(n) / oversample_hz
-    main = gamma_dist.pdf(t, PEAK_SHAPE / DISPERSION, scale=DISPERSION)
-    under = gamma_dist.pdf(t, UNDERSHOOT_SHAPE / DISPERSION, scale=DISPERSION)
+    main = _gamma_pdf(t, PEAK_SHAPE / DISPERSION, DISPERSION)
+    under = _gamma_pdf(t, UNDERSHOOT_SHAPE / DISPERSION, DISPERSION)
     kernel = main - UNDERSHOOT_RATIO * under
     kernel /= kernel.max()
     return HrfKernel(kernel, oversample_hz, duration_seconds)

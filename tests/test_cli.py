@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import voxenc
 from voxenc import matrixio, report
 from voxenc.cli import main
 
@@ -87,17 +92,63 @@ def test_score_bad_threads_env_exit_2(runner, tmp_path):
     _assert_input_error(res, "VOXENC_THREADS", "'abc'")
 
 
+def test_score_feature_shape_errors_exit_2(runner, tmp_path):
+    out = _synth_dir(runner, tmp_path, "linear")
+    feats = matrixio.read_matrix(out / "features.fmx")
+    short = tmp_path / "short.fmx"
+    matrixio.write_matrix(short, feats[:57])
+    args = ["--response", str(out / "sub000.fmx"), "--manifest", str(out / "manifest.json"),
+            "--out", str(tmp_path / "o.fmx")]
+    res = runner.invoke(main, ["score", "--features", f"{out / 'features.fmx'},{short}", *args])
+    _assert_input_error(res, f"{out / 'features.fmx'} has 60", f"{short} has 57")
+    res = runner.invoke(main, ["score", "--features", str(short), *args])
+    _assert_input_error(res, f"{short} has 57", f"{out / 'sub000.fmx'} has 60")
+    flat = tmp_path / "flat.fmx"
+    matrixio.write_matrix(flat, feats[:, 0])
+    res = runner.invoke(main, ["score", "--features", f"{out / 'features.fmx'},{flat}", *args])
+    _assert_input_error(res, str(flat), "(60,)")
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(voxenc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, voxenc.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_group_stats_cmd(runner, tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(0.5, 0.2, size=(10, 15))
     matrixio.write_matrix(tmp_path / "group.fmx", values)
     out = tmp_path / "stats.json"
+    (tmp_path / "rois.json").write_text('{"rois": {"first_two": [0, 1]}}')
     res = runner.invoke(main, ["group-stats", "--in", str(tmp_path / "group.fmx"),
-                               "--q", "0.05", "--out", str(out)])
+                               "--q", "0.05", "--rois", str(tmp_path / "rois.json"),
+                               "--out", str(out)])
     assert res.exit_code == 0, res.output
     doc = json.loads(out.read_text())
     assert doc["n_targets"] == 15
     assert doc["n_significant"] == 15  # strong shift: everything survives
+    assert doc["roi_means"] == {"first_two": pytest.approx(values[:, :2].mean())}
+
+
+@pytest.mark.parametrize("content, needle", [
+    (None, "input file not found"),
+    ("{not json", "malformed manifest"),
+    ('{"rois": {"a": [0, 7]}}', "ROI index outside [0, 3)"),
+])
+def test_group_stats_bad_rois_exit_2(runner, tmp_path, content, needle):
+    matrixio.write_matrix(tmp_path / "group.fmx", np.arange(1.0, 19.0).reshape(6, 3))
+    rois = tmp_path / "rois.json"
+    if content is not None:
+        rois.write_text(content)
+    res = runner.invoke(main, ["group-stats", "--in", str(tmp_path / "group.fmx"),
+                               "--rois", str(rois), "--out", str(tmp_path / "stats.json")])
+    _assert_input_error(res, needle, str(rois))
+    assert not (tmp_path / "stats.json").exists()
 
 
 def test_ctc_eval_cmd(runner, tmp_path):
@@ -192,6 +243,23 @@ class TestRun:
         assert res.exit_code == 0, res.output
         snapshot = json.loads((tmp_path / "run_out" / "resolved_config.json").read_text())
         assert snapshot["threads"] == 2
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"min": 10.0, "max": 1e8, "num": "x"}, "lambda_grid.num"),
+        ({"min": 10.0, "max": 1e8, "num": 0}, "lambda_grid.num"),
+        ({"min": 10.0, "max": 1e8, "num": 2.5}, "lambda_grid.num"),
+        ({"min": "10", "max": 1e8, "num": 20}, "lambda_grid.min"),
+        ({"min": 10.0, "max": None, "num": 20}, "lambda_grid.max"),
+        ({"min": 0.0, "max": 1e8, "num": 20}, "0 < min < max"),
+        ({"min": 1e8, "max": 10.0, "num": 20}, "0 < min < max"),
+        ({"min": 10.0, "num": 20}, "lambda_grid"),
+        ([10.0, 1e8, 20], "lambda_grid"),
+    ])
+    def test_bad_lambda_grid_exit_2(self, runner, tmp_path, grid, key):
+        path, _ = self._config(tmp_path, lambda_grid=grid)
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        _assert_input_error(res, key)
+        assert not (tmp_path / "run_out").exists()
 
     def test_missing_config_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["run", "--config", str(tmp_path / "none.json")])

@@ -33,6 +33,13 @@ def test_sine_peak_bin_matches_direct_dft():
     assert np.argmax(direct) == k
 
 
+@pytest.mark.parametrize("n", [1, 320, 400])
+def test_periodic_hann_matches_scipy_bitwise(n):
+    from scipy.signal import get_window
+
+    assert np.array_equal(dsp.periodic_hann(n), get_window("hann", n, fftbins=True))
+
+
 def test_spectrogram_power_scaling():
     rng = np.random.default_rng(1)
     sig = rng.normal(size=4000)

@@ -147,6 +147,40 @@ class TestGroupTest:
         stats = group_test(values, "greater", 0.05)
         assert stats.significant.all()
 
+    @pytest.mark.parametrize("n_subjects", [5, 20, 25, 26])
+    @pytest.mark.parametrize("alternative", ["greater", "two_sided"])
+    def test_matches_per_target_wilcoxon_bitwise(self, n_subjects, alternative):
+        rng = np.random.default_rng(n_subjects)
+        values = rng.normal(0.1, 1.0, size=(n_subjects, 120))
+        tied = np.round(values[:, 40:80], 1)
+        values[:, 40:80] = np.where(tied == 0, 0.3, tied)  # ties, no zeros
+        values[:, 80] = 0.0  # all zero: undefined
+        values[:2, 82] = [0.5, -0.5]  # one tie in |d|, across signs
+        if n_subjects > 5:  # five nonzero differences must remain
+            values[0, 81] = 0.0  # one zero, otherwise tie-free
+            values[:3, 83] = [0.0, 0.5, 0.5]  # a zero and a tie
+        stats = group_test(values, alternative)
+        assert stats.undefined.tolist() == [j == 80 for j in range(120)]
+        for j in range(120):
+            if j == 80:
+                assert np.isnan(stats.statistic[j]) and np.isnan(stats.p_raw[j])
+                continue
+            w, p = wilcoxon_signed_rank(values[:, j], alternative)
+            assert stats.statistic[j] == w, j
+            assert stats.p_raw[j] == p, j
+
+    def test_non_finite_rejected_naming_count_and_target(self):
+        values = np.ones((6, 5))
+        values[2, 3] = np.nan
+        values[4, 3] = np.inf
+        values[0, 4] = -np.inf
+        with pytest.raises(ValueError, match="3 non-finite values.*first in target 3"):
+            group_test(values)
+
+    def test_alternative_checked_before_any_target(self):
+        with pytest.raises(ValueError, match="unknown alternative 'less'"):
+            group_test(np.zeros((6, 3)), "less")
+
 
 class TestRoiMean:
     def test_full_roi_global_mean(self):

@@ -46,6 +46,15 @@ class TestGloverHrf:
         peak = int(np.argmax(k.samples))
         assert k.samples[peak:].min() < 0
 
+    @pytest.mark.parametrize("hz", [10.0, 50.0, 1000.0])
+    def test_matches_scipy_gamma_kernel(self, hz):
+        from scipy.stats import gamma
+
+        t = np.arange(int(round(hemo.DEFAULT_DURATION * hz))) / hz
+        ref = gamma.pdf(t, hemo.PEAK_SHAPE) - hemo.UNDERSHOOT_RATIO * gamma.pdf(t, hemo.UNDERSHOOT_SHAPE)
+        ref /= ref.max()
+        assert np.abs(glover_hrf(hz).samples - ref).max() <= 1e-13
+
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
             glover_hrf(5.0)
