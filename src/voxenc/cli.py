@@ -85,12 +85,14 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
     if not Path(wav_path).exists():
         _fail(EXIT_USAGE, f"input file not found: {wav_path}")
     try:
-        signal, rate = dsp.read_wav(wav_path)
-        mono = dsp.resample_to_mono_16k(signal, rate)
+        # rebinding frees each full-length copy as soon as the next one exists
+        audio, rate = dsp.read_wav(wav_path)
+        audio = dsp.mix_to_mono(audio)
+        audio = dsp.resample_to_mono_16k(audio, rate)
         if kind == "spectrogram":
-            feats = dsp.power_spectrogram(mono, dsp.StftConfig())
+            feats = dsp.power_spectrogram(audio, dsp.StftConfig())
         else:
-            feats = dsp.mel_filterbank(mono, dsp.MelConfig(n_mels=n_mels, mel_variant=mel_variant))
+            feats = dsp.mel_filterbank(audio, dsp.MelConfig(n_mels=n_mels, mel_variant=mel_variant))
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
         return

@@ -25,11 +25,16 @@ class CtcInstance:
     targets: list[int]
 
     def __post_init__(self) -> None:
-        self.log_probs = np.asarray(self.log_probs, dtype=np.float64)
+        given = np.asarray(self.log_probs)
+        self.log_probs = given.astype(np.float64, copy=False)
         if self.log_probs.ndim != 2:
             raise ValueError("log_probs must be T x n_classes")
+        # a row normalised in the input's precision sums to 1 within about
+        # n_classes rounding steps of that precision: 1e-9 for float64 input
+        eps = float(np.finfo(given.dtype).eps) if given.dtype.kind == "f" else 0.0
+        tol = max(1e-9, self.log_probs.shape[1] * eps)
         row_mass = np.exp(self.log_probs).sum(axis=1)
-        if np.any(np.abs(row_mass - 1.0) > 1e-9):
+        if np.any(np.abs(row_mass - 1.0) > tol):
             bad = int(np.argmax(np.abs(row_mass - 1.0)))
             raise ValueError(f"frame {bad}: probabilities sum to {row_mass[bad]}, not 1")
         n_classes = self.log_probs.shape[1]

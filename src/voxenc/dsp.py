@@ -7,6 +7,13 @@ floor((len - window) / stride) + 1.
 scipy is imported only inside ``read_wav`` (WAV parsing) and
 ``resample_to_mono_16k`` (polyphase resampling): importing this module and
 computing features do not load it.
+
+Memory stays near the size of the signal. Frames are a strided view, and
+``power_spectrogram`` windows, transforms and squares ``_FRAME_BLOCK`` frames
+at a time into its preallocated output. ``read_wav`` returns PCM16 samples as
+float32, which holds them exactly, and ``mix_to_mono`` averages channels in
+float64, so no float64 copy of all channels is made. Neither changes a bit
+of the features.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .types import FeatureMatrix
+
+# Frames per FFT block in power_spectrogram: at the 25 ms mel window a block's
+# windowed frames take 3.3 MB and its complex spectrum 4.2 MB.
+_FRAME_BLOCK = 1024
 
 
 @dataclass
@@ -69,6 +80,7 @@ def frame_count(n_samples: int, window: int, stride: int) -> int:
 
 
 def _frame(signal: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Read-only frames x window view of the signal; no samples are copied."""
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ValueError("expected a mono signal")
@@ -76,9 +88,7 @@ def _frame(signal: np.ndarray, window: int, stride: int) -> np.ndarray:
         raise ValueError("signal contains non-finite samples")
     if len(signal) < window:
         raise ValueError(f"signal of {len(signal)} samples shorter than one {window}-sample window")
-    n = frame_count(len(signal), window, stride)
-    idx = np.arange(window)[None, :] + stride * np.arange(n)[:, None]
-    return signal[idx]
+    return np.lib.stride_tricks.sliding_window_view(signal, window)[::stride]
 
 
 def periodic_hann(n: int) -> np.ndarray:
@@ -96,7 +106,11 @@ def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> Feat
     cfg = cfg or StftConfig()
     frames = _frame(signal, cfg.window_samples, cfg.stride_samples)
     win = periodic_hann(cfg.window_samples)
-    spec = np.abs(np.fft.rfft(frames * win, n=cfg.n_fft, axis=1)) ** 2
+    spec = np.empty((frames.shape[0], cfg.n_fft // 2 + 1))
+    for start in range(0, frames.shape[0], _FRAME_BLOCK):
+        rows = spec[start : start + _FRAME_BLOCK]
+        np.abs(np.fft.rfft(frames[start : start + _FRAME_BLOCK] * win, n=cfg.n_fft, axis=1), out=rows)
+        np.square(rows, out=rows)
     return FeatureMatrix(spec, sample_rate=1.0 / cfg.stride_seconds, name="spectrogram")
 
 
@@ -160,6 +174,20 @@ def mel_filterbank(signal: np.ndarray, cfg: MelConfig | None = None) -> FeatureM
     return FeatureMatrix(out, sample_rate=1.0 / cfg.stride_seconds, name=f"mel_{cfg.mel_variant}")
 
 
+def mix_to_mono(signal: np.ndarray) -> np.ndarray:
+    """Float64 mono signal: a 2-D samples x channels signal is averaged over channels.
+
+    The average accumulates in float64, so float32 channels give the same bits
+    as averaging a float64 copy of them, without making that copy.
+    """
+    sig = np.asarray(signal)
+    if sig.ndim == 2:
+        return sig.mean(axis=1, dtype=np.float64)
+    if sig.ndim == 1:
+        return sig.astype(np.float64, copy=False)
+    raise ValueError(f"expected 1-D or 2-D signal, got ndim={sig.ndim}")
+
+
 def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
     """Average channels and polyphase-resample down to 16 kHz.
 
@@ -168,11 +196,7 @@ def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
     target = 16000
     if rate < target:
         raise ValueError(f"upsampling from {rate} Hz is not supported")
-    sig = np.asarray(signal, dtype=np.float64)
-    if sig.ndim == 2:
-        sig = sig.mean(axis=1)
-    elif sig.ndim != 1:
-        raise ValueError(f"expected 1-D or 2-D signal, got ndim={sig.ndim}")
+    sig = mix_to_mono(signal)
     if rate == target:
         return sig
     from scipy.signal import resample_poly
@@ -183,19 +207,20 @@ def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a PCM16 or float32 WAV; returns (float samples, rate).
+    """Read a PCM16, PCM32, float32 or float64 WAV; returns (float samples, rate).
 
-    Integer samples are scaled to [-1, 1).
+    Integer samples are scaled to [-1, 1). PCM16 and float32 samples come back
+    as float32, which holds them exactly; PCM32 and float64 as float64.
     """
     from scipy.io import wavfile
 
     rate, data = wavfile.read(path)
     if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
+        data = data.astype(np.float32)
+        data /= 32768.0
     elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
         data = data.astype(np.float64)
-    else:
+        data /= 2147483648.0
+    elif data.dtype not in (np.float32, np.float64):
         raise ValueError(f"unsupported WAV sample format {data.dtype}")
     return data, int(rate)

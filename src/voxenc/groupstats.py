@@ -38,7 +38,7 @@ class StatMap:
 
 
 class DegenerateSample(ValueError):
-    """All differences are zero; the test statistic is undefined."""
+    """Fewer than 5 nonzero differences; the test is undefined."""
 
 
 def _check_alternative(alternative: str) -> None:
@@ -84,7 +84,8 @@ def wilcoxon_signed_rank(
 ) -> tuple[float, float]:
     """Signed-rank test on per-subject differences.
 
-    Zero differences are dropped first. Returns (W+, p). ``alternative`` is
+    Zero differences are dropped first; fewer than 5 nonzero differences
+    raise ``DegenerateSample``. Returns (W+, p). ``alternative`` is
     "greater" (positive shift) or "two_sided".
     """
     _check_alternative(alternative)
@@ -96,7 +97,7 @@ def wilcoxon_signed_rank(
     if n == 0:
         raise DegenerateSample("all differences are zero")
     if n < 5:
-        raise ValueError(f"need >= 5 nonzero differences, got {n}")
+        raise DegenerateSample(f"need >= 5 nonzero differences, got {n}")
     ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
@@ -172,8 +173,9 @@ def group_test(
     """Per-target Wilcoxon across subjects followed by BH correction.
 
     ``values`` is subjects x targets (scores or delta-R) and must be finite.
-    Targets whose differences are all zero are flagged undefined and excluded
-    from FDR.
+    Targets with fewer than 5 nonzero differences are flagged undefined, get
+    a NaN statistic and p-value, are never significant and are excluded from
+    FDR.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n_subjects, n_targets = values.shape

@@ -119,6 +119,19 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_group_stats_sparse_target_null(runner, tmp_path):
+    values = np.random.default_rng(4).normal(0.5, 0.2, size=(10, 4))
+    values[:7, 2] = 0.0  # 3 nonzero differences: too few for the test
+    matrixio.write_matrix(tmp_path / "group.fmx", values)
+    out = tmp_path / "stats.json"
+    res = runner.invoke(main, ["group-stats", "--in", str(tmp_path / "group.fmx"), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert doc["p_raw"][2] is None
+    assert [p is None for p in doc["p_raw"]] == [False, False, True, False]
+    assert doc["significant"][2] is False
+
+
 def test_group_stats_cmd(runner, tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(0.5, 0.2, size=(10, 15))
@@ -159,6 +172,24 @@ def test_ctc_eval_cmd(runner, tmp_path):
                                "--targets", str(tmp_path / "targets.txt")])
     assert res.exit_code == 0, res.output
     assert "log_likelihood" in res.output
+
+
+def test_ctc_eval_float32_logprobs(runner, tmp_path):
+    rng = np.random.default_rng(2)
+    logits = 3.0 * rng.normal(size=(60, 37))
+    targets = " ".join(map(str, rng.integers(1, 37, size=12)))
+    (tmp_path / "targets.txt").write_text(targets)
+    lls = []
+    for dtype in (np.float64, np.float32):
+        z = logits.astype(dtype)
+        z -= z.max(axis=1, keepdims=True)
+        lp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))  # softmax in the model's precision
+        matrixio.write_matrix(tmp_path / "lp.fmx", lp)
+        res = runner.invoke(main, ["ctc-eval", "--logprobs", str(tmp_path / "lp.fmx"),
+                                   "--targets", str(tmp_path / "targets.txt")])
+        assert res.exit_code == 0, res.output
+        lls.append(float(res.output.split("log_likelihood = ")[1].split()[0]))
+    assert lls[1] == pytest.approx(lls[0], rel=1e-5)
 
 
 def test_hrf_convolve_cmd(runner, tmp_path):

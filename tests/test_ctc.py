@@ -100,6 +100,20 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="sum to"):
             CtcInstance(lp, [1])
 
+    def test_row_mass_tolerance_follows_dtype(self):
+        p = np.full((3, 37), 1 / 37)
+        p[:, 0] += 2e-6  # rows sum to 1 + 2e-6: within 37 float32 steps, not float64
+        CtcInstance(np.log(p).astype(np.float32), [1])
+        with pytest.raises(ValueError, match="sum to"):
+            CtcInstance(np.log(p), [1])
+        p[:, 0] += 1e-4  # too far off in either precision
+        with pytest.raises(ValueError, match="sum to"):
+            CtcInstance(np.log(p).astype(np.float32), [1])
+
+    def test_float32_log_probs_stored_as_float64(self):
+        inst = CtcInstance(np.log(np.full((2, 3), 1 / 3, dtype=np.float32)), [1])
+        assert inst.log_probs.dtype == np.float64
+
     def test_target_label_range(self):
         p = np.full((2, 3), 1 / 3)
         with pytest.raises(ValueError, match="outside"):

@@ -130,3 +130,63 @@ def test_wav_roundtrip(tmp_path):
     sig, rate = dsp.read_wav(tmp_path / "a.wav")
     assert rate == 16000
     assert np.allclose(sig, pcm / 32768.0)
+
+
+def _whole_array_power(sig, cfg):
+    # the unblocked formula: gather every frame, window, transform, square
+    window, stride = cfg.window_samples, cfg.stride_samples
+    n = dsp.frame_count(len(sig), window, stride)
+    idx = np.arange(window)[None, :] + stride * np.arange(n)[:, None]
+    return np.abs(np.fft.rfft(sig[idx] * dsp.periodic_hann(window), n=cfg.n_fft, axis=1)) ** 2
+
+
+@pytest.mark.parametrize("n_frames", [dsp._FRAME_BLOCK - 1, dsp._FRAME_BLOCK, dsp._FRAME_BLOCK + 1])
+def test_spectrogram_frame_blocks_match_whole_array(n_frames):
+    cfg = StftConfig()
+    n_samples = (n_frames - 1) * cfg.stride_samples + cfg.window_samples + 7  # 7 unused tail samples
+    sig = np.random.default_rng(n_frames).normal(size=n_samples)
+    out = dsp.power_spectrogram(sig, cfg).data
+    assert out.shape[0] == n_frames
+    assert out.tobytes() == _whole_array_power(sig, cfg).tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [dsp._FRAME_BLOCK - 1, dsp._FRAME_BLOCK, dsp._FRAME_BLOCK + 1])
+def test_mel_frame_blocks_match_whole_array(n_frames):
+    cfg = MelConfig()
+    stft = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, 512)
+    n_samples = (n_frames - 1) * stft.stride_samples + stft.window_samples
+    sig = np.random.default_rng(n_frames).normal(size=n_samples)
+    out = dsp.mel_filterbank(sig, cfg).data
+    assert out.shape[0] == n_frames
+    want = _whole_array_power(sig, stft) @ dsp.mel_filter_matrix(512, cfg).T
+    assert out.tobytes() == want.tobytes()
+
+
+def test_frames_are_a_view():
+    sig = np.arange(1000.0)
+    frames = dsp._frame(sig, 320, 160)
+    assert np.shares_memory(frames, sig)
+    assert frames.shape == (dsp.frame_count(1000, 320, 160), 320)
+    assert np.array_equal(frames[2], sig[320:640])
+
+
+def test_pcm16_read_as_float32_mixes_like_float64(tmp_path):
+    from scipy.io import wavfile
+
+    rng = np.random.default_rng(5)
+    pcm = rng.integers(-32768, 32768, size=(44100, 2)).astype(np.int16)
+    pcm[:3] = [[-32768, -32768], [32767, 32767], [0, 0]]  # extremes and silence
+    wavfile.write(tmp_path / "s.wav", 44100, pcm)
+    sig, rate = dsp.read_wav(tmp_path / "s.wav")
+    assert sig.dtype == np.float32
+    assert np.array_equal(sig, pcm / 32768.0)  # exact in float32
+    mono = dsp.mix_to_mono(sig)
+    assert mono.dtype == np.float64
+    assert mono.tobytes() == (pcm / 32768.0).mean(axis=1).tobytes()
+    assert dsp.resample_to_mono_16k(sig, rate).tobytes() == \
+        dsp.resample_to_mono_16k(pcm / 32768.0, rate).tobytes()
+
+
+def test_mix_to_mono_float32_channels_match_float64_copy():
+    sig = np.random.default_rng(6).normal(size=(1000, 2)).astype(np.float32)  # full 24-bit mantissas
+    assert dsp.mix_to_mono(sig).tobytes() == sig.astype(np.float64).mean(axis=1).tobytes()

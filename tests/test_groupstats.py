@@ -66,6 +66,10 @@ class TestWilcoxon:
         with pytest.raises(DegenerateSample):
             wilcoxon_signed_rank([0.0, 0.0, 0.0, 0.0, 0.0])
 
+    def test_fewer_than_five_nonzero_flagged(self):
+        with pytest.raises(DegenerateSample, match="need >= 5 nonzero differences, got 4"):
+            wilcoxon_signed_rank([0.0, 1.0, -2.0, 3.0, 4.0, 0.0])
+
     def test_exact_vs_normal_approx_at_25(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -136,6 +140,21 @@ class TestGroupTest:
         assert stats.undefined[0]
         assert not stats.significant[0]
         assert stats.p_raw.shape == (20,)
+
+    @pytest.mark.parametrize("n_subjects", [10, 30])
+    def test_sparse_targets_undefined_and_excluded_from_fdr(self, n_subjects):
+        rng = np.random.default_rng(7)
+        values = rng.normal(2.0, 0.1, size=(n_subjects, 6))
+        values[: n_subjects - 3, 1] = 0.0  # 3 nonzero differences
+        values[: n_subjects - 1, 4] = 0.0  # 1 nonzero difference
+        values[:, 5] = 0.0  # all zero
+        stats = group_test(values, "greater", 0.05)
+        sparse = [False, True, False, False, True, True]
+        assert stats.undefined.tolist() == sparse
+        assert np.isnan(stats.p_raw[sparse]).all() and np.isnan(stats.statistic[sparse]).all()
+        assert stats.significant.tolist() == [not u for u in sparse]
+        live = ~np.array(sparse)
+        assert np.array_equal(stats.significant[live], fdr_bh(stats.p_raw[live], 0.05))
 
     def test_needs_five_subjects(self):
         with pytest.raises(ValueError, match=">= 5 subjects"):

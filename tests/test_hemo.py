@@ -24,6 +24,23 @@ class TestMinMaxNormalize:
         out = minmax_normalize(_fm(data))
         assert np.allclose(out.data, data)
 
+    def test_constant_columns_mixed_in_match_whole_array_formula(self):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(50, 7))
+        data[:, [0, 3, 6]] = [[-2.5, 0.0, 7.0]]  # constant, including an all-zero column
+        lo = data.min(axis=0)
+        span = data.max(axis=0) - lo
+        live = span > 0
+        want = np.zeros_like(data)
+        want[:, live] = (data[:, live] - lo[live]) / span[live]
+        out = minmax_normalize(_fm(data)).data
+        assert out.tobytes() == want.tobytes()  # bitwise, signs of zeros included
+
+    def test_input_untouched(self):
+        data = np.array([[1.0, 3.0], [2.0, 3.0]])
+        minmax_normalize(_fm(data))
+        assert data.tolist() == [[1.0, 3.0], [2.0, 3.0]]
+
     def test_columns_independent(self):
         data = np.array([[0.0, 100.0], [1.0, 300.0], [2.0, 200.0]])
         out = minmax_normalize(_fm(data))
@@ -46,14 +63,14 @@ class TestGloverHrf:
         peak = int(np.argmax(k.samples))
         assert k.samples[peak:].min() < 0
 
-    @pytest.mark.parametrize("hz", [10.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("hz", [10.0, 20.0, 50.0, 100.0, 250.0, 1000.0])
     def test_matches_scipy_gamma_kernel(self, hz):
         from scipy.stats import gamma
 
         t = np.arange(int(round(hemo.DEFAULT_DURATION * hz))) / hz
         ref = gamma.pdf(t, hemo.PEAK_SHAPE) - hemo.UNDERSHOOT_RATIO * gamma.pdf(t, hemo.UNDERSHOOT_SHAPE)
         ref /= ref.max()
-        assert np.abs(glover_hrf(hz).samples - ref).max() <= 1e-13
+        assert np.array_equal(glover_hrf(hz).samples, ref)
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
@@ -121,6 +138,22 @@ class TestConvolveDownsample:
         out = convolve_downsample(_fm(data), k, self.spec)
         out_rev = convolve_downsample(_fm(data[:, ::-1]), k, self.spec)
         assert np.array_equal(out.data, out_rev.data[:, ::-1])
+
+    @pytest.mark.parametrize("n_cols", sorted({1, hemo._COLUMN_BLOCK - 1, hemo._COLUMN_BLOCK,
+                                               hemo._COLUMN_BLOCK + 1, 2 * hemo._COLUMN_BLOCK + 2,
+                                               63, 64, 65, 130}))
+    def test_column_blocks_match_whole_array_fft(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        data = rng.normal(size=(2000, n_cols))
+        k = self._kernel()
+        conv_len = data.shape[0] + k.samples.size - 1
+        n_fft = 1 << (conv_len - 1).bit_length()
+        spec_x = np.fft.rfft(data, n=n_fft, axis=0)
+        spec_h = np.fft.rfft(k.samples, n=n_fft)
+        conv = np.fft.irfft(spec_x * spec_h[:, None], n=n_fft, axis=0)[:conv_len]
+        want = conv[np.arange(10) * 100]
+        out = convolve_downsample(_fm(data), k, self.spec)
+        assert out.data.tobytes() == want.tobytes()
 
 
 def test_hrf_align_shapes():

@@ -1,0 +1,76 @@
+"""Peak-memory gates for the streaming stages.
+
+Each command runs in a fresh process that imports everything it needs, notes
+its peak RSS, runs the command and notes the peak again. The growth must stay
+under a fixed multiple of the input's size in bytes. Measured on the blocked
+code: about 2.1x for ``hrf-convolve`` (the input plus its normalised copy)
+and 4.0x for ``featurize --kind mel`` (float32 channels plus the float64 mono
+mix). Whole-array versions that hold full-length spectra or a float64 stereo
+copy measured 8.3x and 10.7x.
+"""
+
+import os
+import subprocess
+import sys
+import wave
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import voxenc
+from voxenc import matrixio
+
+HRF_MAX_GROWTH = 4.0
+FEATURIZE_MAX_GROWTH = 6.0
+
+pytestmark = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                reason="needs VmHWM from /proc/self/status")
+
+# VmHWM is the peak RSS of this process's own address space. ru_maxrss is not
+# used: Linux carries it over from the parent across fork and exec, so a child
+# of a large test process would start at the parent's peak.
+_CHILD = """
+import sys
+import scipy.io.wavfile, scipy.signal  # featurize imports these lazily
+from voxenc.cli import main
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kib()
+main(sys.argv[1:], standalone_mode=False)
+print(before, peak_kib())
+"""
+
+
+def _rss_growth_bytes(args):
+    src = str(Path(voxenc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _CHILD, *args], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    before, after = map(int, out.split()[-2:])
+    return (after - before) * 1024
+
+
+def test_hrf_convolve_peak_memory(tmp_path):
+    act = np.random.default_rng(0).normal(size=(8000, 256))
+    matrixio.write_matrix(tmp_path / "act.fmx", act)
+    growth = _rss_growth_bytes(["hrf-convolve", "--in", str(tmp_path / "act.fmx"),
+                                "--out", str(tmp_path / "aligned.fmx"), "--n-scans", "80"])
+    assert growth < HRF_MAX_GROWTH * act.nbytes, growth / act.nbytes
+
+
+def test_featurize_mel_peak_memory(tmp_path):
+    rate = 44100
+    noise = 0.1 * np.random.default_rng(1).normal(size=(60 * rate, 2))
+    pcm = (np.clip(noise, -1.0, 1.0) * 32767).astype("<i2")
+    with wave.open(str(tmp_path / "audio.wav"), "wb") as fh:
+        fh.setnchannels(2)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(pcm.tobytes())
+    growth = _rss_growth_bytes(["featurize", "--wav", str(tmp_path / "audio.wav"), "--kind", "mel",
+                                "--out", str(tmp_path / "mel.fmx")])
+    assert growth < FEATURIZE_MAX_GROWTH * pcm.nbytes, growth / pcm.nbytes
