@@ -85,9 +85,12 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
     if not Path(wav_path).exists():
         _fail(EXIT_USAGE, f"input file not found: {wav_path}")
     try:
-        # rebinding frees each full-length copy as soon as the next one exists
         audio, rate = dsp.read_wav(wav_path)
-        audio = dsp.mix_to_mono(audio)
+    except dsp.WavError as exc:
+        _fail(EXIT_USAGE, str(exc))
+        return
+    try:
+        # rebinding frees the input-rate signal as soon as the 16 kHz one exists
         audio = dsp.resample_to_mono_16k(audio, rate)
         if kind == "spectrogram":
             feats = dsp.power_spectrogram(audio, dsp.StftConfig())

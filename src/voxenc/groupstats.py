@@ -8,12 +8,16 @@ are midranks (ties share their average rank), doubled internally so they stay
 integral. Only numpy and the standard library are used, so importing this
 module does not load scipy.
 
-``group_test`` ranks every target at once where it can: the targets with at
-most EXACT_LIMIT subjects and no zero or tied differences share one null
-distribution, so one argsort over the subjects axis and cumulative sums of the
-cached null counts give all their W+ and p-values. Every other target takes
-the per-target ``wilcoxon_signed_rank``. The null counts are integers below
-2**53, so both paths return bit-identical results.
+``group_test`` ranks every target at once where it can, from one stable
+argsort of |values| over the subjects axis. Up to EXACT_LIMIT subjects, the
+targets with no zero or tied differences share one null distribution, so
+cumulative sums of the cached null counts give all their W+ and p-values.
+Above it, the targets that keep more than EXACT_LIMIT nonzero differences
+get W+ and the tie variance from the runs of equal sorted |values| and the
+normal approximation column-wise. Every other target takes the per-target
+``wilcoxon_signed_rank``. Null counts are integers below 2**53 and doubled
+midranks and tie terms are integers, so every path returns bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -131,16 +135,14 @@ def wilcoxon_signed_rank(
     return w_plus, p
 
 
-def _exact_tiefree(
-    values: np.ndarray, order: np.ndarray, alternative: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _exact_tiefree(positive: np.ndarray, alternative: str) -> tuple[np.ndarray, np.ndarray]:
     """W+ and exact p for columns with no zero or tied |value|.
 
-    ``order`` argsorts ``|values|`` along axis 0, so the row at sorted position
-    i has rank i + 1 and the columns share the tie-free null of n = rows.
+    ``positive`` marks the positive values of each column in ascending order
+    of |value|, so the row at sorted position i has rank i + 1 and the
+    columns share the tie-free null of n = rows.
     """
-    n = values.shape[0]
-    positive = np.take_along_axis(values, order, axis=0) > 0
+    n = positive.shape[0]
     w_plus = np.arange(1, n + 1) @ positive  # integer W+ per column
     counts = _null_counts_tiefree(n)
     total = counts.sum()
@@ -152,6 +154,44 @@ def _exact_tiefree(
         p_le = np.cumsum(counts)[w2] / total
         p = np.minimum(1.0, 2.0 * np.minimum(p, p_le))
     return w_plus.astype(np.float64), p
+
+
+def _normal_tied(
+    srt: np.ndarray, positive: np.ndarray, alternative: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """W+ and normal-approximation p, with tie and continuity corrections, per column.
+
+    ``srt`` holds each column's |values| in ascending order and ``positive``
+    marks the positive values in the same order. Zeros sort first and are
+    dropped; each run of equal nonzero |values| shares its midrank. Doubled
+    midranks and the tie term sum(t**3 - t) are integers, so W+ and the
+    variance equal ``wilcoxon_signed_rank``'s, and so does every later step.
+    """
+    rows = srt.shape[0]
+    pos = np.arange(rows)[:, None]
+    run_start = np.ones(srt.shape, dtype=bool)
+    run_start[1:] = srt[1:] != srt[:-1]
+    run_end = np.ones(srt.shape, dtype=bool)
+    run_end[:-1] = run_start[1:]
+    first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=0)
+    stop = np.minimum.accumulate(np.where(run_end, pos + 1, rows)[::-1], axis=0)[::-1]
+    zeros = np.count_nonzero(srt == 0, axis=0)
+    n = rows - zeros
+    # the run at sorted positions [first, stop) holds ranks first-zeros+1 .. stop-zeros,
+    # so its doubled midrank is first + stop + 1 - 2*zeros
+    w_plus = np.sum((first + stop + 1 - 2 * zeros) * positive, axis=0) / 2.0
+    length = stop - first
+    ties = np.sum(np.where(run_end & (srt != 0), length**3 - length, 0), axis=0)
+    mean = n * (n + 1) / 4.0
+    sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0)
+    if alternative == "greater":
+        z = (w_plus - mean - 0.5) / sd
+    else:
+        z = np.abs((w_plus - mean - np.sign(w_plus - mean) * 0.5) / sd)
+    p = np.array([_norm_sf(v) for v in z.tolist()])
+    if alternative == "two_sided":
+        p = np.minimum(1.0, 2.0 * p)
+    return w_plus, p
 
 
 def fdr_bh(p_values: np.ndarray, q: float = 0.05) -> np.ndarray:
@@ -190,17 +230,21 @@ def group_test(
     stat = np.full(n_targets, np.nan)
     p_raw = np.full(n_targets, np.nan)
     undefined = np.zeros(n_targets, dtype=bool)
-    tiefree = np.zeros(n_targets, dtype=bool)
+    mag = np.abs(values)
+    order = np.argsort(mag, axis=0, kind="stable")
+    srt = np.take_along_axis(mag, order, axis=0)
+    positive = np.take_along_axis(values, order, axis=0) > 0
     if n_subjects <= EXACT_LIMIT:
-        mag = np.abs(values)
-        order = np.argsort(mag, axis=0, kind="stable")
-        srt = np.take_along_axis(mag, order, axis=0)
-        tiefree = (srt[0] > 0) & np.all(srt[1:] != srt[:-1], axis=0)
-        if tiefree.any():
-            stat[tiefree], p_raw[tiefree] = _exact_tiefree(
-                values[:, tiefree], order[:, tiefree], alternative
+        ranked = (srt[0] > 0) & np.all(srt[1:] != srt[:-1], axis=0)
+        if ranked.any():
+            stat[ranked], p_raw[ranked] = _exact_tiefree(positive[:, ranked], alternative)
+    else:
+        ranked = np.count_nonzero(srt, axis=0) > EXACT_LIMIT
+        if ranked.any():
+            stat[ranked], p_raw[ranked] = _normal_tied(
+                srt[:, ranked], positive[:, ranked], alternative
             )
-    for j in np.flatnonzero(~tiefree):
+    for j in np.flatnonzero(~ranked):
         try:
             stat[j], p_raw[j] = wilcoxon_signed_rank(values[:, j], alternative)
         except DegenerateSample:

@@ -214,6 +214,59 @@ def test_featurize_cmd(runner, tmp_path):
     assert matrixio.read_matrix(tmp_path / "spec.fmx").shape[1] == 161
 
 
+def _write_pcm16(path, pcm, rate=16000, sampwidth=2):
+    import wave
+
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1 if pcm.ndim == 1 else pcm.shape[1])
+        fh.setsampwidth(sampwidth)
+        fh.setframerate(rate)
+        fh.writeframes(pcm.tobytes())
+
+
+def _stereo_wav_bytes(tmp_path):
+    pcm = (np.random.default_rng(3).uniform(-0.5, 0.5, (16000, 2)) * 32767).astype("<i2")
+    _write_pcm16(tmp_path / "full.wav", pcm)
+    return (tmp_path / "full.wav").read_bytes()
+
+
+@pytest.mark.parametrize("case, needle", [
+    ("not_riff", "not understood"),
+    ("pcm8", "unsupported WAV sample format uint8"),
+    ("cut_in_data", "Reached EOF prematurely"),
+    ("cut_in_frame", "cannot reshape"),
+    ("cut_in_header", "truncated header"),
+])
+def test_featurize_bad_wav_exit_2(runner, tmp_path, case, needle):
+    wav = tmp_path / f"{case}.wav"
+    if case == "not_riff":
+        wav.write_text("hello, this is not audio\n")
+    elif case == "pcm8":
+        _write_pcm16(wav, np.arange(4000, dtype=np.uint8), sampwidth=1)
+    else:
+        data = _stereo_wav_bytes(tmp_path)
+        # 87 whole frames, 87.5 frames, or cut inside the fmt chunk
+        keep = {"cut_in_data": 44 + 87 * 4, "cut_in_frame": 44 + 87 * 4 + 2, "cut_in_header": 30}[case]
+        wav.write_bytes(data[:keep])
+    res = runner.invoke(main, ["featurize", "--wav", str(wav), "--out", str(tmp_path / "o.fmx")])
+    _assert_input_error(res, str(wav), needle)
+    assert not (tmp_path / "o.fmx").exists()
+
+
+def test_featurize_loads_no_scipy_signal(tmp_path):
+    _write_pcm16(tmp_path / "a.wav", np.zeros((44100, 2), dtype="<i2"), rate=44100)
+    src = str(Path(voxenc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from voxenc.cli import main; "
+            f"main(['featurize', '--wav', {str(tmp_path / 'a.wav')!r}, '--kind', 'mel', "
+            f"'--out', {str(tmp_path / 'mel.fmx')!r}], standalone_mode=False); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert matrixio.read_matrix(tmp_path / "mel.fmx").shape == (98, 80)
+
+
 class TestRun:
     def _config(self, tmp_path, **kw):
         cfg = {

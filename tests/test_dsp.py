@@ -170,21 +170,75 @@ def test_frames_are_a_view():
     assert np.array_equal(frames[2], sig[320:640])
 
 
-def test_pcm16_read_as_float32_mixes_like_float64(tmp_path):
+def _old_read_and_mix(data):
+    # the previous front end: float copy of the channels, then mean in float64
+    if data.dtype == np.int16:
+        data = data.astype(np.float32) / np.float32(32768.0)
+    elif data.dtype == np.int32:
+        data = data.astype(np.float64) / 2147483648.0
+    return data.mean(axis=1, dtype=np.float64) if data.ndim == 2 else data.astype(np.float64)
+
+
+def _wav_samples(dtype, n_frames, n_channels, rng):
+    if np.dtype(dtype).kind == "i":
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, size=(n_frames, n_channels), endpoint=True).astype(dtype)
+        data[:3] = [[info.min], [info.max], [0]]  # full-scale extremes and silence
+    else:
+        data = (rng.normal(size=(n_frames, n_channels)) * np.exp(4 * rng.normal(size=(n_frames, 1)))).astype(dtype)
+        data[:4] = [[-1.0], [1.0], [0.0], [-0.0]]
+        data[4, ::2] = -0.0  # mixed signed zeros
+        data[4, 1::2] = 0.0
+    return data[:, 0] if n_channels == 1 else data
+
+
+@pytest.mark.parametrize("n_channels", [1, 2, 3, 6, 8, 9])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32, np.float64])
+def test_read_wav_mono_bitwise_equals_old_mix(tmp_path, dtype, n_channels):
     from scipy.io import wavfile
 
-    rng = np.random.default_rng(5)
-    pcm = rng.integers(-32768, 32768, size=(44100, 2)).astype(np.int16)
-    pcm[:3] = [[-32768, -32768], [32767, 32767], [0, 0]]  # extremes and silence
-    wavfile.write(tmp_path / "s.wav", 44100, pcm)
-    sig, rate = dsp.read_wav(tmp_path / "s.wav")
-    assert sig.dtype == np.float32
-    assert np.array_equal(sig, pcm / 32768.0)  # exact in float32
-    mono = dsp.mix_to_mono(sig)
-    assert mono.dtype == np.float64
-    assert mono.tobytes() == (pcm / 32768.0).mean(axis=1).tobytes()
-    assert dsp.resample_to_mono_16k(sig, rate).tobytes() == \
-        dsp.resample_to_mono_16k(pcm / 32768.0, rate).tobytes()
+    data = _wav_samples(dtype, dsp._MIX_BLOCK + 3, n_channels, np.random.default_rng(n_channels))
+    wavfile.write(tmp_path / "a.wav", 44100, data)
+    mono, rate = dsp.read_wav(tmp_path / "a.wav")
+    assert rate == 44100
+    assert mono.dtype == np.float64 and mono.shape == (data.shape[0],)
+    assert mono.tobytes() == _old_read_and_mix(data).tobytes()
+
+
+def _up_down(rate):
+    g = np.gcd(16000, rate)
+    return 16000 // g, rate // g
+
+
+def _assert_matches_scipy(x, rate):
+    from scipy.signal import resample_poly
+
+    out = dsp.resample_to_mono_16k(x, rate)
+    want = resample_poly(x, *_up_down(rate))
+    assert out.shape == want.shape == (-(-x.size * 16000 // rate),)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(x).max(), (rate, x.size)
+
+
+@pytest.mark.parametrize("rate", [22050, 32000, 44100, 48000, 96000, 44056])
+def test_resample_matches_scipy_resample_poly(rate):
+    up, down = _up_down(rate)
+    n_filter = 20 * max(up, down) + 1
+    rng = np.random.default_rng(rate)
+    # length 1, shorter than the filter, about its length, and over several blocks
+    for n in [1, 2, 17, n_filter // 3, n_filter - 1, n_filter + 1,
+              2 * dsp._RESAMPLE_BLOCK * down // up + 12345]:
+        _assert_matches_scipy(0.35 * rng.uniform(-1.0, 1.0, n), rate)
+
+
+@pytest.mark.parametrize("rate", [44100, 48000, 44056])
+def test_resample_block_edges(rate, monkeypatch):
+    up, down = _up_down(rate)
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 2 * up)  # two periods of up outputs per block
+    n_filter = 20 * max(up, down) + 1
+    rng = np.random.default_rng(0)
+    # every length from a head-and-tail-only signal to one with several interior blocks
+    for n in range(n_filter - 2 * down, n_filter + 9 * down, max(1, down // 2)):
+        _assert_matches_scipy(rng.uniform(-1.0, 1.0, n), rate)
 
 
 def test_mix_to_mono_float32_channels_match_float64_copy():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxenc.groupstats import (
+    EXACT_LIMIT,
     DegenerateSample,
     fdr_bh,
     group_test,
@@ -182,6 +183,40 @@ class TestGroupTest:
         assert stats.undefined.tolist() == [j == 80 for j in range(120)]
         for j in range(120):
             if j == 80:
+                assert np.isnan(stats.statistic[j]) and np.isnan(stats.p_raw[j])
+                continue
+            w, p = wilcoxon_signed_rank(values[:, j], alternative)
+            assert stats.statistic[j] == w, j
+            assert stats.p_raw[j] == p, j
+
+    @pytest.mark.parametrize("n_subjects", [26, 50, 102])
+    @pytest.mark.parametrize("alternative", ["greater", "two_sided"])
+    def test_normal_approx_matches_per_target_wilcoxon_bitwise(self, n_subjects, alternative,
+                                                               monkeypatch):
+        import voxenc.groupstats as gs
+
+        rng = np.random.default_rng(n_subjects)
+        values = rng.normal(0.1, 1.0, size=(n_subjects, 200))
+        values[:, 40:80] = np.round(values[:, 40:80], 1)  # many ties across signs, some zeros
+        values[:, 80:90] = rng.integers(-2, 3, size=(n_subjects, 10))  # few distinct values
+        values[:, 90] = 0.7  # one run of ties
+        values[::2, 91] = -0.7
+        values[:, 92] = 0.0  # all zero
+        values[:-3, 93] = 0.0  # 3 nonzero: undefined
+        values[:-4, 94] = -0.0  # 4 nonzero, with signed zeros: undefined
+        values[:-5, 95] = 0.0  # 5 nonzero: exact test per target
+        values[: n_subjects - EXACT_LIMIT, 96] = 0.0  # EXACT_LIMIT nonzero: exact
+        values[: n_subjects - EXACT_LIMIT - 1, 97] = 0.0  # one more: normal approximation
+        values[:3, 98] = [0.0, -0.0, 0.0]  # a few zeros, tie-free otherwise
+        calls = []
+        monkeypatch.setattr(gs, "wilcoxon_signed_rank",
+                            lambda d, alt: calls.append(1) or wilcoxon_signed_rank(d, alt))
+        stats = group_test(values, alternative)
+        nonzero = np.count_nonzero(values, axis=0)
+        assert len(calls) == np.sum(nonzero <= EXACT_LIMIT)  # every other target ranked at once
+        assert stats.undefined.tolist() == (nonzero < 5).tolist()
+        for j in range(values.shape[1]):
+            if nonzero[j] < 5:
                 assert np.isnan(stats.statistic[j]) and np.isnan(stats.p_raw[j])
                 continue
             w, p = wilcoxon_signed_rank(values[:, j], alternative)
