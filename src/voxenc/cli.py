@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 computation error, 2 usage/input error.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -54,19 +53,6 @@ def _load_manifest(path: str) -> matrixio.DatasetManifest:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON or field layout
         _fail(EXIT_USAGE, f"malformed manifest {path}: {type(exc).__name__}: {exc}")
     raise AssertionError("unreachable")
-
-
-def _parse_threads(value: object, source: str) -> int:
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{source} must be an integer thread count, got {value!r}")
-
-
-def _default_threads() -> int:
-    return _parse_threads(os.environ.get("VOXENC_THREADS", "1"), "VOXENC_THREADS")
 
 
 @click.group()
@@ -129,10 +115,9 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 @click.option("--manifest", "manifest_path", required=True)
 @click.option("--out", "out_path", required=True, help="per-target mean R (FMX1)")
 @click.option("--report", "report_path", default=None)
-@click.option("--threads", default=None, type=int)
 @click.option("--detrend/--no-detrend", default=True, show_default=True)
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
-          report_path: str | None, threads: int | None, detrend: bool) -> None:
+          report_path: str | None, detrend: bool) -> None:
     """Cross-validated ridge brain scores per target."""
     manifest = _load_manifest(manifest_path)
     problems = matrixio.validate_manifest(manifest)
@@ -154,17 +139,12 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
         _fail(EXIT_USAGE, "feature and response files must have the same number of rows: "
                           + ", ".join(f"{path} has {n}" for path, n in rows.items()))
     X = np.hstack(mats)
-    if threads is None:
-        try:
-            threads = _default_threads()
-        except ValueError as exc:
-            _fail(EXIT_USAGE, str(exc))
     try:
         resp = ResponseMatrix(Y)
         if detrend:
             resp = detrend_blocks(resp, manifest.blocks)
         plan = make_split_plan(manifest.blocks)
-        sm = brain_score(X, resp.data, plan, n_threads=threads)
+        sm = brain_score(X, resp.data, plan)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
         return
@@ -328,7 +308,7 @@ def _write_synth_dataset(out: Path, preset: str, cfg: synthbench.SynthConfig) ->
 
 
 _RUN_KEYS = {
-    "out_dir", "threads", "seed", "synth", "features", "response", "manifest",
+    "out_dir", "seed", "synth", "features", "response", "manifest",
     "lambda_grid", "q", "alternative", "detrend",
 }
 
@@ -347,8 +327,6 @@ def _resolve_run_config(doc: dict) -> dict:
         "lambda_grid": {"min": 10.0, "max": 1e8, "num": 20},
         **doc,
     }
-    resolved["threads"] = (_parse_threads(doc["threads"], "config key 'threads'")
-                           if "threads" in doc else _default_threads())
     _check_lambda_grid(resolved["lambda_grid"])
     return resolved
 
@@ -408,7 +386,6 @@ def run(config_path: str) -> None:
 def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     timings: dict[str, float] = {}
     grid = _grid_from(cfg)
-    threads = int(cfg["threads"])
 
     t0 = time.perf_counter()
     if "synth" in cfg:
@@ -450,9 +427,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         resp = ResponseMatrix(y)
         if cfg["detrend"]:
             resp = detrend_blocks(resp, manifest.blocks)
-        level_scores = [
-            brain_score(X, resp.data, plan, grid, n_threads=threads).r_mean for X in levels
-        ]
+        level_scores = [brain_score(X, resp.data, plan, grid).r_mean for X in levels]
         per_subject_scores.append(level_scores)
     timings["score"] = time.perf_counter() - t0
 

@@ -1,22 +1,8 @@
-"""CTC likelihood with a compiled forward kernel and a numpy fallback.
-
-Backend selection happens at import: the Cython extension is preferred, the
-pure-Python module is used if it is missing or if VOXENC_PURE_PYTHON=1.
+"""CTC likelihood (a numpy log-space forward recursion,
+``core.forward_log_likelihood``), greedy decoding and WER/CER.
 """
 
-import os
-
-if os.environ.get("VOXENC_PURE_PYTHON") == "1":
-    from . import _forward_py as backend
-else:
-    try:
-        from . import _forward_c as backend  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _forward_py as backend
-
-BACKEND_NAME = backend.__name__.rsplit(".", 1)[-1].lstrip("_")
-
-from .core import (  # noqa: E402
+from .core import (
     BLANK,
     CtcInstance,
     char_error_rate,
@@ -29,11 +15,13 @@ from .core import (  # noqa: E402
     word_error_rate,
 )
 
+#: Name of the forward recursion in provenance records; there is one.
+BACKEND_NAME = "forward_py"
+
 __all__ = [
     "BLANK",
     "BACKEND_NAME",
     "CtcInstance",
-    "backend",
     "char_error_rate",
     "collapse",
     "count_alignments",

@@ -1,8 +1,9 @@
 """CTC alignment likelihood, brute-force oracle, greedy decoding and WER/CER.
 
 Class index 0 is the blank. The forward recursion runs in log-space over the
-blank-extended target sequence; the brute-force oracle enumerates every frame
-path and is usable only at tiny sizes (it exists to cross-check the DP).
+blank-extended target sequence, one numpy step per frame; the brute-force
+oracle enumerates every frame path and is usable only at tiny sizes (it
+exists to cross-check the DP).
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import backend
 
 BLANK = 0
 
@@ -55,6 +54,28 @@ def min_frames(targets: list[int]) -> int:
     return len(targets) + repeats
 
 
+def forward_log_likelihood(log_probs: np.ndarray, extended: np.ndarray) -> float:
+    """Alpha recursion over the blank-extended targets; total log-likelihood."""
+    T = log_probs.shape[0]
+    S = extended.shape[0]
+    alpha = np.full(S, -np.inf)
+    alpha[0] = log_probs[0, extended[0]]
+    if S > 1:
+        alpha[1] = log_probs[0, extended[1]]
+    # skip transition s-2 -> s is legal only onto a label differing from l'[s-2]
+    can_skip = np.zeros(S, dtype=bool)
+    can_skip[2:] = (extended[2:] != BLANK) & (extended[2:] != extended[:-2])
+    for t in range(1, T):
+        stay = alpha
+        prev = np.concatenate(([-np.inf], alpha[:-1]))
+        skip = np.concatenate(([-np.inf, -np.inf], alpha[:-2]))
+        skip = np.where(can_skip, skip, -np.inf)
+        alpha = np.logaddexp(np.logaddexp(stay, prev), skip) + log_probs[t, extended]
+    if S == 1:
+        return float(alpha[0])
+    return float(np.logaddexp(alpha[-1], alpha[-2]))
+
+
 def ctc_log_likelihood(inst: CtcInstance) -> float:
     """Log of the summed probability over all valid alignments.
 
@@ -62,8 +83,7 @@ def ctc_log_likelihood(inst: CtcInstance) -> float:
     """
     if min_frames(inst.targets) > inst.log_probs.shape[0]:
         return -np.inf
-    ext = _extend_with_blanks(inst.targets)
-    return backend.forward_log_likelihood(np.ascontiguousarray(inst.log_probs), ext)
+    return forward_log_likelihood(inst.log_probs, _extend_with_blanks(inst.targets))
 
 
 def collapse(path: list[int] | np.ndarray) -> list[int]:

@@ -9,11 +9,15 @@ W_i = 1 / (n (1 - h_ii)^2), so one GEMV per lambda scores a whole chunk of
 targets from a single in-place residual buffer. Each target picks its own
 lambda (ties break toward stronger regularization), then full-train weights
 for the winning lambda are assembled per lambda-group.
+
+Everything runs in the calling thread; the only parallelism is the BLAS
+library's. Results are bit-identical across reruns at a fixed BLAS thread
+count. Across thread counts they agree to about 1e-15, because BLAS may split
+a product differently (OpenBLAS at 1 thread versus 2 or more).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +27,9 @@ from .types import FeatureMatrix, ResponseMatrix, ScoreMap
 #: 20 log-spaced penalties from 10 to 1e8 inclusive.
 DEFAULT_LAMBDA_GRID = np.logspace(1.0, 8.0, 20)
 
-#: Targets are processed in fixed-size chunks so results do not depend on the
-#: worker count.
+#: Lambda selection runs over fixed-size chunks of targets, so its buffers
+#: (k x _CHUNK shrunk coefficients, n x _CHUNK residuals, grid x _CHUNK LOO
+#: errors) stay bounded however many targets a solve has.
 _CHUNK = 1024
 
 
@@ -102,12 +107,7 @@ def standardize(
     return out_train, out_apply, mean, std
 
 
-def ridge_solve(
-    X: np.ndarray,
-    Y: np.ndarray,
-    grid: np.ndarray | None = None,
-    n_threads: int = 1,
-) -> RidgeFit:
+def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) -> RidgeFit:
     """Per-target ridge with exact-LOO lambda selection over the grid.
 
     X and Y are assumed already standardized (no intercept is fit); a 1-D Y
@@ -136,9 +136,8 @@ def ridge_solve(
 
     n_targets = Y.shape[1]
     chosen_idx = np.empty(n_targets, dtype=np.intp)
-    chunks = [slice(a, min(a + _CHUNK, n_targets)) for a in range(0, n_targets, _CHUNK)]
-
-    def _select(chunk: slice) -> None:
+    for a in range(0, n_targets, _CHUNK):
+        chunk = slice(a, min(a + _CHUNK, n_targets))
         Yc = Y[:, chunk]
         UtYc = UtY[:, chunk]
         shrunk = np.empty(UtYc.shape)
@@ -153,8 +152,6 @@ def ridge_solve(
         # ties break toward the larger lambda: scan from the top of the grid
         rev_best = np.argmin(loo_mse[::-1], axis=0)
         chosen_idx[chunk] = len(grid) - 1 - rev_best
-
-    _run_chunks(_select, chunks, n_threads)
 
     weights = np.empty((X.shape[1], n_targets))
     for gi in range(len(grid)):
@@ -211,21 +208,11 @@ def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.nda
     return r, flagged
 
 
-def _run_chunks(fn, chunks, n_threads: int) -> None:
-    if n_threads <= 1 or len(chunks) <= 1:
-        for c in chunks:
-            fn(c)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fn, chunks))
-
-
 def brain_score(
     X: FeatureMatrix | np.ndarray,
     Y: ResponseMatrix | np.ndarray,
     plan: SplitPlan,
     grid: np.ndarray | None = None,
-    n_threads: int = 1,
     scoring: str = "mean_folds",
 ) -> ScoreMap:
     """Cross-validated encoding score per target.
@@ -249,7 +236,7 @@ def brain_score(
         tr, te = plan.fold_rows(k)
         Xtr, Xte, _, _ = standardize(Xd[tr], Xd[te])
         Ytr, Yte, _, _ = standardize(Yd[tr], Yd[te])
-        fit = ridge_solve(Xtr, Ytr, grid, n_threads=n_threads)
+        fit = ridge_solve(Xtr, Ytr, grid)
         pred = Xte @ fit.weights
         if pooled_pred is not None:
             pooled_pred[te] = pred

@@ -37,9 +37,6 @@ class CounterRng:
         self.stream = np.uint64(stream)
         self._counter = 0
 
-    def substream(self, stream: int) -> "CounterRng":
-        return CounterRng(int(self.seed), stream)
-
     def raw(self, n: int) -> np.ndarray:
         """Next n 64-bit words; advances the counter."""
         with np.errstate(over="ignore"):

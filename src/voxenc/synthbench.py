@@ -98,9 +98,7 @@ def gen_linear_dataset(cfg: SynthConfig) -> SynthDataset:
     return SynthDataset(feats, at_tr, ResponseMatrix(y, cfg.tr_seconds), w)
 
 
-def gen_null_cohort(
-    cfg: SynthConfig, grid: np.ndarray | None = None, n_threads: int = 1
-) -> np.ndarray:
+def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
     """Subjects x targets score matrix under the null (responses are noise).
 
     Features are shared across subjects (stream 0); subject i's response
@@ -112,7 +110,7 @@ def gen_null_cohort(
     for i in range(cfg.n_subjects):
         rng = CounterRng(cfg.seed, stream=i + 1)
         y = rng.normal((cfg.n_scans, cfg.n_targets))
-        sm = brain_score(at_tr.data, y, plan, grid, n_threads=n_threads)
+        sm = brain_score(at_tr.data, y, plan, grid)
         scores[i] = sm.r_mean
     return scores
 
@@ -124,9 +122,7 @@ class ReplicaResult:
     scores_b: list[ScoreMap]
 
 
-def gen_replica_cohort(
-    cfg: SynthConfig, grid: np.ndarray | None = None, n_threads: int = 1
-) -> ReplicaResult:
+def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> ReplicaResult:
     """Two-model comparison scenario with a known winner.
 
     Feature set B carries the signal that generates every subject's
@@ -142,8 +138,8 @@ def gen_replica_cohort(
     for i in range(cfg.n_subjects):
         rng = CounterRng(cfg.seed, stream=1000 + i)
         y, _ = _mix_response(b_tr.data, cfg, rng)
-        sa = brain_score(a_tr.data, y, plan, grid, n_threads=n_threads)
-        sb = brain_score(b_tr.data, y, plan, grid, n_threads=n_threads)
+        sa = brain_score(a_tr.data, y, plan, grid)
+        sb = brain_score(b_tr.data, y, plan, grid)
         delta[i] = sb.r_mean - sa.r_mean
         all_a.append(sa)
         all_b.append(sb)

@@ -82,14 +82,14 @@ def test_score_one_dimensional_response_exit_2(runner, tmp_path):
     _assert_input_error(res, str(flat), "(60,)")
 
 
-def test_score_bad_threads_env_exit_2(runner, tmp_path):
+def test_score_threads_option_removed_exit_2(runner, tmp_path):
     out = _synth_dir(runner, tmp_path, "linear")
     res = runner.invoke(main, ["score", "--features", str(out / "features.fmx"),
                                "--response", str(out / "sub000.fmx"),
                                "--manifest", str(out / "manifest.json"),
-                               "--out", str(tmp_path / "o.fmx")],
-                        env={"VOXENC_THREADS": "abc"})
-    _assert_input_error(res, "VOXENC_THREADS", "'abc'")
+                               "--out", str(tmp_path / "o.fmx"), "--threads", "2"])
+    _assert_input_error(res, "No such option", "--threads")
+    assert not (tmp_path / "o.fmx").exists()
 
 
 def test_score_feature_shape_errors_exit_2(runner, tmp_path):
@@ -172,6 +172,17 @@ def test_ctc_eval_cmd(runner, tmp_path):
                                "--targets", str(tmp_path / "targets.txt")])
     assert res.exit_code == 0, res.output
     assert "log_likelihood" in res.output
+
+
+def test_ctc_eval_empty_targets(runner, tmp_path):
+    lp = np.log(np.random.default_rng(4).dirichlet(np.ones(3), size=5))
+    matrixio.write_matrix(tmp_path / "lp.fmx", lp)
+    (tmp_path / "targets.txt").write_text("")
+    res = runner.invoke(main, ["ctc-eval", "--logprobs", str(tmp_path / "lp.fmx"),
+                               "--targets", str(tmp_path / "targets.txt")])
+    assert res.exit_code == 0, res.output
+    ll = float(res.output.split("log_likelihood = ")[1].split()[0])
+    assert ll == pytest.approx(lp[:, 0].sum(), rel=1e-9)
 
 
 def test_ctc_eval_float32_logprobs(runner, tmp_path):
@@ -311,22 +322,11 @@ class TestRun:
         assert "unknown config keys" in res.output
 
     def test_bad_threads_config_exit_2(self, runner, tmp_path):
-        path, _ = self._config(tmp_path, threads="abc")
-        res = runner.invoke(main, ["run", "--config", str(path)])
-        _assert_input_error(res, "config key 'threads'", "'abc'")
-        assert not (tmp_path / "run_out").exists()
-
-    def test_bad_threads_env_exit_2(self, runner, tmp_path):
-        path, _ = self._config(tmp_path)
-        res = runner.invoke(main, ["run", "--config", str(path)], env={"VOXENC_THREADS": "abc"})
-        _assert_input_error(res, "VOXENC_THREADS", "'abc'")
-
-    def test_threads_config_overrides_env(self, runner, tmp_path):
+        # there is no worker count to set: 'threads' is an unknown key
         path, _ = self._config(tmp_path, threads=2)
-        res = runner.invoke(main, ["run", "--config", str(path)], env={"VOXENC_THREADS": "abc"})
-        assert res.exit_code == 0, res.output
-        snapshot = json.loads((tmp_path / "run_out" / "resolved_config.json").read_text())
-        assert snapshot["threads"] == 2
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        _assert_input_error(res, "unknown config keys", "'threads'")
+        assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("grid, key", [
         ({"min": 10.0, "max": 1e8, "num": "x"}, "lambda_grid.num"),
