@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -16,12 +17,7 @@ import numpy as np
 from . import contrast as contrast_mod
 from . import ctc as ctc_mod
 from . import dsp, groupstats, hemo, matrixio, report, synthbench
-from .encode import (
-    DEFAULT_LAMBDA_GRID,
-    brain_score,
-    detrend_blocks,
-    make_split_plan,
-)
+from .encode import brain_score, detrend_blocks, make_split_plan
 from .types import FeatureMatrix, ResponseMatrix
 
 EXIT_OK = 0
@@ -167,17 +163,18 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
 @click.option("--out", "out_path", required=True)
 def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
     """Elementwise delta-R between two score files (a minus b)."""
-    a = _load(a_path)
-    b = _load(b_path)
-    if a.shape != b.shape:
-        _fail(EXIT_USAGE, f"target mismatch: {a.shape} vs {b.shape}")
-    matrixio.write_matrix(out_path, a - b)
-    click.echo(f"mean delta R = {(a - b).mean():.4f}")
+    try:
+        delta = contrast_mod.delta_vs_baseline(_load(a_path), _load(b_path))
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
+        return
+    matrixio.write_matrix(out_path, delta)
+    click.echo(f"mean delta R = {delta.mean():.4f}")
 
 
 @main.command("group-stats")
 @click.option("--in", "in_path", required=True, help="subjects x targets matrix")
-@click.option("--alternative", type=click.Choice(["greater", "two_sided"]), default="greater")
+@click.option("--alternative", type=click.Choice(groupstats.ALTERNATIVES), default="greater")
 @click.option("--q", default=0.05, show_default=True)
 @click.option("--rois", "rois_path", default=None, help="manifest JSON with ROI lists")
 @click.option("--out", "out_path", required=True)
@@ -233,7 +230,7 @@ def ctc_eval(logprobs_path: str, targets_path: str) -> None:
 
 
 @main.command()
-@click.option("--preset", type=click.Choice(["linear", "null", "replica"]), required=True)
+@click.option("--preset", type=click.Choice(synthbench.PRESETS), required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_dir", required=True)
 @click.option("--n-subjects", default=None, type=int)
@@ -242,64 +239,37 @@ def ctc_eval(logprobs_path: str, targets_path: str) -> None:
 def synth(preset: str, seed: int, out_dir: str, n_subjects: int | None,
           n_targets: int | None, n_scans: int | None) -> None:
     """Generate a synthetic dataset plus manifest into a directory."""
+    if n_subjects is None and preset != "linear":
+        n_subjects = 20
+    sizes = {"n_subjects": n_subjects, "n_targets": n_targets, "n_scans": n_scans}
+    try:
+        cfg = synthbench.SynthConfig(seed=seed, **{k: v for k, v in sizes.items() if v is not None})
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
+        return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    overrides = {"seed": seed}
-    if n_subjects is not None:
-        overrides["n_subjects"] = n_subjects
-    if n_targets is not None:
-        overrides["n_targets"] = n_targets
-    if n_scans is not None:
-        overrides["n_scans"] = n_scans
-    if preset == "null":
-        overrides.setdefault("n_subjects", 20)
-        overrides["snr"] = 0.0
-    elif preset == "replica":
-        overrides.setdefault("n_subjects", 20)
-    cfg = synthbench.SynthConfig(**overrides)
-    _write_synth_dataset(out, preset, cfg)
+    _write_synth_dataset(out, synthbench.build_cohort(preset, cfg))
     click.echo(f"wrote {preset} dataset to {out}")
 
 
-def _write_synth_dataset(out: Path, preset: str, cfg: synthbench.SynthConfig) -> None:
-    from .rng import CounterRng
-
-    blocks = synthbench.even_blocks(cfg.n_scans, cfg.n_blocks)
+def _write_synth_dataset(out: Path, cohort: synthbench.Cohort) -> None:
+    """Write the cohort's features, one response file per subject, and the manifest."""
     features = []
+    for f in cohort.features:
+        path = "features.fmx" if f.name == "synth" else f"features{f.name.removeprefix('model')}.fmx"
+        matrixio.write_matrix(out / path, f.data)
+        features.append(matrixio.FeatureRecord(f.name, path, f.sample_rate))
     subjects = []
-    if preset == "replica":
-        _, a_tr = synthbench._make_features(cfg, CounterRng(cfg.seed, stream=0))
-        cfg_b = synthbench.SynthConfig(**{**cfg.__dict__, "seed": cfg.seed + 1})
-        _, b_tr = synthbench._make_features(cfg_b, CounterRng(cfg_b.seed, stream=0))
-        matrixio.write_matrix(out / "features_a.fmx", a_tr.data)
-        matrixio.write_matrix(out / "features_b.fmx", b_tr.data)
-        features = [
-            matrixio.FeatureRecord("model_a", "features_a.fmx", 1.0 / cfg.tr_seconds),
-            matrixio.FeatureRecord("model_b", "features_b.fmx", 1.0 / cfg.tr_seconds),
-        ]
-        for i in range(cfg.n_subjects):
-            rng = CounterRng(cfg.seed, stream=1000 + i)
-            y, _ = synthbench._mix_response(b_tr.data, cfg, rng)
-            name = f"sub{i:03d}.fmx"
-            matrixio.write_matrix(out / name, y)
-            subjects.append(matrixio.SubjectRecord(f"sub{i:03d}", name))
-    else:
-        _, at_tr = synthbench._make_features(cfg, CounterRng(cfg.seed, stream=0))
-        matrixio.write_matrix(out / "features.fmx", at_tr.data)
-        features = [matrixio.FeatureRecord("synth", "features.fmx", 1.0 / cfg.tr_seconds)]
-        for i in range(cfg.n_subjects):
-            rng = CounterRng(cfg.seed, stream=i + 1)
-            if preset == "null":
-                y = rng.normal((cfg.n_scans, cfg.n_targets))
-            else:
-                y, _ = synthbench._mix_response(at_tr.data, cfg, rng)
-            name = f"sub{i:03d}.fmx"
-            matrixio.write_matrix(out / name, y)
-            subjects.append(matrixio.SubjectRecord(f"sub{i:03d}", name))
+    for i, (y, _) in enumerate(cohort.subjects()):
+        sub = f"sub{i:03d}"
+        matrixio.write_matrix(out / f"{sub}.fmx", y)
+        subjects.append(matrixio.SubjectRecord(sub, f"{sub}.fmx"))
+    cfg = cohort.cfg
     manifest = matrixio.DatasetManifest(
         subjects=subjects,
         features=features,
-        blocks=blocks,
+        blocks=synthbench.even_blocks(cfg.n_scans, cfg.n_blocks),
         rois={"all": list(range(cfg.n_targets))},
         n_rows=cfg.n_scans,
         n_targets=cfg.n_targets,
@@ -319,6 +289,8 @@ def _resolve_run_config(doc: dict) -> dict:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "out_dir" not in doc:
         raise ValueError("config requires out_dir")
+    if "synth" not in doc and "manifest" not in doc:
+        raise ValueError("config needs a 'synth' block or a 'manifest' path")
     resolved = {
         "seed": 0,
         "q": 0.05,
@@ -328,7 +300,36 @@ def _resolve_run_config(doc: dict) -> dict:
         **doc,
     }
     _check_lambda_grid(resolved["lambda_grid"])
+    if resolved["alternative"] not in groupstats.ALTERNATIVES:
+        raise ValueError(f"config key 'alternative' must be one of {', '.join(groupstats.ALTERNATIVES)}, "
+                         f"got {resolved['alternative']!r}")
+    q = resolved["q"]
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
+        raise ValueError(f"config key 'q' must be a number in (0, 1], got {q!r}")
+    if not isinstance(resolved["detrend"], bool):
+        raise ValueError(f"config key 'detrend' must be true or false, got {resolved['detrend']!r}")
+    if "synth" in resolved:
+        _synth_config(resolved)
     return resolved
+
+
+def _synth_config(cfg: dict) -> tuple[str, synthbench.SynthConfig]:
+    """The preset and generator config of a run config's synth block."""
+    block = cfg["synth"]
+    if not isinstance(block, dict):
+        raise ValueError(f"config key 'synth' must be an object, got {block!r}")
+    params = {"seed": cfg["seed"], **block}
+    preset = params.pop("preset", "replica")
+    if preset not in synthbench.PRESETS:
+        raise ValueError(f"config key 'synth.preset' must be one of {', '.join(synthbench.PRESETS)}, "
+                         f"got {preset!r}")
+    unknown = set(params) - {f.name for f in fields(synthbench.SynthConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys in 'synth': {sorted(unknown)}")
+    try:
+        return preset, synthbench.SynthConfig(**params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key 'synth': {exc}") from None
 
 
 def _check_lambda_grid(grid: object) -> None:
@@ -389,13 +390,9 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
 
     t0 = time.perf_counter()
     if "synth" in cfg:
-        synth_cfg_doc = dict(cfg["synth"])
-        preset = synth_cfg_doc.pop("preset", "replica")
-        synth_cfg_doc.setdefault("seed", cfg["seed"])
-        scfg = synthbench.SynthConfig(**synth_cfg_doc)
         data_dir = out_dir / "data"
         data_dir.mkdir(exist_ok=True)
-        _write_synth_dataset(data_dir, preset, scfg)
+        _write_synth_dataset(data_dir, synthbench.build_cohort(*_synth_config(cfg)))
         written.extend(data_dir.iterdir())
         manifest_path = data_dir / "manifest.json"
         base = data_dir
@@ -414,13 +411,14 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         base = Path(".")
     else:
         feature_records = manifest.features
-    feature_mats = {f.name: matrixio.read_matrix(base / f.path) for f in feature_records}
+    feature_mats = [FeatureMatrix(matrixio.read_matrix(base / f.path), f.sample_rate, f.name)
+                    for f in feature_records]
     names = [f.name for f in feature_records]
     plan = make_split_plan(manifest.blocks)
 
     # score every concatenation level for every subject
     t0 = time.perf_counter()
-    levels = [np.hstack([feature_mats[n] for n in names[: L + 1]]) for L in range(len(names))]
+    levels = [contrast_mod.build_concat(L, feature_mats).data for L in range(len(names))]
     per_subject_scores: list[list[np.ndarray]] = []
     for sub in manifest.subjects:
         y = matrixio.read_matrix(base / sub.response_path)
@@ -437,17 +435,16 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     contrasts: dict[str, dict] = {}
     group_block = {}
     if n_levels >= 2:
-        deltas = np.array(
-            [[s[L] - s[L - 1] for L in range(1, n_levels)] for s in per_subject_scores]
-        )  # subjects x (levels-1) x targets
+        # subjects x (levels-1) x targets
+        deltas = np.array([contrast_mod.delta_layerwise(s) for s in per_subject_scores])
         for L in range(1, n_levels):
-            d = deltas[:, L - 1, :]
             contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {
-                "mean_delta_r": float(d.mean()),
+                "mean_delta_r": float(deltas[:, L - 1].mean()),
                 "per_level_index": L,
             }
         if len(manifest.subjects) >= 5:
-            top_delta = np.array([s[-1] - s[0] for s in per_subject_scores])
+            top_delta = np.array([contrast_mod.delta_vs_baseline(s[-1], s[0])
+                                  for s in per_subject_scores])
             stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
             group_block = {
                 "contrast": f"{names[-1]}_vs_{names[0]}",

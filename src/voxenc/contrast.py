@@ -1,19 +1,14 @@
-"""Layer-concatenation hierarchy and score contrasts (delta-R maps)."""
+"""Layer-concatenation hierarchy and score contrasts (delta-R maps).
+
+Contrasts work on per-target mean score vectors (``ScoreMap.r_mean``), which
+is all the pipeline keeps of each fit.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .types import FeatureMatrix, ScoreMap
-
-
-@dataclass
-class ContrastResult:
-    delta_r: np.ndarray
-    delta_per_fold: np.ndarray
-    kind: str = "vs_baseline"
+from .types import FeatureMatrix
 
 
 def build_concat(level: int, features: list[FeatureMatrix]) -> FeatureMatrix:
@@ -34,40 +29,18 @@ def build_concat(level: int, features: list[FeatureMatrix]) -> FeatureMatrix:
     return FeatureMatrix(data, members[0].sample_rate, name)
 
 
-def _contrast(a: ScoreMap, b: ScoreMap, kind: str) -> ContrastResult:
-    if a.n_targets != b.n_targets:
-        raise ValueError(f"target mismatch: {a.n_targets} vs {b.n_targets}")
-    folds = min(a.n_folds, b.n_folds)
-    return ContrastResult(
-        delta_r=a.r_mean - b.r_mean,
-        delta_per_fold=a.r_per_fold[:folds] - b.r_per_fold[:folds],
-        kind=kind,
-    )
+def delta_vs_baseline(scores_full: np.ndarray, scores_baseline: np.ndarray) -> np.ndarray:
+    """Per-target delta-R, full minus baseline; both must cover the same targets."""
+    if scores_full.shape != scores_baseline.shape:
+        raise ValueError(f"target mismatch: {scores_full.shape} vs {scores_baseline.shape}")
+    return scores_full - scores_baseline
 
 
-def delta_vs_baseline(scores_full: ScoreMap, scores_baseline: ScoreMap) -> ContrastResult:
-    return _contrast(scores_full, scores_baseline, "vs_baseline")
-
-
-def delta_layerwise(score_maps: list[ScoreMap]) -> list[ContrastResult]:
-    """Successive-level contrasts: one result per level L >= 1.
+def delta_layerwise(scores: list[np.ndarray]) -> list[np.ndarray]:
+    """Successive-level contrasts: one delta per level L >= 1.
 
     Differences telescope: summing them recovers top level minus level 0.
     """
-    if len(score_maps) < 2:
-        raise ValueError("need score maps for at least levels 0 and 1")
-    return [_contrast(score_maps[L], score_maps[L - 1], "layerwise") for L in range(1, len(score_maps))]
-
-
-def delta_models(scores_a: ScoreMap, scores_b: ScoreMap) -> ContrastResult:
-    return _contrast(scores_a, scores_b, "model_vs_model")
-
-
-def average_score_maps(maps: list[ScoreMap]) -> ScoreMap:
-    """Mean over seeds/initialisations, taken before any contrast."""
-    if not maps:
-        raise ValueError("no score maps to average")
-    r_mean = np.mean([m.r_mean for m in maps], axis=0)
-    r_per_fold = np.mean([m.r_per_fold for m in maps], axis=0)
-    undefined = np.any([m.undefined for m in maps], axis=0)
-    return ScoreMap(r_mean=r_mean, r_per_fold=r_per_fold, undefined=undefined)
+    if len(scores) < 2:
+        raise ValueError("need scores for at least levels 0 and 1")
+    return [delta_vs_baseline(scores[L], scores[L - 1]) for L in range(1, len(scores))]

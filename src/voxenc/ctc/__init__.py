@@ -7,8 +7,6 @@ from .core import (
     CtcInstance,
     char_error_rate,
     collapse,
-    count_alignments,
-    ctc_brute_force,
     ctc_greedy_decode,
     ctc_log_likelihood,
     min_frames,
@@ -24,8 +22,6 @@ __all__ = [
     "CtcInstance",
     "char_error_rate",
     "collapse",
-    "count_alignments",
-    "ctc_brute_force",
     "ctc_greedy_decode",
     "ctc_log_likelihood",
     "min_frames",

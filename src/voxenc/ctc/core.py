@@ -1,14 +1,11 @@
-"""CTC alignment likelihood, brute-force oracle, greedy decoding and WER/CER.
+"""CTC alignment likelihood, greedy decoding and WER/CER.
 
 Class index 0 is the blank. The forward recursion runs in log-space over the
-blank-extended target sequence, one numpy step per frame; the brute-force
-oracle enumerates every frame path and is usable only at tiny sizes (it
-exists to cross-check the DP).
+blank-extended target sequence, one numpy step per frame.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,33 +92,6 @@ def collapse(path: list[int] | np.ndarray) -> list[int]:
             out.append(int(c))
         prev = c
     return out
-
-
-def ctc_brute_force(inst: CtcInstance) -> float:
-    """Enumeration oracle: sum probability of every path collapsing to targets.
-
-    Cost is n_classes**T; keep T <= ~8.
-    """
-    T, n_classes = inst.log_probs.shape
-    target = list(inst.targets)
-    terms = []
-    for path in itertools.product(range(n_classes), repeat=T):
-        if collapse(path) == target:
-            terms.append(sum(inst.log_probs[t, c] for t, c in enumerate(path)))
-    if not terms:
-        return -np.inf
-    terms = np.asarray(terms)
-    m = terms.max()
-    return float(m + np.log(np.exp(terms - m).sum()))
-
-
-def count_alignments(T: int, targets: list[int], n_classes: int) -> int:
-    """Number of length-T paths that collapse to ``targets``."""
-    count = 0
-    for path in itertools.product(range(n_classes), repeat=T):
-        if collapse(path) == list(targets):
-            count += 1
-    return count
 
 
 def ctc_greedy_decode(log_probs: np.ndarray) -> list[int]:

@@ -163,23 +163,6 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     return RidgeFit(weights=weights, chosen_lambda=grid[chosen_idx])
 
 
-def ridge_closed_form(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Dense normal-equations solve (X'X + lam I)^-1 X'Y."""
-    p = X.shape[1]
-    return np.linalg.solve(X.T @ X + lam * np.eye(p), X.T @ Y)
-
-
-def loo_residuals(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Closed-form leave-one-out residuals for a single penalty."""
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    d = s**2 / (s**2 + lam)
-    Y2 = Y[:, None] if Y.ndim == 1 else Y
-    resid = Y2 - U @ (d[:, None] * (U.T @ Y2))
-    h = (U**2) @ d
-    out = resid / (1.0 - h)[:, None]
-    return out[:, 0] if Y.ndim == 1 else out
-
-
 def pearson(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, bool]:
     """Sample Pearson correlation; (0.0, True) when either side is constant."""
     y_true = np.asarray(y_true, dtype=np.float64)
@@ -213,14 +196,12 @@ def brain_score(
     Y: ResponseMatrix | np.ndarray,
     plan: SplitPlan,
     grid: np.ndarray | None = None,
-    scoring: str = "mean_folds",
 ) -> ScoreMap:
     """Cross-validated encoding score per target.
 
     Per fold: standardize on train rows, fit ridge with per-target LOO lambda
-    selection, predict the held-out block, correlate per target. ``scoring``
-    is "mean_folds" (default) or "concatenate" (one correlation over pooled
-    held-out predictions).
+    selection, predict the held-out block, correlate per target. The score is
+    the mean of the per-fold correlations.
     """
     Xd = X.data if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
     Yd = Y.data if isinstance(Y, ResponseMatrix) else np.asarray(Y, dtype=np.float64)
@@ -230,7 +211,6 @@ def brain_score(
     n_folds = plan.n_folds
     r_per_fold = np.zeros((n_folds, n_targets))
     flagged = np.zeros(n_targets, dtype=bool)
-    pooled_pred = np.zeros_like(Yd) if scoring == "concatenate" else None
 
     for k in range(n_folds):
         tr, te = plan.fold_rows(k)
@@ -238,16 +218,7 @@ def brain_score(
         Ytr, Yte, _, _ = standardize(Yd[tr], Yd[te])
         fit = ridge_solve(Xtr, Ytr, grid)
         pred = Xte @ fit.weights
-        if pooled_pred is not None:
-            pooled_pred[te] = pred
-        else:
-            r, fl = _pearson_columns(Yte, pred)
-            r_per_fold[k] = r
-            flagged |= fl
-
-    if pooled_pred is not None:
-        r_mean, flagged = _pearson_columns(Yd - Yd.mean(axis=0), pooled_pred)
-        r_per_fold = np.tile(r_mean, (n_folds, 1))
-    else:
-        r_mean = r_per_fold.mean(axis=0)
-    return ScoreMap(r_mean=r_mean, r_per_fold=r_per_fold, undefined=flagged)
+        r, fl = _pearson_columns(Yte, pred)
+        r_per_fold[k] = r
+        flagged |= fl
+    return ScoreMap(r_mean=r_per_fold.mean(axis=0), r_per_fold=r_per_fold, undefined=flagged)

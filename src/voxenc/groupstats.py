@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 EXACT_LIMIT = 25
-_ALTERNATIVES = ("greater", "two_sided")
+ALTERNATIVES = ("greater", "two_sided")
 
 
 @dataclass
@@ -46,7 +46,7 @@ class DegenerateSample(ValueError):
 
 
 def _check_alternative(alternative: str) -> None:
-    if alternative not in _ALTERNATIVES:
+    if alternative not in ALTERNATIVES:
         raise ValueError(f"unknown alternative {alternative!r}")
 
 

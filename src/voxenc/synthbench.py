@@ -9,10 +9,12 @@ generator, so a config (including its seed) pins the dataset bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .contrast import delta_vs_baseline
 from .encode import SplitPlan, brain_score, make_split_plan
 from .hemo import hrf_align
 from .rng import CounterRng
@@ -34,8 +36,9 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.snr is not None and self.snr < 0:
             raise ValueError("snr must be >= 0")
         # scans must extend past the last block start and stay within support
@@ -62,11 +65,10 @@ def default_plan(cfg: SynthConfig) -> SplitPlan:
     return make_split_plan(even_blocks(cfg.n_scans, cfg.n_blocks))
 
 
-def _make_features(cfg: SynthConfig, rng: CounterRng) -> tuple[FeatureMatrix, FeatureMatrix]:
-    raw = rng.normal((cfg.n_time_activation, cfg.n_features))
-    feats = FeatureMatrix(raw, cfg.activation_rate, name="synth")
-    at_tr = hrf_align(feats, cfg.n_scans, cfg.tr_seconds, normalize=False)
-    return feats, at_tr
+def _activations(cfg: SynthConfig, seed: int, name: str) -> FeatureMatrix:
+    """White-noise model features at activation rate: stream 0 of ``seed``."""
+    raw = CounterRng(seed, stream=0).normal((cfg.n_time_activation, cfg.n_features))
+    return FeatureMatrix(raw, cfg.activation_rate, name)
 
 
 def _mix_response(
@@ -88,30 +90,64 @@ def _mix_response(
     return signal + rng.normal(signal.shape) * noise_std, w
 
 
-def gen_linear_dataset(cfg: SynthConfig) -> SynthDataset:
-    """One subject's worth of linearly generated data.
+#: Cohort presets: ``linear`` mixes the one feature set into every subject,
+#: ``null`` gives pure-noise responses, and ``replica`` mixes feature set B
+#: into every subject next to an independent distractor A.
+PRESETS = ("linear", "null", "replica")
 
-    Streams: 0 features, 1 mixing weights and noise.
+
+@dataclass
+class Cohort:
+    """A preset's scan-rate features plus the recipe for each subject.
+
+    Streams: features come from stream 0 of the seed (model B of a replica
+    cohort from stream 0 of seed + 1); subject i comes from stream i + 1,
+    or 1000 + i for ``replica``.
     """
-    feats, at_tr = _make_features(cfg, CounterRng(cfg.seed, stream=0))
-    y, w = _mix_response(at_tr.data, cfg, CounterRng(cfg.seed, stream=1))
-    return SynthDataset(feats, at_tr, ResponseMatrix(y, cfg.tr_seconds), w)
+
+    preset: str
+    cfg: SynthConfig
+    features: list[FeatureMatrix]  # at scan rate: "synth", or "model_a" and "model_b"
+
+    def subjects(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Each subject's response and mixing weights (None under the null), one at a time."""
+        cfg = self.cfg
+        for i in range(cfg.n_subjects):
+            if self.preset == "null":
+                yield CounterRng(cfg.seed, stream=i + 1).normal((cfg.n_scans, cfg.n_targets)), None
+            else:
+                # the last feature set carries the signal: model B of a replica cohort
+                stream = 1000 + i if self.preset == "replica" else i + 1
+                yield _mix_response(self.features[-1].data, cfg, CounterRng(cfg.seed, stream=stream))
+
+
+def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
+    """The preset's cohort; its features are drawn here, its subjects on demand."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
+    names = ["model_a", "model_b"] if preset == "replica" else ["synth"]
+    features = [
+        hrf_align(_activations(cfg, cfg.seed + j, name), cfg.n_scans, cfg.tr_seconds, normalize=False)
+        for j, name in enumerate(names)
+    ]
+    return Cohort(preset, cfg, features)
+
+
+def gen_linear_dataset(cfg: SynthConfig) -> SynthDataset:
+    """One subject's worth of linearly generated data: the ``linear`` preset's first subject."""
+    cohort = build_cohort("linear", cfg)
+    y, w = next(cohort.subjects())
+    return SynthDataset(_activations(cfg, cfg.seed, "synth"), cohort.features[0],
+                        ResponseMatrix(y, cfg.tr_seconds), w)
 
 
 def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
-    """Subjects x targets score matrix under the null (responses are noise).
-
-    Features are shared across subjects (stream 0); subject i's response
-    noise comes from stream i+1.
-    """
-    _, at_tr = _make_features(cfg, CounterRng(cfg.seed, stream=0))
+    """Subjects x targets score matrix under the null (responses are noise)."""
+    cohort = build_cohort("null", cfg)
     plan = default_plan(cfg)
     scores = np.empty((cfg.n_subjects, cfg.n_targets))
-    for i in range(cfg.n_subjects):
-        rng = CounterRng(cfg.seed, stream=i + 1)
-        y = rng.normal((cfg.n_scans, cfg.n_targets))
-        sm = brain_score(at_tr.data, y, plan, grid)
-        scores[i] = sm.r_mean
+    for i, (y, _) in enumerate(cohort.subjects()):
+        scores[i] = brain_score(cohort.features[0].data, y, plan, grid).r_mean
     return scores
 
 
@@ -129,18 +165,15 @@ def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> Repl
     response; feature set A is an independent distractor of the same size.
     The resulting delta-R (B minus A) should be positive across subjects.
     """
-    _, a_tr = _make_features(cfg, CounterRng(cfg.seed, stream=0))
-    cfg_b = SynthConfig(**{**cfg.__dict__, "seed": cfg.seed + 1})
-    _, b_tr = _make_features(cfg_b, CounterRng(cfg_b.seed, stream=0))
+    cohort = build_cohort("replica", cfg)
+    a, b = cohort.features
     plan = default_plan(cfg)
     delta = np.empty((cfg.n_subjects, cfg.n_targets))
     all_a, all_b = [], []
-    for i in range(cfg.n_subjects):
-        rng = CounterRng(cfg.seed, stream=1000 + i)
-        y, _ = _mix_response(b_tr.data, cfg, rng)
-        sa = brain_score(a_tr.data, y, plan, grid)
-        sb = brain_score(b_tr.data, y, plan, grid)
-        delta[i] = sb.r_mean - sa.r_mean
+    for i, (y, _) in enumerate(cohort.subjects()):
+        sa = brain_score(a.data, y, plan, grid)
+        sb = brain_score(b.data, y, plan, grid)
+        delta[i] = delta_vs_baseline(sb.r_mean, sa.r_mean)
         all_a.append(sa)
         all_b.append(sb)
     return ReplicaResult(delta, all_a, all_b)

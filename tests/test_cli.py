@@ -9,8 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import voxenc
-from voxenc import matrixio, report
+from voxenc import matrixio, report, synthbench
 from voxenc.cli import main
+from voxenc.encode import brain_score, make_split_plan
 
 
 @pytest.fixture
@@ -35,6 +36,47 @@ def test_synth_writes_dataset(runner, tmp_path):
     assert feats.shape[0] == y.shape[0]
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("preset", synthbench.PRESETS)
+def test_synth_files_equal_cohort(runner, tmp_path, preset):
+    out = _synth_dir(runner, tmp_path, preset, ["--n-subjects", "3", "--n-targets", "7"])
+    cfg = synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7)
+    cohort = synthbench.build_cohort(preset, cfg)
+    manifest = matrixio.read_manifest(out / "manifest.json")
+    assert [f.name for f in manifest.features] == [f.name for f in cohort.features]
+    for record, feats in zip(manifest.features, cohort.features):
+        assert _same_bits(matrixio.read_matrix(out / record.path), feats.data)
+    responses = [y for y, _ in cohort.subjects()]
+    assert len(manifest.subjects) == len(responses) == 3
+    for record, y in zip(manifest.subjects, responses):
+        assert _same_bits(matrixio.read_matrix(out / record.response_path), y)
+
+
+def test_null_files_score_like_gen_null_cohort(runner, tmp_path):
+    out = _synth_dir(runner, tmp_path, "null", ["--n-subjects", "3", "--n-targets", "7"])
+    expected = synthbench.gen_null_cohort(synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7))
+    manifest = matrixio.read_manifest(out / "manifest.json")
+    X = matrixio.read_matrix(out / "features.fmx")
+    plan = make_split_plan(manifest.blocks)
+    for i, record in enumerate(manifest.subjects):
+        r = brain_score(X, matrixio.read_matrix(out / record.response_path), plan).r_mean
+        assert _same_bits(r, expected[i])
+
+
+@pytest.mark.parametrize("option, value, needle", [
+    ("--n-scans", "120", "too short"),
+    ("--n-subjects", "0", "n_subjects"),
+])
+def test_synth_bad_size_exit_2(runner, tmp_path, option, value, needle):
+    out = tmp_path / "data"
+    res = runner.invoke(main, ["synth", "--preset", "null", "--out", str(out), option, value])
+    _assert_input_error(res, needle)
+    assert not out.exists()
+
+
 def test_score_and_contrast_roundtrip(runner, tmp_path):
     out = _synth_dir(runner, tmp_path, "linear")
     scores = tmp_path / "scores.fmx"
@@ -52,6 +94,16 @@ def test_score_and_contrast_roundtrip(runner, tmp_path):
                                "--out", str(tmp_path / "delta.fmx")])
     assert res.exit_code == 0
     assert np.all(matrixio.read_matrix(tmp_path / "delta.fmx") == 0)
+
+
+def test_contrast_target_mismatch_exit_2(runner, tmp_path):
+    matrixio.write_matrix(tmp_path / "a.fmx", np.zeros(3))
+    matrixio.write_matrix(tmp_path / "b.fmx", np.zeros(4))
+    out = tmp_path / "delta.fmx"
+    res = runner.invoke(main, ["contrast", "--a", str(tmp_path / "a.fmx"),
+                               "--b", str(tmp_path / "b.fmx"), "--out", str(out)])
+    _assert_input_error(res, "target mismatch")
+    assert not out.exists()
 
 
 def test_missing_input_exit_2(runner, tmp_path):
@@ -343,6 +395,30 @@ class TestRun:
         path, _ = self._config(tmp_path, lambda_grid=grid)
         res = runner.invoke(main, ["run", "--config", str(path)])
         _assert_input_error(res, key)
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"synth": {"preset": "typo"}}, "synth.preset"),
+        ({"synth": {"bogus": 1}}, "unknown config keys in 'synth': ['bogus']"),
+        ({"synth": {"n_subjects": 0}}, "n_subjects"),
+        ({"synth": {"snr": "x"}}, "config key 'synth'"),
+        ({"synth": None}, "'synth' block or a 'manifest'"),
+        ({"alternative": "less"}, "alternative"),
+        ({"q": "x"}, "'q'"),
+        ({"detrend": "no"}, "detrend"),
+    ])
+    def test_bad_config_value_exit_2(self, runner, tmp_path, change, needle):
+        path, cfg = self._config(tmp_path)
+        for key, value in change.items():
+            if value is None:
+                del cfg[key]
+            elif key == "synth":
+                cfg["synth"].update(value)
+            else:
+                cfg[key] = value
+        path.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        _assert_input_error(res, needle)
         assert not (tmp_path / "run_out").exists()
 
     def test_missing_config_exit_2(self, runner, tmp_path):

@@ -1,24 +1,13 @@
 import numpy as np
 import pytest
 
-from voxenc.contrast import (
-    average_score_maps,
-    build_concat,
-    delta_layerwise,
-    delta_models,
-    delta_vs_baseline,
-)
-from voxenc.types import FeatureMatrix, ScoreMap
+from voxenc.contrast import build_concat, delta_layerwise, delta_vs_baseline
+from voxenc.types import FeatureMatrix
 
 
 def _fm(cols, seed=0, rows=10, name="f"):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(rng.normal(size=(rows, cols)), 1.0, name=name)
-
-
-def _sm(r_mean, folds=3):
-    r_mean = np.asarray(r_mean, dtype=float)
-    return ScoreMap(r_mean, np.tile(r_mean, (folds, 1)))
 
 
 class TestBuildConcat:
@@ -45,48 +34,32 @@ class TestBuildConcat:
 
 class TestDeltas:
     def test_self_difference_zero(self):
-        s = _sm([0.1, 0.2, 0.3])
-        out = delta_vs_baseline(s, s)
-        assert np.all(out.delta_r == 0)
+        s = np.array([0.1, 0.2, 0.3])
+        assert np.all(delta_vs_baseline(s, s) == 0)
 
     def test_antisymmetric(self):
-        a, b = _sm([0.5, 0.1]), _sm([0.2, 0.4])
-        assert np.array_equal(delta_vs_baseline(a, b).delta_r, -delta_vs_baseline(b, a).delta_r)
+        a, b = np.array([0.5, 0.1]), np.array([0.2, 0.4])
+        assert np.array_equal(delta_vs_baseline(a, b), -delta_vs_baseline(b, a))
 
     def test_target_mismatch(self):
         with pytest.raises(ValueError, match="target mismatch"):
-            delta_vs_baseline(_sm([0.1]), _sm([0.1, 0.2]))
+            delta_vs_baseline(np.array([0.1]), np.array([0.1, 0.2]))
 
     def test_layerwise_count(self):
-        maps = [_sm(np.full(4, 0.1 * L)) for L in range(6)]
-        out = delta_layerwise(maps)
-        assert len(out) == 5
+        scores = [np.full(4, 0.1 * L) for L in range(6)]
+        assert len(delta_layerwise(scores)) == 5
 
     def test_layerwise_equal_scores_zero(self):
-        maps = [_sm([0.3, 0.3])] * 4
-        assert all(np.all(c.delta_r == 0) for c in delta_layerwise(maps))
+        scores = [np.array([0.3, 0.3])] * 4
+        assert all(np.all(d == 0) for d in delta_layerwise(scores))
 
     def test_telescoping_identity(self):
         rng = np.random.default_rng(0)
-        maps = [_sm(rng.uniform(-1, 1, 50)) for _ in range(6)]
-        contrasts = delta_layerwise(maps)
-        total = sum(c.delta_r for c in contrasts)
-        direct = maps[-1].r_mean - maps[0].r_mean
+        scores = [rng.uniform(-1, 1, 50) for _ in range(6)]
+        total = sum(delta_layerwise(scores))
+        direct = scores[-1] - scores[0]
         assert np.abs(total - direct).max() < 1e-12
 
     def test_missing_level(self):
         with pytest.raises(ValueError):
-            delta_layerwise([_sm([0.1])])
-
-    def test_model_contrast_same_model_zero(self):
-        s = _sm([0.4, -0.1])
-        assert np.all(delta_models(s, s).delta_r == 0)
-
-
-def test_average_score_maps():
-    a = _sm([0.2, 0.4])
-    b = _sm([0.4, 0.0])
-    out = average_score_maps([a, b])
-    assert np.allclose(out.r_mean, [0.3, 0.2])
-    with pytest.raises(ValueError):
-        average_score_maps([])
+            delta_layerwise([np.array([0.1])])
