@@ -180,6 +180,10 @@ def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True)
 def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None, out_path: str) -> None:
     """Wilcoxon across subjects per target, BH-FDR across targets."""
+    try:
+        _check_q(q, "--q")
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
     values = _load(in_path)
     rois = _load_manifest(rois_path).rois if rois_path else None
     try:
@@ -303,14 +307,35 @@ def _resolve_run_config(doc: dict) -> dict:
     if resolved["alternative"] not in groupstats.ALTERNATIVES:
         raise ValueError(f"config key 'alternative' must be one of {', '.join(groupstats.ALTERNATIVES)}, "
                          f"got {resolved['alternative']!r}")
-    q = resolved["q"]
-    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
-        raise ValueError(f"config key 'q' must be a number in (0, 1], got {q!r}")
+    _check_q(resolved["q"], "config key 'q'")
     if not isinstance(resolved["detrend"], bool):
         raise ValueError(f"config key 'detrend' must be true or false, got {resolved['detrend']!r}")
+    seed = resolved["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"config key 'seed' must be an integer, got {seed!r}")
+    if "features" in resolved:
+        _check_features(resolved["features"])
     if "synth" in resolved:
         _synth_config(resolved)
     return resolved
+
+
+def _check_q(q: object, name: str) -> None:
+    """The BH-FDR level must lie in (0, 1]; NaN fails the comparison."""
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
+        raise ValueError(f"{name} must be a number in (0, 1], got {q!r}")
+
+
+def _check_features(features: object) -> None:
+    def valid(f: object) -> bool:
+        if not isinstance(f, dict) or not set(f) <= {"name", "path", "sample_rate"}:
+            return False
+        rate = f.get("sample_rate", 1.0)
+        return (isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
+                and type(rate) in (int, float) and 0 < rate < np.inf)
+    if not isinstance(features, list) or not features or not all(map(valid, features)):
+        raise ValueError(f"config key 'features' must be a non-empty list of objects with string "
+                         f"name and path and an optional positive sample_rate, got {features!r}")
 
 
 def _synth_config(cfg: dict) -> tuple[str, synthbench.SynthConfig]:

@@ -98,7 +98,8 @@ def standardize(
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     safe = np.where(std > 0, std, 1.0)
-    out_train = (train - mean) / safe
+    out_train = train - mean
+    out_train /= safe  # in place: no second train-sized temporary
     out_train[:, std == 0] = 0.0
     out_apply = None
     if apply_to is not None:
@@ -164,22 +165,19 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
 
 
 def pearson(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, bool]:
-    """Sample Pearson correlation; (0.0, True) when either side is constant."""
+    """Pearson r of two series by ``brain_score``'s formula; (0.0, True) if either is constant."""
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
         raise ValueError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
     if y_true.shape[0] < 3:
         raise ValueError("need >= 3 samples")
-    a = y_true - y_true.mean()
-    b = y_pred - y_pred.mean()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0, True
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0)), False
+    r, flagged = _pearson_columns(y_true[:, None], y_pred[:, None])
+    return float(r[0]), bool(flagged[0])
 
 
 def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation per column; a constant column gets 0.0 and is flagged."""
     a = Yt - Yt.mean(axis=0)
     b = Yp - Yp.mean(axis=0)
     na = np.linalg.norm(a, axis=0)

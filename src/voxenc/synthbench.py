@@ -18,7 +18,7 @@ from .contrast import delta_vs_baseline
 from .encode import SplitPlan, brain_score, make_split_plan
 from .hemo import hrf_align
 from .rng import CounterRng
-from .types import FeatureMatrix, ResponseMatrix, ScoreMap
+from .types import FeatureMatrix, ResponseMatrix
 
 
 @dataclass
@@ -39,6 +39,8 @@ class SynthConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.snr is not None and self.snr < 0:
             raise ValueError("snr must be >= 0")
         # scans must extend past the last block start and stay within support
@@ -151,29 +153,18 @@ def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndar
     return scores
 
 
-@dataclass
-class ReplicaResult:
-    delta: np.ndarray  # subjects x targets delta-R (B minus A)
-    scores_a: list[ScoreMap]
-    scores_b: list[ScoreMap]
-
-
-def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> ReplicaResult:
-    """Two-model comparison scenario with a known winner.
+def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
+    """Subjects x targets delta-R (B minus A) of a two-model comparison with a known winner.
 
     Feature set B carries the signal that generates every subject's
     response; feature set A is an independent distractor of the same size.
-    The resulting delta-R (B minus A) should be positive across subjects.
+    The resulting delta-R should be positive across subjects.
     """
     cohort = build_cohort("replica", cfg)
     a, b = cohort.features
     plan = default_plan(cfg)
     delta = np.empty((cfg.n_subjects, cfg.n_targets))
-    all_a, all_b = [], []
     for i, (y, _) in enumerate(cohort.subjects()):
-        sa = brain_score(a.data, y, plan, grid)
-        sb = brain_score(b.data, y, plan, grid)
-        delta[i] = delta_vs_baseline(sb.r_mean, sa.r_mean)
-        all_a.append(sa)
-        all_b.append(sb)
-    return ReplicaResult(delta, all_a, all_b)
+        r_a = brain_score(a.data, y, plan, grid).r_mean
+        delta[i] = delta_vs_baseline(brain_score(b.data, y, plan, grid).r_mean, r_a)
+    return delta

@@ -2,14 +2,16 @@
 
 Each is the slow, obviously correct form of a fast path in ``voxenc``: the
 dense ridge solve and the closed-form LOO residuals for ``encode.ridge_solve``,
-and path enumeration for the CTC forward recursion.
+path enumeration for the CTC forward recursion, and a per-target Wilcoxon for ``group_test``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from voxenc.ctc import CtcInstance, collapse
+from voxenc.groupstats import ALTERNATIVES, EXACT_LIMIT, DegenerateSample
 
 
 def ridge_closed_form(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
@@ -54,3 +56,74 @@ def count_alignments(T: int, targets: list[int], n_classes: int) -> int:
         if collapse(path) == list(targets):
             count += 1
     return count
+
+
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; each run of ties gets its average rank."""
+    order = np.argsort(a, kind="stable")
+    srt = a[order]
+    starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+    ends = np.r_[starts[1:], a.size]  # exclusive; the run holds ranks starts+1..ends
+    ranks = np.empty(a.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def _norm_sf(z: float) -> float:
+    """Upper tail of the standard normal distribution."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _null_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
+    """Count sign assignments per doubled W+ value; counts[w] over w=0..sum."""
+    total = sum(doubled_ranks)
+    counts = np.zeros(total + 1, dtype=np.float64)
+    counts[0] = 1.0
+    acc = 0
+    for r in doubled_ranks:
+        counts[r : acc + r + 1] += counts[0 : acc + 1].copy()  # copy: ranges overlap
+        acc += r
+    return counts
+
+
+def wilcoxon_reference(diffs: np.ndarray, alternative: str = "greater") -> tuple[float, float]:
+    """(W+, p) of one target's differences, ranked on their own, zeros dropped first."""
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"unknown alternative {alternative!r}")
+    d = np.asarray(diffs, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("differences contain non-finite values")
+    d = d[d != 0]
+    n = d.size
+    if n == 0:
+        raise DegenerateSample("all differences are zero")
+    if n < 5:
+        raise DegenerateSample(f"need >= 5 nonzero differences, got {n}")
+    ranks = _midranks(np.abs(d))
+    w_plus = float(ranks[d > 0].sum())
+
+    if n <= EXACT_LIMIT:
+        doubled = np.rint(2 * ranks).astype(int)
+        counts = _null_counts(tuple(sorted(doubled)))
+        total = counts.sum()
+        w2 = int(round(2 * w_plus))
+        p_ge = counts[w2:].sum() / total
+        if alternative == "greater":
+            p = p_ge
+        else:
+            p_le = counts[: w2 + 1].sum() / total
+            p = min(1.0, 2.0 * min(p_ge, p_le))
+        return w_plus, float(p)
+
+    # normal approximation with tie and continuity corrections
+    mean = n * (n + 1) / 4.0
+    tie_counts = np.unique(ranks, return_counts=True)[1]
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(tie_counts**3 - tie_counts) / 48.0
+    sd = np.sqrt(var)
+    if alternative == "greater":
+        z = (w_plus - mean - 0.5) / sd
+        p = _norm_sf(z)
+    else:
+        z = (w_plus - mean - np.sign(w_plus - mean) * 0.5) / sd
+        p = min(1.0, 2.0 * _norm_sf(abs(z)))
+    return w_plus, p

@@ -200,6 +200,23 @@ def test_group_stats_cmd(runner, tmp_path):
     assert doc["roi_means"] == {"first_two": pytest.approx(values[:, :2].mean())}
 
 
+@pytest.mark.parametrize("q", ["5", "-1", "0", "nan", "1.5"])
+def test_group_stats_bad_q_exit_2(runner, tmp_path, q):
+    matrixio.write_matrix(tmp_path / "group.fmx", np.arange(1.0, 19.0).reshape(6, 3))
+    res = runner.invoke(main, ["group-stats", "--in", str(tmp_path / "group.fmx"),
+                               "--q", q, "--out", str(tmp_path / "stats.json")])
+    _assert_input_error(res, "--q must be a number in (0, 1]")
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_group_stats_q_one_accepted(runner, tmp_path):
+    matrixio.write_matrix(tmp_path / "group.fmx", np.arange(1.0, 19.0).reshape(6, 3))
+    res = runner.invoke(main, ["group-stats", "--in", str(tmp_path / "group.fmx"),
+                               "--q", "1", "--out", str(tmp_path / "stats.json")])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "stats.json").read_text())["q"] == 1.0
+
+
 @pytest.mark.parametrize("content, needle", [
     (None, "input file not found"),
     ("{not json", "malformed manifest"),
@@ -406,6 +423,17 @@ class TestRun:
         ({"alternative": "less"}, "alternative"),
         ({"q": "x"}, "'q'"),
         ({"detrend": "no"}, "detrend"),
+        ({"seed": "x"}, "config key 'seed'"),
+        ({"seed": 1.5}, "config key 'seed'"),
+        ({"seed": True}, "config key 'seed'"),
+        ({"synth": {"seed": "x"}}, "seed must be an integer"),
+        ({"features": "abc"}, "config key 'features'"),
+        ({"features": []}, "config key 'features'"),
+        ({"features": [{"path": "a.fmx"}]}, "config key 'features'"),
+        ({"features": [{"name": "a", "path": 3}]}, "config key 'features'"),
+        ({"features": [{"name": "a", "path": "a.fmx", "sample_rate": 0}]}, "positive sample_rate"),
+        ({"features": [{"name": "a", "path": "a.fmx", "rate": 2.0}]}, "config key 'features'"),
+        ({"features": ["a.fmx"]}, "config key 'features'"),
     ])
     def test_bad_config_value_exit_2(self, runner, tmp_path, change, needle):
         path, cfg = self._config(tmp_path)

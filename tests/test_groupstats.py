@@ -15,6 +15,8 @@ from voxenc.groupstats import (
 )
 from scipy.stats import rankdata
 
+from oracles import wilcoxon_reference
+
 
 def enumeration_p(diffs, alternative="greater"):
     """Independent oracle: exhaust all sign assignments of |diffs|."""
@@ -70,6 +72,13 @@ class TestWilcoxon:
     def test_fewer_than_five_nonzero_flagged(self):
         with pytest.raises(DegenerateSample, match="need >= 5 nonzero differences, got 4"):
             wilcoxon_signed_rank([0.0, 1.0, -2.0, 3.0, 4.0, 0.0])
+
+    @pytest.mark.parametrize("diffs", [[], [1.0], [0.0, -0.0], [0.0, 1.0, -2.0, 3.0, 4.0]])
+    def test_degenerate_messages_match_reference(self, diffs):
+        with pytest.raises(DegenerateSample) as expected:
+            wilcoxon_reference(diffs)
+        with pytest.raises(DegenerateSample, match=f"^{expected.value}$"):
+            wilcoxon_signed_rank(diffs)
 
     def test_exact_vs_normal_approx_at_25(self):
         rng = np.random.default_rng(1)
@@ -185,16 +194,14 @@ class TestGroupTest:
             if j == 80:
                 assert np.isnan(stats.statistic[j]) and np.isnan(stats.p_raw[j])
                 continue
-            w, p = wilcoxon_signed_rank(values[:, j], alternative)
+            w, p = wilcoxon_reference(values[:, j], alternative)
             assert stats.statistic[j] == w, j
             assert stats.p_raw[j] == p, j
+            assert wilcoxon_signed_rank(values[:, j], alternative) == (w, p), j
 
     @pytest.mark.parametrize("n_subjects", [26, 50, 102])
     @pytest.mark.parametrize("alternative", ["greater", "two_sided"])
-    def test_normal_approx_matches_per_target_wilcoxon_bitwise(self, n_subjects, alternative,
-                                                               monkeypatch):
-        import voxenc.groupstats as gs
-
+    def test_normal_approx_matches_per_target_wilcoxon_bitwise(self, n_subjects, alternative):
         rng = np.random.default_rng(n_subjects)
         values = rng.normal(0.1, 1.0, size=(n_subjects, 200))
         values[:, 40:80] = np.round(values[:, 40:80], 1)  # many ties across signs, some zeros
@@ -204,24 +211,21 @@ class TestGroupTest:
         values[:, 92] = 0.0  # all zero
         values[:-3, 93] = 0.0  # 3 nonzero: undefined
         values[:-4, 94] = -0.0  # 4 nonzero, with signed zeros: undefined
-        values[:-5, 95] = 0.0  # 5 nonzero: exact test per target
+        values[:-5, 95] = 0.0  # 5 nonzero: exact test
         values[: n_subjects - EXACT_LIMIT, 96] = 0.0  # EXACT_LIMIT nonzero: exact
         values[: n_subjects - EXACT_LIMIT - 1, 97] = 0.0  # one more: normal approximation
         values[:3, 98] = [0.0, -0.0, 0.0]  # a few zeros, tie-free otherwise
-        calls = []
-        monkeypatch.setattr(gs, "wilcoxon_signed_rank",
-                            lambda d, alt: calls.append(1) or wilcoxon_signed_rank(d, alt))
         stats = group_test(values, alternative)
         nonzero = np.count_nonzero(values, axis=0)
-        assert len(calls) == np.sum(nonzero <= EXACT_LIMIT)  # every other target ranked at once
         assert stats.undefined.tolist() == (nonzero < 5).tolist()
         for j in range(values.shape[1]):
             if nonzero[j] < 5:
                 assert np.isnan(stats.statistic[j]) and np.isnan(stats.p_raw[j])
                 continue
-            w, p = wilcoxon_signed_rank(values[:, j], alternative)
+            w, p = wilcoxon_reference(values[:, j], alternative)
             assert stats.statistic[j] == w, j
             assert stats.p_raw[j] == p, j
+            assert wilcoxon_signed_rank(values[:, j], alternative) == (w, p), j
 
     def test_non_finite_rejected_naming_count_and_target(self):
         values = np.ones((6, 5))
