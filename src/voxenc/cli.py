@@ -282,7 +282,7 @@ def _write_synth_dataset(out: Path, cohort: synthbench.Cohort) -> None:
 
 
 _RUN_KEYS = {
-    "out_dir", "seed", "synth", "features", "response", "manifest",
+    "out_dir", "seed", "synth", "features", "manifest",
     "lambda_grid", "q", "alternative", "detrend",
 }
 
@@ -295,6 +295,9 @@ def _resolve_run_config(doc: dict) -> dict:
         raise ValueError("config requires out_dir")
     if "synth" not in doc and "manifest" not in doc:
         raise ValueError("config needs a 'synth' block or a 'manifest' path")
+    for key in ("out_dir", "manifest"):
+        if key in doc and (not isinstance(doc[key], str) or not doc[key]):
+            raise ValueError(f"config key '{key}' must be a non-empty path string, got {doc[key]!r}")
     resolved = {
         "seed": 0,
         "q": 0.05,

@@ -4,15 +4,14 @@ Frame layout is the same for both feature types: frame t covers samples
 [t*stride, t*stride + window), and the frame count is
 floor((len - window) / stride) + 1.
 
-scipy is imported only inside ``read_wav``, for ``scipy.io.wavfile``'s WAV
-parsing: importing this module, resampling and computing features do not
-load it, and nothing here imports ``scipy.signal``.
-
-``read_wav`` sums the channels straight from the file's integer or float
-samples into the float64 mono signal, ``_MIX_BLOCK`` frames at a time, then
-divides by channels x full scale. Integer sums are exact in float64, and
-float channels are added in the order numpy's mean adds them, so the mono
-signal equals the mean of the scaled channels bit for bit.
+Nothing here imports scipy. ``read_wav`` is a small RIFF/RIFX/RF64 chunk
+parser: it reads the data chunk ``_MIX_BLOCK`` frames at a time into one
+reused buffer and sums each block's channels straight from the file's
+integer or float samples into the float64 mono signal, then divides by
+channels x full scale. Integer sums are exact in float64, and float channels
+are added in the order numpy's mean adds them, so the mono signal equals the
+mean of the channels as ``scipy.io.wavfile`` reads and scales them, bit for
+bit.
 
 ``resample_to_mono_16k`` reproduces ``scipy.signal.resample_poly``'s default
 (a Kaiser-windowed sinc, beta 5, cut off at the lower rate's Nyquist
@@ -24,16 +23,20 @@ multiply-adds. Its output differs from scipy's only in rounding, at the
 and the BLAS dot products round differently from scipy's ``i0`` and
 ``upfirdn`` loop.
 
-Memory stays near the size of the signal. Frames are a strided view, and
-``power_spectrogram`` windows, transforms and squares ``_FRAME_BLOCK`` frames
-at a time into its preallocated output; the resampler's temporaries are
+Memory stays near the size of the signal. Frames are a strided view;
+``_stft_power`` windows, transforms and squares ``_FRAME_BLOCK`` frames at a
+time, into the preallocated spectrogram or, for ``mel_filterbank``, into a
+block that is projected onto the filters at once, so no full spectrogram is
+made for mel features. The resampler's temporaries are
 ``_RESAMPLE_BLOCK`` outputs, and the two ends of the signal are read through
 small zero-padded copies.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .types import FeatureMatrix
 
-# Frames per FFT block in power_spectrogram: at the 25 ms mel window a block's
+# Frames per FFT block in _stft_power: at the 25 ms mel window a block's
 # windowed frames take 3.3 MB and its complex spectrum 4.2 MB.
 _FRAME_BLOCK = 1024
 # Frames per block when mixing channels: 1 MB of float64 mono.
@@ -125,14 +128,35 @@ def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> Feat
     Hann-windowed frames are zero-padded to n_fft before the FFT.
     """
     cfg = cfg or StftConfig()
+    return FeatureMatrix(_stft_power(signal, cfg), sample_rate=1.0 / cfg.stride_seconds, name="spectrogram")
+
+
+def _stft_power(signal: np.ndarray, cfg: StftConfig, fb: np.ndarray | None = None) -> np.ndarray:
+    """The power spectrogram, or with ``fb`` its projection ``power @ fb.T``.
+
+    Frames are windowed, transformed and squared ``_FRAME_BLOCK`` at a time.
+    With ``fb`` the powers go to a reused buffer that is projected every
+    ``_FRAME_BLOCK`` frames, except that the last projection also takes the
+    remainder. So every projection has at least ``_FRAME_BLOCK`` rows unless
+    the signal has fewer frames: OpenBLAS rounds GEMMs of a few rows
+    differently, and with full blocks the blocked projection equals one
+    product of the whole spectrogram bit for bit.
+    """
     frames = _frame(signal, cfg.window_samples, cfg.stride_samples)
     win = periodic_hann(cfg.window_samples)
-    spec = np.empty((frames.shape[0], cfg.n_fft // 2 + 1))
-    for start in range(0, frames.shape[0], _FRAME_BLOCK):
-        rows = spec[start : start + _FRAME_BLOCK]
-        np.abs(np.fft.rfft(frames[start : start + _FRAME_BLOCK] * win, n=cfg.n_fft, axis=1), out=rows)
+    n_frames, n_bins = frames.shape[0], cfg.n_fft // 2 + 1
+    out = np.empty((n_frames, n_bins if fb is None else fb.shape[0]))
+    last = max(0, n_frames // _FRAME_BLOCK - 1) * _FRAME_BLOCK  # first row of the last projection
+    power = out if fb is None else np.empty((n_frames - last, n_bins))
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        stop = min(start + _FRAME_BLOCK, n_frames)
+        base = 0 if fb is None else min(start, last)  # row of out at power's first row
+        rows = power[start - base : stop - base]
+        np.abs(np.fft.rfft(frames[start:stop] * win, n=cfg.n_fft, axis=1), out=rows)
         np.square(rows, out=rows)
-    return FeatureMatrix(spec, sample_rate=1.0 / cfg.stride_seconds, name="spectrogram")
+        if fb is not None and (stop <= last or stop == n_frames):
+            np.matmul(power[: stop - base], fb.T, out=out[base:stop])
+    return out
 
 
 def hz_to_mel(f: np.ndarray | float, variant: str = "slaney") -> np.ndarray | float:
@@ -189,44 +213,48 @@ def mel_filterbank(signal: np.ndarray, cfg: MelConfig | None = None) -> FeatureM
     window = int(round(cfg.window_seconds * cfg.sample_rate))
     n_fft = 1 << max(window - 1, 1).bit_length()  # next power of two >= window
     stft_cfg = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, n_fft)
-    spec = power_spectrogram(signal, stft_cfg)
-    fb = mel_filter_matrix(n_fft, cfg)
-    out = spec.data @ fb.T
+    out = _stft_power(signal, stft_cfg, mel_filter_matrix(n_fft, cfg))
     return FeatureMatrix(out, sample_rate=1.0 / cfg.stride_seconds, name=f"mel_{cfg.mel_variant}")
 
 
-def mix_to_mono(signal: np.ndarray, full_scale: float = 1.0) -> np.ndarray:
-    """Float64 mono signal: the channel average divided by ``full_scale``.
+def mix_to_mono(signal: np.ndarray) -> np.ndarray:
+    """Float64 mono signal: the average of the channels.
 
-    A 2-D samples x channels signal is summed ``_MIX_BLOCK`` frames at a time
-    straight into the float64 output, which is then divided by channels x
-    ``full_scale``; the only full-length array made is the output. With
-    ``full_scale`` 1 the bits equal ``signal.mean(axis=1, dtype=float64)``.
-    Integer samples sum exactly in float64, so for them one division gives
-    the mean of the channels scaled by ``full_scale`` bit for bit.
+    A 1-D signal is one channel. A 2-D samples x channels signal is summed
+    ``_MIX_BLOCK`` frames at a time straight into the float64 output, which
+    is then divided by the channel count; the only full-length array made is
+    the output, and its bits equal ``signal.mean(axis=1, dtype=float64)``.
     """
     sig = np.asarray(signal)
     if sig.ndim == 1:
-        if full_scale == 1.0:
-            return sig.astype(np.float64, copy=False)
-        return np.divide(sig, full_scale, dtype=np.float64)
+        return sig.astype(np.float64, copy=False)
     if sig.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D signal, got ndim={sig.ndim}")
-    n_frames, n_channels = sig.shape
-    mono = np.empty(n_frames)
-    for start in range(0, n_frames, _MIX_BLOCK):
-        frames = sig[start : start + _MIX_BLOCK]
-        block = mono[start : start + _MIX_BLOCK]
-        if n_channels >= 8:
-            np.sum(frames, axis=1, dtype=np.float64, out=block)
-        else:
-            # numpy's sum adds fewer than 8 terms left to right from +0.0 (so
-            # all -0.0 channels give +0.0); one column at a time is 5x faster
-            block.fill(0.0)
-            for channel in frames.T:
-                block += channel
-        block /= n_channels * full_scale
+    mono = np.empty(sig.shape[0])
+    for start in range(0, mono.size, _MIX_BLOCK):
+        _mix_block(sig[start : start + _MIX_BLOCK], mono[start : start + _MIX_BLOCK], 1.0)
     return mono
+
+
+def _mix_block(frames: np.ndarray, out: np.ndarray, full_scale: float) -> None:
+    """Write the channel average of ``frames`` divided by ``full_scale`` into ``out``.
+
+    1-D frames are one channel. Channels are summed in float64 and the sum is
+    divided once by channels x ``full_scale``.
+    """
+    if frames.ndim == 1:
+        np.divide(frames, full_scale, out=out, dtype=np.float64)
+        return
+    n_channels = frames.shape[1]
+    if n_channels >= 8:
+        np.sum(frames, axis=1, dtype=np.float64, out=out)
+    else:
+        # numpy's sum adds fewer than 8 terms left to right from +0.0 (so
+        # all -0.0 channels give +0.0); one column at a time is 5x faster
+        out.fill(0.0)
+        for channel in frames.T:
+            out += channel
+    out /= n_channels * full_scale
 
 
 def _kaiser_lowpass(up: int, down: int) -> tuple[np.ndarray, int]:
@@ -339,33 +367,138 @@ class WavError(ValueError):
     """A WAV file that cannot be read: not a WAV, truncated or an unsupported format."""
 
 
-# Full-scale value per sample format of scipy.io.wavfile (dtype without byte order).
-_FULL_SCALE = {"i2": 32768.0, "i4": 2147483648.0, "f4": 1.0, "f8": 1.0}
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# The extensible format's sub-format GUID after its leading format tag, per byte order.
+_GUID_TAIL = {"<": bytes.fromhex("0000 1000 8000 00aa 0038 9b71"),
+              ">": bytes.fromhex("0000 0010 8000 00aa 0038 9b71")}
+# Full scale per sample code (kind and bytes per sample), as scipy.io.wavfile
+# returns them: 24-bit PCM fills the top three bytes of an int32.
+_FULL_SCALE = {"i2": 32768.0, "i3": 2147483648.0, "i4": 2147483648.0, "f4": 1.0, "f8": 1.0}
+
+
+@dataclass
+class _WavLayout:
+    rate: int
+    channels: int
+    code: str  # sample kind and bytes per sample, e.g. "i2"
+    order: str  # "<" for RIFF and RF64, ">" for RIFX
+    n_frames: int
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a PCM16, PCM32, float32 or float64 WAV; returns (float64 mono, rate).
+    """Read a PCM16, PCM24, PCM32, float32 or float64 WAV; returns (float64 mono, rate).
 
-    Integer samples are scaled to [-1, 1). The channels are mixed by
-    ``mix_to_mono`` straight from the file's samples, so no float copy of
-    the channels is made. A file that is not a WAV, ends before its header
-    says, or holds another sample format raises ``WavError`` naming it.
+    RIFF, RIFX (big-endian) and RF64 files are read, with the plain or the
+    extensible format chunk. Integer samples are scaled to [-1, 1), as
+    ``scipy.io.wavfile`` reads them. The data chunk is read ``_MIX_BLOCK``
+    frames at a time into one reused buffer and each block is mixed straight
+    into the mono output, so no copy of the samples is made; a pipe, which
+    cannot seek, is read whole first. A file that is not a WAV, ends before
+    its header says, or holds another sample format raises ``WavError``
+    naming it.
     """
-    import struct
-    import warnings
-
-    from scipy.io import wavfile
-
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-    except struct.error as exc:  # a header field cut off by the end of the file
-        raise WavError(f"cannot read WAV file {path}: truncated header ({exc})") from None
-    except (OSError, ValueError, wavfile.WavFileWarning) as exc:
+        with open(path, "rb") as raw:
+            # a pipe can neither skip chunks nor report its size: read it whole first
+            fh = raw if raw.seekable() else io.BytesIO(raw.read())
+            wav = _read_wav_header(fh, path)
+            mono = np.empty(wav.n_frames)
+            frame_bytes = wav.channels * int(wav.code[1:])
+            raw = np.empty(min(wav.n_frames, _MIX_BLOCK) * frame_bytes, dtype=np.uint8)
+            if wav.code == "i3":  # widened to int32 with a zero low byte
+                wide = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+                top = slice(1, 4) if wav.order == "<" else slice(0, 3)
+            for start in range(0, wav.n_frames, _MIX_BLOCK):
+                count = min(_MIX_BLOCK, wav.n_frames - start)
+                block = raw[: count * frame_bytes]
+                if fh.readinto(block) != block.size:
+                    raise WavError(f"cannot read WAV file {path}: Reached EOF prematurely")
+                if wav.code == "i3":
+                    wide[: count * wav.channels, top] = block.reshape(-1, 3)
+                    samples = wide[: count * wav.channels].view(wav.order + "i4")
+                else:
+                    samples = block.view(wav.order + wav.code)
+                shape = (count, wav.channels) if wav.channels > 1 else (count,)
+                _mix_block(samples.reshape(shape), mono[start : start + count],
+                           _FULL_SCALE[wav.code])
+    except OSError as exc:
         raise WavError(f"cannot read WAV file {path}: {exc}") from None
-    full_scale = _FULL_SCALE.get(data.dtype.str[1:])
-    if full_scale is None:
-        raise WavError(f"unsupported WAV sample format {data.dtype} in {path} "
-                       "(need PCM16, PCM32, float32 or float64)")
-    return mix_to_mono(data, full_scale), int(rate)
+    return mono, wav.rate
+
+
+def _read_header_bytes(fh, n: int, path: str | Path) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:
+        raise WavError(f"cannot read WAV file {path}: truncated header at byte {fh.tell()}")
+    return data
+
+
+def _read_wav_header(fh, path: str | Path) -> _WavLayout:
+    """Parse the chunks up to the data chunk and leave ``fh`` at its first sample.
+
+    Unknown chunks are skipped, odd-sized chunks with their pad byte. The
+    data chunk must hold whole frames and fit in the file.
+    """
+    def fail(message: str) -> WavError:
+        return WavError(f"cannot read WAV file {path}: {message}")
+
+    magic = fh.read(4)
+    if magic not in (b"RIFF", b"RIFX", b"RF64"):
+        raise fail(f"file format {magic!r} not understood; only RIFF, RIFX and RF64 are read")
+    order = ">" if magic == b"RIFX" else "<"
+    form = _read_header_bytes(fh, 8, path)[4:]
+    if form != b"WAVE":
+        raise fail(f"not a WAV file: RIFF form type is {form!r}")
+    rf64_size = None
+    if magic == b"RF64":  # the data size is in the ds64 chunk that must come first
+        ds64, size = struct.unpack("<4sI", _read_header_bytes(fh, 8, path))
+        if ds64 != b"ds64" or size < 16:
+            raise fail("RF64 file without a ds64 chunk")
+        rf64_size = struct.unpack("<8xQ", _read_header_bytes(fh, 16, path))[0]
+        fh.seek(size - 16 + size % 2, 1)
+    fmt = None
+    while True:
+        head = fh.read(8)
+        if not head:
+            raise fail("no data chunk before the end of the file")
+        if len(head) < 8:
+            raise fail(f"truncated header at byte {fh.tell()}")
+        chunk, size = struct.unpack(order + "4sI", head)
+        if chunk == b"data":
+            break
+        skip = size + size % 2
+        if chunk == b"fmt ":
+            fmt = _read_header_bytes(fh, min(size, 40), path)
+            if len(fmt) < 16:
+                raise fail(f"fmt chunk of {size} bytes, need at least 16")
+            skip -= len(fmt)
+        fh.seek(skip, 1)
+    if fmt is None:
+        raise fail("no fmt chunk before the data chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack(order + "HHIIHH", fmt[:16])
+    if tag == _WAVE_EXTENSIBLE and len(fmt) >= 18:
+        if struct.unpack(order + "H", fmt[16:18])[0] < 22 or len(fmt) < 40:
+            raise fail("extensible fmt chunk shorter than its 22-byte extension")
+        if fmt[28:40] == _GUID_TAIL[order]:
+            tag = struct.unpack(order + "I", fmt[24:28])[0]
+    if tag not in (_WAVE_PCM, _WAVE_FLOAT):
+        raise fail(f"unsupported WAV format tag {tag:#06x} (need PCM or IEEE float)")
+    if channels == 0 or block_align % channels:
+        raise fail(f"block align of {block_align} bytes does not split into {channels} channels")
+    width = block_align // channels
+    code = "u1" if tag == _WAVE_PCM and bits <= 8 else f"{'i' if tag == _WAVE_PCM else 'f'}{width}"
+    if code not in _FULL_SCALE:
+        name = f"{dict(u='uint', i='int', f='float')[code[0]]}{8 * int(code[1:])}"
+        raise WavError(f"unsupported WAV sample format {name} in {path} "
+                       "(need PCM16, PCM24, PCM32, float32 or float64)")
+    size = size if rf64_size is None else rf64_size
+    start = fh.tell()
+    avail = max(0, fh.seek(0, io.SEEK_END) - start)
+    fh.seek(start)
+    n_samples = min(size, avail) // width
+    if n_samples % channels:
+        raise fail(f"cannot reshape {n_samples} samples into frames of {channels} channels")
+    if size > avail:
+        raise fail(f"Reached EOF prematurely: the data chunk declares {size} bytes, "
+                   f"the file holds {avail}")
+    return _WavLayout(rate, channels, code, order, n_samples // channels)

@@ -5,11 +5,12 @@ The gamma densities of the HRF repeat the operations of
 ``scipy.stats.gamma.pdf`` with numpy and ``math``, so the kernel equals
 scipy's bit for bit and importing this module does not load scipy.
 
-Memory is bounded by the input, not by the FFT length: ``minmax_normalize``
-fills one output array in place, and ``convolve_downsample`` transforms
-``_COLUMN_BLOCK`` columns at a time and keeps only their scan rows. Every
-column's FFT is independent, so the blocks give the same bits as one
-transform of the whole matrix.
+Memory is bounded by the input, not by the FFT length: the convolution
+transforms ``_COLUMN_BLOCK`` columns at a time and keeps only their scan
+rows. ``hrf_align`` normalises each block just before its transform, from
+per-column minima and spans found in one pass, so no normalised copy of the
+whole input is made. Every column's FFT is independent, so the blocks give
+the same bits as one transform of the whole normalised matrix.
 """
 
 from __future__ import annotations
@@ -58,16 +59,25 @@ class ResampleSpec:
             raise ValueError(f"need input_rate > output_rate > 0, got {self.input_rate}, {self.output_rate}")
 
 
+def _column_range(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column minimum and span (maximum minus minimum)."""
+    lo = data.min(axis=0)
+    return lo, data.max(axis=0) - lo
+
+
+def _normalized(data: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """New array of (data - lo) / span per column; columns with no positive span become zeros."""
+    out = np.subtract(data, lo)
+    with np.errstate(invalid="ignore"):  # constant columns give 0/0 here
+        out /= span
+    out[:, ~(span > 0)] = 0.0
+    return out
+
+
 def minmax_normalize(activations: FeatureMatrix) -> FeatureMatrix:
     """Map each column independently to [0, 1]; constant columns become zeros."""
     data = activations.data
-    lo = data.min(axis=0)
-    span = data.max(axis=0) - lo
-    out = np.subtract(data, lo)
-    live = span > 0
-    with np.errstate(invalid="ignore"):  # constant columns give 0/0 here
-        out /= span
-    out[:, ~live] = 0.0
+    out = _normalized(data, *_column_range(data))
     return FeatureMatrix(out, activations.sample_rate, activations.name, activations.layer_index)
 
 
@@ -117,6 +127,13 @@ def convolve_downsample(
     Scan k reads the convolved signal at t_k = k / output_rate. History before
     onset is zero-padded, so early scans see only the kernel's rising edge.
     """
+    return _convolve_downsample(activations, kernel, spec, normalize=False)
+
+
+def _convolve_downsample(
+    activations: FeatureMatrix, kernel: HrfKernel, spec: ResampleSpec, normalize: bool
+) -> FeatureMatrix:
+    """``convolve_downsample``, of the min-max normalised columns if ``normalize``."""
     if activations.sample_rate != spec.input_rate:
         raise ValueError(
             f"activation rate {activations.sample_rate} != spec input_rate {spec.input_rate}"
@@ -133,13 +150,16 @@ def convolve_downsample(
         raise ValueError(
             f"scan {spec.n_output - 1} at sample {scan_idx[-1]} beyond convolved support {conv_len}"
         )
+    if normalize:
+        lo, span = _column_range(data)
     # FFT convolution, causal "full" mode, _COLUMN_BLOCK columns at a time
     n_fft = 1 << (conv_len - 1).bit_length()
     spec_h = np.fft.rfft(kernel.samples, n=n_fft)[:, None]
     out = np.empty((spec.n_output, data.shape[1]))
     for start in range(0, data.shape[1], _COLUMN_BLOCK):
         cols = slice(start, start + _COLUMN_BLOCK)
-        spec_x = np.fft.rfft(data[:, cols], n=n_fft, axis=0)
+        block = _normalized(data[:, cols], lo[cols], span[cols]) if normalize else data[:, cols]
+        spec_x = np.fft.rfft(block, n=n_fft, axis=0)
         spec_x *= spec_h
         out[:, cols] = np.fft.irfft(spec_x, n=n_fft, axis=0)[scan_idx]
     return FeatureMatrix(
@@ -154,8 +174,6 @@ def hrf_align(
     normalize: bool = True,
 ) -> FeatureMatrix:
     """Full alignment pipeline: [0,1] normalize, convolve, downsample to TR."""
-    if normalize:
-        activations = minmax_normalize(activations)
     kernel = glover_hrf(oversample_hz=activations.sample_rate)
     spec = ResampleSpec(activations.sample_rate, 1.0 / tr_seconds, n_scans)
-    return convolve_downsample(activations, kernel, spec)
+    return _convolve_downsample(activations, kernel, spec, normalize)

@@ -10,10 +10,17 @@ Container layout, all little-endian:
 
 The format carries no metadata; sampling rates, block structure and ROI
 definitions live in the JSON manifest.
+
+Each array exists once: ``read_matrix`` checks the payload length against
+the file size, reads the payload straight into the returned array and
+checks finiteness ``_CHECK_BLOCK`` values at a time; ``write_matrix`` writes
+the array's own buffer. A pipe has no size, so its payload is read whole
+before the check, which costs one copy.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -25,6 +32,8 @@ MAGIC = b"FMX1"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _MAX_DIM = 2**48  # guards against garbage headers allocating petabytes
+# Values per finiteness check in read_matrix: a 64 KB boolean temporary.
+_CHECK_BLOCK = 1 << 16
 
 
 class MatrixParseError(ValueError):
@@ -71,7 +80,7 @@ def write_matrix(path: str | Path, data: np.ndarray) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<BB", code, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes())
+        np.ascontiguousarray(arr, dtype=_DTYPES[code]).tofile(fh)
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -98,19 +107,29 @@ def read_matrix(path: str | Path) -> np.ndarray:
         if any(d > _MAX_DIM for d in shape):
             raise MatrixParseError(f"{path}: dimension overflow in header, shape {shape}")
         n_expect = int(np.prod(shape)) if shape else 1
-        payload = fh.read()
-    dtype = _DTYPES[code]
-    n_got, rem = divmod(len(payload), dtype.itemsize)
-    if rem or n_got != n_expect:
-        raise MatrixParseError(
-            f"{path}: payload holds {n_got} values (+{rem} bytes), header declares {n_expect}"
-        )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        idx = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-        offset = 6 + 8 * ndim + idx * dtype.itemsize
-        raise MatrixParseError(f"{path}: non-finite entry at byte offset {offset}")
-    return arr.copy()
+        dtype = _DTYPES[code]
+        header = 6 + 8 * ndim
+        if fh.seekable():
+            src, n_bytes = fh, fh.seek(0, io.SEEK_END) - header
+            fh.seek(header)
+        else:  # a pipe has no size: read the rest of it first, at the cost of one copy
+            payload = fh.read()
+            src, n_bytes = io.BytesIO(payload), len(payload)
+        n_got, rem = divmod(n_bytes, dtype.itemsize)
+        if rem or n_got != n_expect:
+            raise MatrixParseError(
+                f"{path}: payload holds {n_got} values (+{rem} bytes), header declares {n_expect}"
+            )
+        arr = np.empty(shape, dtype=dtype)
+        flat = arr.reshape(-1)
+        if src.readinto(flat.view(np.uint8)) != arr.nbytes:
+            raise MatrixParseError(f"{path}: payload shorter than its {arr.nbytes} bytes")
+    for start in range(0, flat.size, _CHECK_BLOCK):
+        finite = np.isfinite(flat[start : start + _CHECK_BLOCK])
+        if not finite.all():
+            offset = header + (start + int(np.argmin(finite))) * dtype.itemsize
+            raise MatrixParseError(f"{path}: non-finite entry at byte offset {offset}")
+    return arr
 
 
 def _read_csv(path: Path) -> np.ndarray:

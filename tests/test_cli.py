@@ -333,14 +333,14 @@ def test_featurize_bad_wav_exit_2(runner, tmp_path, case, needle):
     assert not (tmp_path / "o.fmx").exists()
 
 
-def test_featurize_loads_no_scipy_signal(tmp_path):
+def test_featurize_loads_no_scipy(tmp_path):
     _write_pcm16(tmp_path / "a.wav", np.zeros((44100, 2), dtype="<i2"), rate=44100)
     src = str(Path(voxenc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys; from voxenc.cli import main; "
             f"main(['featurize', '--wav', {str(tmp_path / 'a.wav')!r}, '--kind', 'mel', "
             f"'--out', {str(tmp_path / 'mel.fmx')!r}], standalone_mode=False); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
@@ -434,6 +434,11 @@ class TestRun:
         ({"features": [{"name": "a", "path": "a.fmx", "sample_rate": 0}]}, "positive sample_rate"),
         ({"features": [{"name": "a", "path": "a.fmx", "rate": 2.0}]}, "config key 'features'"),
         ({"features": ["a.fmx"]}, "config key 'features'"),
+        ({"out_dir": 5}, "config key 'out_dir'"),
+        ({"out_dir": ""}, "config key 'out_dir'"),
+        ({"synth": None, "manifest": 5}, "config key 'manifest'"),
+        ({"manifest": ""}, "config key 'manifest'"),
+        ({"response": "r.fmx"}, "unknown config keys: ['response']"),
     ])
     def test_bad_config_value_exit_2(self, runner, tmp_path, change, needle):
         path, cfg = self._config(tmp_path)

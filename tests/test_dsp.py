@@ -1,3 +1,7 @@
+import os
+import struct
+import threading
+
 import numpy as np
 import pytest
 
@@ -150,7 +154,8 @@ def test_spectrogram_frame_blocks_match_whole_array(n_frames):
     assert out.tobytes() == _whole_array_power(sig, cfg).tobytes()
 
 
-@pytest.mark.parametrize("n_frames", [dsp._FRAME_BLOCK - 1, dsp._FRAME_BLOCK, dsp._FRAME_BLOCK + 1])
+@pytest.mark.parametrize("n_frames", [dsp._FRAME_BLOCK - 1, dsp._FRAME_BLOCK, dsp._FRAME_BLOCK + 1,
+                                      2 * dsp._FRAME_BLOCK, 3 * dsp._FRAME_BLOCK - 1])
 def test_mel_frame_blocks_match_whole_array(n_frames):
     cfg = MelConfig()
     stft = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, 512)
@@ -203,6 +208,141 @@ def test_read_wav_mono_bitwise_equals_old_mix(tmp_path, dtype, n_channels):
     assert rate == 44100
     assert mono.dtype == np.float64 and mono.shape == (data.shape[0],)
     assert mono.tobytes() == _old_read_and_mix(data).tobytes()
+
+
+def _chunk(order, chunk_id, payload):
+    return struct.pack(order + "4sI", chunk_id, len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def _fmt(order, tag, channels, width, rate=44100, bits=None, extra=b""):
+    block = channels * width
+    return struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block,
+                       8 * width if bits is None else bits) + extra
+
+
+def _extensible(order, sub_tag):
+    tail = bytes.fromhex("0000 1000 8000 00aa 0038 9b71" if order == "<" else "0000 0010 8000 00aa 0038 9b71")
+    return struct.pack(order + "HHII", 22, 0, 0, sub_tag) + tail
+
+
+def _riff(order, chunks):
+    body = b"WAVE" + b"".join(_chunk(order, cid, payload) for cid, payload in chunks)
+    return (b"RIFF" if order == "<" else b"RIFX") + struct.pack(order + "I", len(body)) + body
+
+
+def _rf64(fmt, payload):
+    chunks = _chunk("<", b"fmt ", fmt) + b"data\xff\xff\xff\xff" + payload
+    riff_size = 4 + 36 + len(chunks)  # the form type, the ds64 chunk and the rest
+    ds64 = struct.pack("<4sIQQQI", b"ds64", 28, riff_size, len(payload), 0, 0)
+    return b"RF64\xff\xff\xff\xffWAVE" + ds64 + chunks
+
+
+def _layout_case(case, rng):
+    """WAV bytes in one of the layouts read_wav parses, all over _MIX_BLOCK + 3 frames."""
+    n = dsp._MIX_BLOCK + 3
+    if case == "rifx_pcm16":
+        data = _wav_samples(np.int16, n, 2, rng)
+        return _riff(">", [(b"fmt ", _fmt(">", 1, 2, 2)), (b"data", data.astype(">i2").tobytes())])
+    if case == "rifx_float32_mono":
+        data = _wav_samples(np.float32, n, 1, rng)
+        return _riff(">", [(b"fmt ", _fmt(">", 3, 1, 4)), (b"data", data.astype(">f4").tobytes())])
+    if case in ("extensible_pcm32", "extensible_float64", "rifx_extensible_pcm16"):
+        order = ">" if case.startswith("rifx") else "<"
+        dtype, tag = {"extensible_pcm32": (np.int32, 1), "extensible_float64": (np.float64, 3),
+                      "rifx_extensible_pcm16": (np.int16, 1)}[case]
+        data = _wav_samples(dtype, n, 3, rng)
+        width = np.dtype(dtype).itemsize
+        fmt = _fmt(order, 0xFFFE, 3, width, extra=_extensible(order, tag))
+        return _riff(order, [(b"fmt ", fmt), (b"data", data.astype(order + data.dtype.str[1:]).tobytes())])
+    if case == "odd_chunk_before_data":
+        data = _wav_samples(np.int16, n, 2, rng)
+        return _riff("<", [(b"fmt ", _fmt("<", 1, 2, 2)), (b"LIST", b"abc"), (b"junk", b"x" * 7),
+                           (b"data", data.tobytes())])
+    if case == "fmt_18_bytes":
+        data = _wav_samples(np.float32, n, 2, rng)
+        return _riff("<", [(b"fmt ", _fmt("<", 3, 2, 4, extra=b"\0\0")), (b"fact", struct.pack("<I", n)),
+                           (b"data", data.tobytes())])
+    if case == "fmt_19_bytes_padded":
+        data = _wav_samples(np.int16, n, 6, rng)
+        return _riff("<", [(b"fmt ", _fmt("<", 1, 6, 2, extra=b"\0\0z")), (b"data", data.tobytes())])
+    if case in ("pcm24", "rifx_pcm24"):
+        order = "<" if case == "pcm24" else ">"
+        data = rng.integers(-(1 << 23), 1 << 23, size=(n, 2), dtype=np.int32)
+        data[:3] = [[-(1 << 23)], [(1 << 23) - 1], [0]]
+        quads = data.astype(order + "i4").view(np.uint8).reshape(-1, 4)
+        payload = (quads[:, :3] if order == "<" else quads[:, 1:]).tobytes()
+        return _riff(order, [(b"fmt ", _fmt(order, 1, 2, 3)), (b"data", payload)])
+    if case == "rf64":
+        data = _wav_samples(np.int16, n, 2, rng)
+        return _rf64(_fmt("<", 1, 2, 2), data.tobytes())
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["rifx_pcm16", "rifx_float32_mono", "extensible_pcm32",
+                                  "extensible_float64", "rifx_extensible_pcm16", "odd_chunk_before_data",
+                                  "fmt_18_bytes", "fmt_19_bytes_padded", "pcm24", "rifx_pcm24", "rf64"])
+def test_read_wav_layouts_match_scipy(tmp_path, case):
+    import warnings
+
+    from scipy.io import wavfile
+
+    path = tmp_path / f"{case}.wav"
+    path.write_bytes(_layout_case(case, np.random.default_rng(len(case))))
+    mono, rate = dsp.read_wav(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)  # unknown chunks are skipped
+        want_rate, data = wavfile.read(path)
+    assert data.shape[0] == dsp._MIX_BLOCK + 3
+    assert rate == want_rate == 44100
+    assert mono.tobytes() == _old_read_and_mix(data.astype(data.dtype.newbyteorder("="))).tobytes()
+
+
+def test_read_wav_from_pipe_equals_file(tmp_path):
+    wav = _layout_case("odd_chunk_before_data", np.random.default_rng(3))
+    path = tmp_path / "a.wav"
+    path.write_bytes(wav)
+    pipe = tmp_path / "pipe.wav"
+    os.mkfifo(pipe)
+    threading.Thread(target=pipe.write_bytes, args=(wav,), daemon=True).start()
+    mono, rate = dsp.read_wav(pipe)
+    want, want_rate = dsp.read_wav(path)
+    assert rate == want_rate and mono.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, needle", [
+    ("alaw", "unsupported WAV format tag 0x0006"),
+    ("pcm64", "unsupported WAV sample format int64"),
+    ("float16", "unsupported WAV sample format float16"),
+    ("short_extensible", "extensible fmt chunk"),
+    ("short_fmt", "fmt chunk of 14 bytes"),
+    ("no_fmt", "no fmt chunk"),
+    ("no_data", "no data chunk"),
+    ("ragged_block_align", "block align of 5 bytes"),
+    ("not_wave", "RIFF form type is b'AVI '"),
+    ("rf64_no_ds64", "without a ds64 chunk"),
+    ("cut_chunk_header", "truncated header at byte 40"),
+])
+def test_read_wav_rejects_malformed(tmp_path, case, needle):
+    pcm = np.zeros((8, 2), dtype="<i2").tobytes()
+    data = (b"data", pcm)
+    files = {
+        "alaw": _riff("<", [(b"fmt ", _fmt("<", 6, 2, 1)), data]),
+        "pcm64": _riff("<", [(b"fmt ", _fmt("<", 1, 1, 8)), data]),
+        "float16": _riff("<", [(b"fmt ", _fmt("<", 3, 2, 2)), data]),
+        "short_extensible": _riff("<", [(b"fmt ", _fmt("<", 0xFFFE, 2, 2, extra=b"\0\0")), data]),
+        "short_fmt": _riff("<", [(b"fmt ", _fmt("<", 1, 2, 2)[:14]), data]),
+        "no_fmt": _riff("<", [data]),
+        "no_data": _riff("<", [(b"fmt ", _fmt("<", 1, 2, 2)), (b"LIST", b"ab")]),
+        "ragged_block_align": _riff("<", [(b"fmt ", struct.pack("<HHIIHH", 1, 2, 8000, 40000, 5, 16)), data]),
+        "not_wave": b"RIFF" + struct.pack("<I", 4) + b"AVI ",
+        "rf64_no_ds64": b"RF64\xff\xff\xff\xffWAVE" + _chunk("<", b"fmt ", _fmt("<", 1, 2, 2)),
+        "cut_chunk_header": _riff("<", [(b"fmt ", _fmt("<", 1, 2, 2)), data])[:40],
+    }
+    path = tmp_path / f"{case}.wav"
+    path.write_bytes(files[case])
+    with pytest.raises(dsp.WavError, match=needle) as info:
+        dsp.read_wav(path)
+    assert str(path) in str(info.value)
 
 
 def _up_down(rate):

@@ -162,3 +162,15 @@ def test_hrf_align_shapes():
     out = hemo.hrf_align(feats, n_scans=60)
     assert out.data.shape == (60, 5)
     assert out.sample_rate == 0.5
+
+
+@pytest.mark.parametrize("n_cols", [1, hemo._COLUMN_BLOCK + 3])
+def test_hrf_align_normalizes_per_block_like_whole_array(n_cols):
+    rng = np.random.default_rng(n_cols)
+    data = rng.normal(size=(6000, n_cols))
+    data[:, 0] = 2.5  # a constant column maps to zeros
+    feats = _fm(data)
+    want = convolve_downsample(minmax_normalize(feats), glover_hrf(50.0), ResampleSpec(50.0, 0.5, 60))
+    assert hemo.hrf_align(feats, n_scans=60).data.tobytes() == want.data.tobytes()
+    assert hemo.hrf_align(feats, n_scans=60, normalize=False).data.tobytes() == \
+        convolve_downsample(feats, glover_hrf(50.0), ResampleSpec(50.0, 0.5, 60)).data.tobytes()

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,69 @@ def test_nan_payload_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(MatrixParseError, match="non-finite entry at byte offset"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_past_first_check_block_reports_its_offset(tmp_path, dtype):
+    data = np.zeros((3, matrixio._CHECK_BLOCK + 5), dtype=dtype)
+    data[2, 7] = -np.inf  # flat index 2 * (_CHECK_BLOCK + 5) + 7, in the third check block
+    data[2, 9] = np.nan
+    path = tmp_path / "bad.fmx"
+    write_matrix(path, data)
+    offset = 6 + 8 * 2 + (2 * (matrixio._CHECK_BLOCK + 5) + 7) * data.itemsize
+    with pytest.raises(MatrixParseError, match=f"non-finite entry at byte offset {offset}$"):
+        read_matrix(path)
+
+
+def test_read_returns_writable_array_owning_its_data(tmp_path):
+    path = tmp_path / "m.fmx"
+    write_matrix(path, np.arange(6.0).reshape(2, 3))
+    back = read_matrix(path)
+    assert back.flags.writeable and back.flags.owndata and back.flags.c_contiguous
+    back[0, 0] = 7.0
+    assert back[0, 0] == 7.0
+
+
+def test_empty_and_zero_dim_roundtrip(tmp_path):
+    for m in (np.zeros((0, 3)), np.array(2.5)):
+        path = tmp_path / "m.fmx"
+        write_matrix(path, m)
+        back = read_matrix(path)
+        assert back.shape == m.shape and back.tobytes() == m.tobytes()
+
+
+def test_write_non_contiguous_views(tmp_path):
+    m = np.arange(24.0).reshape(4, 6)
+    for view in (m[:, ::2], m.T, m[::-1]):
+        path = tmp_path / "m.fmx"
+        write_matrix(path, view)
+        assert np.array_equal(read_matrix(path), view)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "bad.fmx"
+    write_matrix(path, np.zeros((2, 3)))
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    with pytest.raises(MatrixParseError, match=r"payload holds 6 values \(\+3 bytes\), header declares 6"):
+        read_matrix(path)
+
+
+def _fifo(path, payload):
+    """A named pipe at ``path`` that a thread fills with ``payload`` once it is opened."""
+    os.mkfifo(path)
+    threading.Thread(target=path.write_bytes, args=(payload,), daemon=True).start()
+    return path
+
+
+def test_read_from_pipe(tmp_path):
+    m = np.arange(12.0).reshape(3, 4)
+    write_matrix(tmp_path / "m.fmx", m)
+    payload = (tmp_path / "m.fmx").read_bytes()
+    back = read_matrix(_fifo(tmp_path / "pipe.fmx", payload))
+    assert back.tobytes() == m.tobytes() and back.shape == m.shape
+    assert back.flags.writeable
+    with pytest.raises(MatrixParseError, match=r"payload holds 4 values \(\+6 bytes\), header declares 12"):
+        read_matrix(_fifo(tmp_path / "short.fmx", payload[:6 + 16 + 38]))
 
 
 def test_dimension_overflow(tmp_path):
