@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 computation error, 2 usage/input error.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import click
@@ -17,7 +18,7 @@ import numpy as np
 from . import contrast as contrast_mod
 from . import ctc as ctc_mod
 from . import dsp, groupstats, hemo, matrixio, report, synthbench
-from .encode import brain_score, detrend_blocks, make_split_plan
+from .encode import SplitPlan, brain_score, detrend_blocks, make_split_plan
 from .types import FeatureMatrix, ResponseMatrix
 
 EXIT_OK = 0
@@ -41,7 +42,7 @@ def _load(path: str) -> np.ndarray:
     raise AssertionError("unreachable")
 
 
-def _load_manifest(path: str) -> matrixio.DatasetManifest:
+def _load_manifest(path: str | Path) -> matrixio.DatasetManifest:
     if not Path(path).exists():
         _fail(EXIT_USAGE, f"input file not found: {path}")
     try:
@@ -49,6 +50,75 @@ def _load_manifest(path: str) -> matrixio.DatasetManifest:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON or field layout
         _fail(EXIT_USAGE, f"malformed manifest {path}: {type(exc).__name__}: {exc}")
     raise AssertionError("unreachable")
+
+
+@dataclass
+class _Dataset:
+    """A checked manifest with its fold plan and feature matrices, all the same height."""
+
+    manifest_path: Path
+    manifest: matrixio.DatasetManifest
+    plan: SplitPlan
+    features: list[np.ndarray]
+    rows: dict[str, int]  # feature file -> row count
+    detrend: bool
+
+
+def _row_mismatch(rows: dict[str, int]) -> str:
+    return ("feature and response files must have the same number of rows: "
+            + ", ".join(f"{path} has {n}" for path, n in rows.items()))
+
+
+def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None,
+                  detrend: bool) -> _Dataset:
+    """Read and check a manifest, plan its folds and load its 2-D feature matrices.
+
+    ``feature_paths`` default to the manifest's own, relative to its directory.
+    Every problem exits 2 with a message naming the file.
+    """
+    manifest_path = Path(manifest_path)
+    manifest = _load_manifest(manifest_path)
+    problems = matrixio.validate_manifest(manifest)
+    try:
+        plan = make_split_plan(manifest.blocks)
+    except ValueError as exc:
+        problems.append(str(exc))
+    if detrend:
+        problems += [f"block ({a}, {b}) has {b - a} rows; need >= 3 to detrend"
+                     for a, b in manifest.blocks if 0 < b - a < 3]
+    if problems:
+        _fail(EXIT_USAGE, f"manifest {manifest_path}: " + "; ".join(problems))
+    if feature_paths is None:
+        feature_paths = [str(manifest_path.parent / f.path) for f in manifest.features]
+    if not feature_paths:
+        _fail(EXIT_USAGE, f"manifest {manifest_path} lists no feature files")
+    features = [_load(path) for path in feature_paths]
+    for path, mat in zip(feature_paths, features):
+        if mat.ndim != 2:
+            _fail(EXIT_USAGE, f"feature file {path} must be a 2-D scans x features "
+                              f"matrix, got shape {mat.shape}")
+    rows = {path: mat.shape[0] for path, mat in zip(feature_paths, features)}
+    if len(set(rows.values())) > 1:
+        _fail(EXIT_USAGE, _row_mismatch(rows))
+    return _Dataset(manifest_path, manifest, plan, features, rows, detrend)
+
+
+def _load_response(data: _Dataset, path: str | Path) -> np.ndarray:
+    """One subject's 2-D response, row-checked against ``data`` and detrended if it asks.
+
+    Only the returned array outlives the call, so the raw response is freed.
+    """
+    y = _load(path)
+    if y.ndim != 2:
+        _fail(EXIT_USAGE, f"response file {path} must be a 2-D scans x targets "
+                          f"matrix, got shape {y.shape}")
+    n_rows = data.features[0].shape[0]
+    if y.shape[0] != n_rows:
+        _fail(EXIT_USAGE, _row_mismatch({**data.rows, str(path): y.shape[0]}))
+    end = data.manifest.blocks[-1][1]
+    if n_rows != end:
+        _fail(EXIT_USAGE, f"{path} has {n_rows} rows; the blocks of {data.manifest_path} end at {end}")
+    return detrend_blocks(ResponseMatrix(y), data.manifest.blocks).data if data.detrend else y
 
 
 @click.group()
@@ -115,32 +185,10 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
           report_path: str | None, detrend: bool) -> None:
     """Cross-validated ridge brain scores per target."""
-    manifest = _load_manifest(manifest_path)
-    problems = matrixio.validate_manifest(manifest)
-    if problems:
-        _fail(EXIT_USAGE, "; ".join(problems))
-    feature_paths = features.split(",")
-    mats = [_load(p) for p in feature_paths]
-    for path, mat in zip(feature_paths, mats):
-        if mat.ndim != 2:
-            _fail(EXIT_USAGE, f"feature file {path} must be a 2-D scans x features "
-                              f"matrix, got shape {mat.shape}")
-    Y = _load(response_path)
-    if Y.ndim != 2:
-        _fail(EXIT_USAGE, f"response file {response_path} must be a 2-D scans x targets "
-                          f"matrix, got shape {Y.shape}")
-    rows = {path: mat.shape[0] for path, mat in zip(feature_paths, mats)}
-    rows[response_path] = Y.shape[0]
-    if len(set(rows.values())) > 1:
-        _fail(EXIT_USAGE, "feature and response files must have the same number of rows: "
-                          + ", ".join(f"{path} has {n}" for path, n in rows.items()))
-    X = np.hstack(mats)
+    data = _load_dataset(manifest_path, features.split(","), detrend)
+    Y = _load_response(data, response_path)
     try:
-        resp = ResponseMatrix(Y)
-        if detrend:
-            resp = detrend_blocks(resp, manifest.blocks)
-        plan = make_split_plan(manifest.blocks)
-        sm = brain_score(X, resp.data, plan)
+        sm = brain_score(np.hstack(data.features), Y, data.plan)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
         return
@@ -149,8 +197,8 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
         report.write_report(
             report_path,
             {
-                "stages": {"score": {"n_folds": plan.n_folds, "n_targets": sm.n_targets}},
-                "scores": report.summarize_scores(sm.r_mean, manifest.rois or None),
+                "stages": {"score": {"n_folds": data.plan.n_folds, "n_targets": sm.n_targets}},
+                "scores": report.summarize_scores(sm.r_mean, data.manifest.rois or None),
                 "contrasts": {},
             },
         )
@@ -394,20 +442,17 @@ def run(config_path: str) -> None:
         _fail(EXIT_USAGE, str(exc))
         return
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    made_out_dir = not out_dir.exists()
     written: list[Path] = []
     try:
-        snapshot = out_dir / "resolved_config.json"
-        snapshot.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(snapshot)
         _run_pipeline(cfg, out_dir, written)
-    except FileNotFoundError as exc:
+    except (Exception, SystemExit) as exc:  # SystemExit: an input error found by a loader
         for p in written:
             p.unlink(missing_ok=True)
-        _fail(EXIT_USAGE, f"run failed: {exc}")
-    except Exception as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
+        if made_out_dir:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        if isinstance(exc, SystemExit):
+            raise
         _fail(EXIT_COMPUTE, f"run failed: {type(exc).__name__}: {exc}")
     click.echo(f"pipeline complete; report at {out_dir / 'report.json'}")
 
@@ -418,43 +463,29 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
 
     t0 = time.perf_counter()
     if "synth" in cfg:
-        data_dir = out_dir / "data"
-        data_dir.mkdir(exist_ok=True)
-        _write_synth_dataset(data_dir, synthbench.build_cohort(*_synth_config(cfg)))
-        written.extend(data_dir.iterdir())
-        manifest_path = data_dir / "manifest.json"
-        base = data_dir
+        manifest_path = out_dir / "data" / "manifest.json"
+        manifest_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_synth_dataset(manifest_path.parent, synthbench.build_cohort(*_synth_config(cfg)))
+        written.extend(manifest_path.parent.iterdir())
     else:
         manifest_path = Path(cfg["manifest"])
-        base = manifest_path.parent
     timings["synth"] = time.perf_counter() - t0
 
-    manifest = matrixio.read_manifest(manifest_path)
-    problems = matrixio.validate_manifest(manifest)
-    if problems:
-        raise ValueError("manifest invalid: " + "; ".join(problems))
-    if "features" in cfg:
-        feature_records = [matrixio.FeatureRecord(f["name"], f["path"], f.get("sample_rate", 1.0))
-                           for f in cfg["features"]]
-        base = Path(".")
-    else:
-        feature_records = manifest.features
-    feature_mats = [FeatureMatrix(matrixio.read_matrix(base / f.path), f.sample_rate, f.name)
-                    for f in feature_records]
-    names = [f.name for f in feature_records]
-    plan = make_split_plan(manifest.blocks)
+    features = cfg.get("features")
+    data = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
+    names = [f["name"] for f in features] if features else [f.name for f in data.manifest.features]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    snapshot = out_dir / "resolved_config.json"
+    snapshot.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    written.append(snapshot)
 
     # score every concatenation level for every subject
     t0 = time.perf_counter()
-    levels = [contrast_mod.build_concat(L, feature_mats).data for L in range(len(names))]
+    levels = [np.hstack(data.features[: L + 1]) for L in range(len(names))]
     per_subject_scores: list[list[np.ndarray]] = []
-    for sub in manifest.subjects:
-        y = matrixio.read_matrix(base / sub.response_path)
-        resp = ResponseMatrix(y)
-        if cfg["detrend"]:
-            resp = detrend_blocks(resp, manifest.blocks)
-        level_scores = [brain_score(X, resp.data, plan, grid).r_mean for X in levels]
-        per_subject_scores.append(level_scores)
+    for sub in data.manifest.subjects:
+        y = _load_response(data, manifest_path.parent / sub.response_path)
+        per_subject_scores.append([brain_score(X, y, data.plan, grid).r_mean for X in levels])
     timings["score"] = time.perf_counter() - t0
 
     # contrasts: per-level deltas relative to the previous level
@@ -470,7 +501,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
                 "mean_delta_r": float(deltas[:, L - 1].mean()),
                 "per_level_index": L,
             }
-        if len(manifest.subjects) >= 5:
+        if len(data.manifest.subjects) >= 5:
             top_delta = np.array([contrast_mod.delta_vs_baseline(s[-1], s[0])
                                   for s in per_subject_scores])
             stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
@@ -506,7 +537,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         "stages": {"timings_seconds": timings},
         "scores": {
             "per_level_mean_r": dict(zip(names, mean_scores_per_level)),
-            **report.summarize_scores(subject_mean, manifest.rois or None),
+            **report.summarize_scores(subject_mean, data.manifest.rois or None),
         },
         "contrasts": contrasts,
         "group": group_block,

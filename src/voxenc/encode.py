@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import FeatureMatrix, ResponseMatrix, ScoreMap
+from .types import ResponseMatrix, ScoreMap
 
 #: 20 log-spaced penalties from 10 to 1e8 inclusive.
 DEFAULT_LAMBDA_GRID = np.logspace(1.0, 8.0, 20)
@@ -190,8 +190,8 @@ def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def brain_score(
-    X: FeatureMatrix | np.ndarray,
-    Y: ResponseMatrix | np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
     plan: SplitPlan,
     grid: np.ndarray | None = None,
 ) -> ScoreMap:
@@ -201,8 +201,8 @@ def brain_score(
     selection, predict the held-out block, correlate per target. The score is
     the mean of the per-fold correlations.
     """
-    Xd = X.data if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    Yd = Y.data if isinstance(Y, ResponseMatrix) else np.asarray(Y, dtype=np.float64)
+    Xd = np.asarray(X, dtype=np.float64)
+    Yd = np.asarray(Y, dtype=np.float64)
     if Xd.shape[0] != Yd.shape[0]:
         raise ValueError(f"X has {Xd.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
     n_targets = Yd.shape[1]

@@ -78,7 +78,7 @@ def minmax_normalize(activations: FeatureMatrix) -> FeatureMatrix:
     """Map each column independently to [0, 1]; constant columns become zeros."""
     data = activations.data
     out = _normalized(data, *_column_range(data))
-    return FeatureMatrix(out, activations.sample_rate, activations.name, activations.layer_index)
+    return FeatureMatrix(out, activations.sample_rate, activations.name)
 
 
 def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
@@ -162,9 +162,7 @@ def _convolve_downsample(
         spec_x = np.fft.rfft(block, n=n_fft, axis=0)
         spec_x *= spec_h
         out[:, cols] = np.fft.irfft(spec_x, n=n_fft, axis=0)[scan_idx]
-    return FeatureMatrix(
-        out, spec.output_rate, activations.name, activations.layer_index
-    )
+    return FeatureMatrix(out, spec.output_rate, activations.name)
 
 
 def hrf_align(

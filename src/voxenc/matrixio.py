@@ -51,7 +51,6 @@ class FeatureRecord:
     name: str
     path: str
     sample_rate: float
-    layer_index: int | None = None
 
 
 @dataclass
@@ -92,8 +91,8 @@ def read_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
-        if head != MAGIC:
-            return _read_csv(path)
+        if head != MAGIC:  # a pipe cannot be reopened: parse on from this handle
+            return _read_csv(path, io.TextIOWrapper(io.BytesIO(head + fh.read()), encoding="utf-8"))
         meta = fh.read(2)
         if len(meta) < 2:
             raise MatrixParseError(f"{path}: truncated header at byte {4 + len(meta)}")
@@ -132,9 +131,11 @@ def read_matrix(path: str | Path) -> np.ndarray:
     return arr
 
 
-def _read_csv(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+def _read_csv(path: Path, text: io.TextIOWrapper) -> np.ndarray:
+    try:
+        lines = [ln.strip() for ln in text if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: neither FMX1 nor UTF-8 CSV: {exc}") from None
     if len(lines) < 2:
         raise MatrixParseError(f"{path}: CSV needs a header row plus at least one data row")
     n_cols = len(lines[0].split(","))
@@ -166,10 +167,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     subjects = [SubjectRecord(s["id"], s["response"]) for s in doc.get("subjects", [])]
-    features = [
-        FeatureRecord(f["name"], f["path"], f.get("sample_rate", 1.0), f.get("layer_index"))
-        for f in doc.get("features", [])
-    ]
+    features = [FeatureRecord(f["name"], f["path"], f.get("sample_rate", 1.0))
+                for f in doc.get("features", [])]
     blocks = [(int(a), int(b)) for a, b in doc.get("blocks", [])]
     rois = {k: [int(i) for i in v] for k, v in doc.get("rois", {}).items()}
     return DatasetManifest(
@@ -185,15 +184,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
     doc = {
         "subjects": [{"id": s.subject_id, "response": s.response_path} for s in manifest.subjects],
-        "features": [
-            {
-                "name": f.name,
-                "path": f.path,
-                "sample_rate": f.sample_rate,
-                **({"layer_index": f.layer_index} if f.layer_index is not None else {}),
-            }
-            for f in manifest.features
-        ],
+        "features": [{"name": f.name, "path": f.path, "sample_rate": f.sample_rate}
+                     for f in manifest.features],
         "blocks": [list(b) for b in manifest.blocks],
         "rois": manifest.rois,
     }

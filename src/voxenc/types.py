@@ -24,7 +24,6 @@ class FeatureMatrix:
     data: np.ndarray
     sample_rate: float
     name: str = ""
-    layer_index: int | None = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -32,8 +31,6 @@ class FeatureMatrix:
             raise ValueError(f"feature matrix must be 2-D and non-empty, got shape {self.data.shape}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        if self.layer_index is not None and self.layer_index < 0:
-            raise ValueError(f"layer_index must be >= 0, got {self.layer_index}")
         _check_finite(self.data, "feature matrix")
 
     @property

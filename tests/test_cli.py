@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import voxenc
 from voxenc import matrixio, report, synthbench
@@ -159,6 +162,57 @@ def test_score_feature_shape_errors_exit_2(runner, tmp_path):
     matrixio.write_matrix(flat, feats[:, 0])
     res = runner.invoke(main, ["score", "--features", f"{out / 'features.fmx'},{flat}", *args])
     _assert_input_error(res, str(flat), "(60,)")
+
+
+@pytest.mark.parametrize("blocks, needle", [
+    ([[0, 30], [30, 60]], "need >= 3 blocks"),
+    ([[0, 30], [30, 50], [50, 70]], "end at 70"),  # past the files' 60 rows
+])
+def test_score_bad_blocks_exit_2(runner, tmp_path, blocks, needle):
+    out = _synth_dir(runner, tmp_path, "linear")
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["blocks"] = blocks
+    del doc["n_rows"]
+    manifest = tmp_path / "bad_blocks.json"
+    manifest.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["score", "--features", str(out / "features.fmx"),
+                               "--response", str(out / "sub000.fmx"), "--manifest", str(manifest),
+                               "--out", str(tmp_path / "o.fmx"), "--no-detrend"])
+    _assert_input_error(res, str(manifest), needle)
+    assert not (tmp_path / "o.fmx").exists()
+
+
+@pytest.fixture(scope="module")
+def score_inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("score_inputs")
+    res = CliRunner().invoke(main, ["synth", "--preset", "linear", "--seed", "3",
+                                    "--n-targets", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["features.fmx", "sub000.fmx", "manifest.json"]), data=st.data())
+def test_score_truncated_input_exit_2(score_inputs, name, data):
+    full = (score_inputs / name).read_bytes()
+    prefix = full[: data.draw(st.integers(0, len(full) - 1), label="length")]
+    if name == "manifest.json":
+        try:
+            json.loads(prefix)
+        except ValueError:
+            pass
+        else:
+            assume(False)  # only trailing whitespace was cut: still a valid manifest
+    paths = {n: str(score_inputs / n) for n in ("features.fmx", "sub000.fmx", "manifest.json")}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths[name] = os.path.join(tmp, name)
+        Path(paths[name]).write_bytes(prefix)
+        out = os.path.join(tmp, "o.fmx")
+        res = CliRunner().invoke(main, ["score", "--features", paths["features.fmx"],
+                                        "--response", paths["sub000.fmx"],
+                                        "--manifest", paths["manifest.json"], "--out", out])
+        _assert_input_error(res, paths[name])
+        assert not os.path.exists(out)
 
 
 def test_import_loads_no_scipy():
@@ -452,6 +506,64 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         res = runner.invoke(main, ["run", "--config", str(path)])
         _assert_input_error(res, needle)
+        assert not (tmp_path / "run_out").exists()
+
+    def test_manifest_run_equals_synth_run(self, runner, tmp_path):
+        sizes = {"n_subjects": 6, "n_targets": 15}
+        data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
+        features = [{"name": f"model_{m}", "path": str(data / f"features_{m}.fmx")} for m in "ab"]
+        outputs = []
+        for source in ({"synth": {"preset": "replica", **sizes}},
+                       {"manifest": str(data / "manifest.json")},
+                       {"manifest": str(data / "manifest.json"), "features": features}):
+            out_dir = tmp_path / f"out_{len(outputs)}"
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"out_dir": str(out_dir), "seed": 3, **source}))
+            res = runner.invoke(main, ["run", "--config", str(path)])
+            assert res.exit_code == 0, res.output
+            doc = json.loads((out_dir / "report.json").read_text())
+            doc["stages"].pop("timings_seconds")
+            outputs.append((doc, (out_dir / "group_delta.fmx").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("case", ["malformed", "overlap", "two_blocks", "short_block",
+                                      "no_features", "feature_rows", "flat_response"])
+    def test_bad_manifest_run_input_exit_2(self, runner, tmp_path, case):
+        data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
+        doc = json.loads((data / "manifest.json").read_text())
+        manifest = data / "bad_manifest.json"
+        cfg = {"out_dir": str(tmp_path / "run_out"), "manifest": str(manifest)}
+        blocks = doc["blocks"]  # 12 blocks of 5 rows
+        if case == "malformed":
+            del doc["subjects"][0]["id"]
+            needles = [str(manifest), "malformed manifest", "'id'"]
+        elif case == "overlap":
+            blocks[1][0] -= 1
+            needles = [str(manifest), "overlap"]
+        elif case == "two_blocks":
+            doc["blocks"] = [[0, 30], [30, 60]]
+            needles = [str(manifest), "need >= 3 blocks"]
+        elif case == "short_block":
+            blocks[0][1] = blocks[1][0] = 2
+            needles = [str(manifest), "block (0, 2) has 2 rows"]
+        elif case == "no_features":
+            doc["features"] = []
+            needles = [str(manifest), "lists no feature files"]
+        elif case == "feature_rows":
+            short = tmp_path / "short.fmx"
+            matrixio.write_matrix(short, matrixio.read_matrix(data / "features_b.fmx")[:57])
+            cfg["features"] = [{"name": "a", "path": str(data / "features_a.fmx")},
+                               {"name": "b", "path": str(short)}]
+            needles = [f"{data / 'features_a.fmx'} has 60", f"{short} has 57"]
+        else:  # the fourth subject's response is 1-D: found mid-run, after out_dir exists
+            matrixio.write_matrix(data / "flat.fmx", matrixio.read_matrix(data / "sub003.fmx")[:, 0])
+            doc["subjects"][3]["response"] = "flat.fmx"
+            needles = [str(data / "flat.fmx"), "(60,)"]
+        manifest.write_text(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        _assert_input_error(res, *needles)
         assert not (tmp_path / "run_out").exists()
 
     def test_missing_config_exit_2(self, runner, tmp_path):

@@ -1,35 +1,7 @@
 import numpy as np
 import pytest
 
-from voxenc.contrast import build_concat, delta_layerwise, delta_vs_baseline
-from voxenc.types import FeatureMatrix
-
-
-def _fm(cols, seed=0, rows=10, name="f"):
-    rng = np.random.default_rng(seed)
-    return FeatureMatrix(rng.normal(size=(rows, cols)), 1.0, name=name)
-
-
-class TestBuildConcat:
-    def test_level_zero_is_baseline(self):
-        mel = _fm(4, name="mel")
-        out = build_concat(0, [mel, _fm(3, seed=1)])
-        assert np.array_equal(out.data, mel.data)
-
-    def test_column_additivity(self):
-        members = [_fm(4, 0, name="mel"), _fm(3, 1, name="l1"), _fm(5, 2, name="l2")]
-        out = build_concat(2, members)
-        assert out.data.shape[1] == 12
-
-    def test_nested_prefix(self):
-        members = [_fm(4, 0), _fm(3, 1), _fm(5, 2)]
-        lo = build_concat(1, members)
-        hi = build_concat(2, members)
-        assert np.array_equal(hi.data[:, : lo.data.shape[1]], lo.data)
-
-    def test_row_mismatch(self):
-        with pytest.raises(ValueError, match="row mismatch"):
-            build_concat(1, [_fm(4, rows=10), _fm(3, rows=11)])
+from voxenc.contrast import delta_layerwise, delta_vs_baseline
 
 
 class TestDeltas:

@@ -150,6 +150,15 @@ def test_read_from_pipe(tmp_path):
     assert back.flags.writeable
     with pytest.raises(MatrixParseError, match=r"payload holds 4 values \(\+6 bytes\), header declares 12"):
         read_matrix(_fifo(tmp_path / "short.fmx", payload[:6 + 16 + 38]))
+    csv = read_matrix(_fifo(tmp_path / "pipe.csv", b"alpha,beta\n1,2\n3,4\n"))
+    assert np.array_equal(csv, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_binary_non_fmx_rejected(tmp_path):
+    path = tmp_path / "m.npy"
+    path.write_bytes(b"\x93NUMPY\x01\x00\xff\xfe")
+    with pytest.raises(MatrixParseError, match="neither FMX1 nor UTF-8 CSV"):
+        read_matrix(path)
 
 
 def test_dimension_overflow(tmp_path):
@@ -186,7 +195,7 @@ def test_manifest_gap():
 def test_manifest_json_roundtrip(tmp_path):
     m = DatasetManifest(
         subjects=[matrixio.SubjectRecord("s1", "s1.fmx")],
-        features=[matrixio.FeatureRecord("mel", "mel.fmx", 100.0, layer_index=0)],
+        features=[matrixio.FeatureRecord("mel", "mel.fmx", 100.0)],
         blocks=[(0, 5), (5, 10)],
         rois={"a1": [0, 1]},
         n_rows=10,
