@@ -6,6 +6,6 @@ contrasts, and group statistics, validated end to end on synthetic data.
 
 __version__ = "0.1.0"
 
-from .types import FeatureMatrix, ResponseMatrix, ScoreMap
+from .encode import ScoreMap
 
-__all__ = ["FeatureMatrix", "ResponseMatrix", "ScoreMap", "__version__"]
+__all__ = ["ScoreMap", "__version__"]

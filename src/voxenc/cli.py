@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 computation error, 2 usage/input error.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import sys
 import time
@@ -19,9 +20,7 @@ from . import contrast as contrast_mod
 from . import ctc as ctc_mod
 from . import dsp, groupstats, hemo, matrixio, report, synthbench
 from .encode import SplitPlan, brain_score, detrend_blocks, make_split_plan
-from .types import FeatureMatrix, ResponseMatrix
 
-EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
@@ -40,6 +39,13 @@ def _load(path: str) -> np.ndarray:
     except matrixio.MatrixParseError as exc:
         _fail(EXIT_USAGE, str(exc))
     raise AssertionError("unreachable")
+
+
+def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
+    """``out``, or exit 1 before anything is written if the computation overflowed."""
+    if not np.isfinite(out).all():
+        _fail(EXIT_COMPUTE, f"{what} overflowed to a non-finite value")
+    return out
 
 
 def _load_manifest(path: str | Path) -> matrixio.DatasetManifest:
@@ -106,7 +112,8 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None,
 def _load_response(data: _Dataset, path: str | Path) -> np.ndarray:
     """One subject's 2-D response, row-checked against ``data`` and detrended if it asks.
 
-    Only the returned array outlives the call, so the raw response is freed.
+    A float64 response is detrended in place; a float32 one is detrended in
+    its float64 copy. Either way only the returned array outlives the call.
     """
     y = _load(path)
     if y.ndim != 2:
@@ -118,7 +125,10 @@ def _load_response(data: _Dataset, path: str | Path) -> np.ndarray:
     end = data.manifest.blocks[-1][1]
     if n_rows != end:
         _fail(EXIT_USAGE, f"{path} has {n_rows} rows; the blocks of {data.manifest_path} end at {end}")
-    return detrend_blocks(ResponseMatrix(y), data.manifest.blocks).data if data.detrend else y
+    if data.detrend:
+        y = np.asarray(y, dtype=np.float64)
+        detrend_blocks(y, data.manifest.blocks)
+    return y
 
 
 @click.group()
@@ -130,7 +140,7 @@ def main() -> None:
 @click.option("--wav", "wav_path", required=True, help="input WAV file")
 @click.option("--kind", type=click.Choice(["spectrogram", "mel"]), default="spectrogram")
 @click.option("--out", "out_path", required=True)
-@click.option("--n-mels", default=80, show_default=True)
+@click.option("--n-mels", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--mel-variant", type=click.Choice(["slaney", "htk"]), default="slaney")
 def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant: str) -> None:
     """Extract spectrogram or mel-filterbank features from audio."""
@@ -151,28 +161,39 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
         return
-    matrixio.write_matrix(out_path, feats.data)
-    click.echo(f"wrote {feats.data.shape[0]}x{feats.data.shape[1]} {kind} to {out_path}")
+    matrixio.write_matrix(out_path, _finite_output(feats, f"{kind} of {wav_path}"))
+    click.echo(f"wrote {feats.shape[0]}x{feats.shape[1]} {kind} to {out_path}")
+
+
+def _finite_option(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """Reject inf and NaN, which pass click's range checks."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 @main.command("hrf-convolve")
 @click.option("--in", "in_path", required=True)
 @click.option("--out", "out_path", required=True)
-@click.option("--input-rate", default=50.0, show_default=True)
-@click.option("--tr", default=2.0, show_default=True)
-@click.option("--n-scans", type=int, required=True)
+@click.option("--input-rate", type=click.FloatRange(min=hemo.MIN_OVERSAMPLE_HZ), default=50.0,
+              show_default=True, callback=_finite_option)
+@click.option("--tr", type=click.FloatRange(min=0, min_open=True), default=2.0, show_default=True,
+              callback=_finite_option)
+@click.option("--n-scans", type=click.IntRange(min=0), required=True)
 @click.option("--normalize/--no-normalize", default=True, show_default=True)
 def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_scans: int, normalize: bool) -> None:
     """Normalize activations, convolve with the HRF, downsample to TR."""
     data = _load(in_path)
+    if data.ndim != 2 or data.size == 0:
+        _fail(EXIT_USAGE, f"input file {in_path} must be a non-empty 2-D time x features "
+                          f"matrix, got shape {data.shape}")
     try:
-        feats = FeatureMatrix(data, input_rate)
-        out = hemo.hrf_align(feats, n_scans, tr, normalize=normalize)
+        out = hemo.hrf_align(data, input_rate, n_scans, tr, normalize=normalize)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
         return
-    matrixio.write_matrix(out_path, out.data)
-    click.echo(f"wrote {out.data.shape[0]}x{out.data.shape[1]} aligned features to {out_path}")
+    matrixio.write_matrix(out_path, _finite_output(out, f"HRF alignment of {in_path}"))
+    click.echo(f"wrote {out.shape[0]}x{out.shape[1]} aligned features to {out_path}")
 
 
 @main.command()
@@ -307,17 +328,17 @@ def synth(preset: str, seed: int, out_dir: str, n_subjects: int | None,
 
 def _write_synth_dataset(out: Path, cohort: synthbench.Cohort) -> None:
     """Write the cohort's features, one response file per subject, and the manifest."""
+    cfg = cohort.cfg
     features = []
-    for f in cohort.features:
-        path = "features.fmx" if f.name == "synth" else f"features{f.name.removeprefix('model')}.fmx"
-        matrixio.write_matrix(out / path, f.data)
-        features.append(matrixio.FeatureRecord(f.name, path, f.sample_rate))
+    for name, x in zip(cohort.names, cohort.features):
+        path = "features.fmx" if name == "synth" else f"features{name.removeprefix('model')}.fmx"
+        matrixio.write_matrix(out / path, x)
+        features.append(matrixio.FeatureRecord(name, path, 1.0 / cfg.tr_seconds))
     subjects = []
     for i, (y, _) in enumerate(cohort.subjects()):
         sub = f"sub{i:03d}"
         matrixio.write_matrix(out / f"{sub}.fmx", y)
         subjects.append(matrixio.SubjectRecord(sub, f"{sub}.fmx"))
-    cfg = cohort.cfg
     manifest = matrixio.DatasetManifest(
         subjects=subjects,
         features=features,
@@ -474,6 +495,8 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     features = cfg.get("features")
     data = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
     names = [f["name"] for f in features] if features else [f.name for f in data.manifest.features]
+    if not data.manifest.subjects:
+        _fail(EXIT_USAGE, f"manifest {manifest_path} lists no subjects")
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = out_dir / "resolved_config.json"
     snapshot.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")

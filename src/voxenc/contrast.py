@@ -1,8 +1,9 @@
 """Score contrasts (delta-R maps) between concatenation levels or models.
 
-Contrasts work on per-target mean score vectors (``ScoreMap.r_mean``), which
-is all the pipeline keeps of each fit. The CLI builds the concatenations
-themselves, one column-stack of the first L + 1 feature matrices per level.
+Contrasts take per-target mean score arrays (``encode.ScoreMap.r_mean``),
+which is all the pipeline keeps of each fit, and return arrays. The CLI
+builds the concatenations themselves, one column-stack of the first L + 1
+feature matrices per level.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
 """CTC likelihood (a numpy log-space forward recursion,
-``core.forward_log_likelihood``), greedy decoding and WER/CER.
+``core.forward_log_likelihood``) and greedy decoding.
 """
 
 from .core import (
     BLANK,
     CtcInstance,
-    char_error_rate,
     collapse,
     ctc_greedy_decode,
     ctc_log_likelihood,
     min_frames,
-    word_error_rate,
 )
 
 #: Name of the forward recursion in provenance records; there is one.
@@ -20,10 +18,8 @@ __all__ = [
     "BLANK",
     "BACKEND_NAME",
     "CtcInstance",
-    "char_error_rate",
     "collapse",
     "ctc_greedy_decode",
     "ctc_log_likelihood",
     "min_frames",
-    "word_error_rate",
 ]

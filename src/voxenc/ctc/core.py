@@ -1,4 +1,4 @@
-"""CTC alignment likelihood, greedy decoding and WER/CER.
+"""CTC alignment likelihood and greedy decoding.
 
 Class index 0 is the blank. The forward recursion runs in log-space over the
 blank-extended target sequence, one numpy step per frame.
@@ -97,26 +97,3 @@ def collapse(path: list[int] | np.ndarray) -> list[int]:
 def ctc_greedy_decode(log_probs: np.ndarray) -> list[int]:
     """Best-per-frame path, collapsed."""
     return collapse(np.argmax(np.asarray(log_probs), axis=1))
-
-
-def _edit_distance(ref: list, hyp: list) -> int:
-    prev = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        cur = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (r != h))
-        prev = cur
-    return prev[-1]
-
-
-def word_error_rate(reference: list[str], hypothesis: list[str]) -> float:
-    """Word-level Levenshtein distance divided by reference length."""
-    if len(reference) == 0:
-        raise ValueError("reference must be non-empty")
-    return _edit_distance(list(reference), list(hypothesis)) / len(reference)
-
-
-def char_error_rate(reference: str, hypothesis: str) -> float:
-    if len(reference) == 0:
-        raise ValueError("reference must be non-empty")
-    return _edit_distance(list(reference), list(hypothesis)) / len(reference)

@@ -42,8 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import FeatureMatrix
-
 # Frames per FFT block in _stft_power: at the 25 ms mel window a block's
 # windowed frames take 3.3 MB and its complex spectrum 4.2 MB.
 _FRAME_BLOCK = 1024
@@ -122,13 +120,13 @@ def periodic_hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
-def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> FeatureMatrix:
+def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
     """Squared-magnitude STFT: frames x (n_fft/2 + 1) non-negative powers.
 
     Hann-windowed frames are zero-padded to n_fft before the FFT.
     """
     cfg = cfg or StftConfig()
-    return FeatureMatrix(_stft_power(signal, cfg), sample_rate=1.0 / cfg.stride_seconds, name="spectrogram")
+    return _stft_power(signal, cfg)
 
 
 def _stft_power(signal: np.ndarray, cfg: StftConfig, fb: np.ndarray | None = None) -> np.ndarray:
@@ -207,14 +205,13 @@ def mel_filter_matrix(n_fft: int, cfg: MelConfig) -> np.ndarray:
     return fb
 
 
-def mel_filterbank(signal: np.ndarray, cfg: MelConfig | None = None) -> FeatureMatrix:
+def mel_filterbank(signal: np.ndarray, cfg: MelConfig | None = None) -> np.ndarray:
     """Mel-filterbank energies: frames x n_mels, triangular-weighted powers."""
     cfg = cfg or MelConfig()
     window = int(round(cfg.window_seconds * cfg.sample_rate))
     n_fft = 1 << max(window - 1, 1).bit_length()  # next power of two >= window
     stft_cfg = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, n_fft)
-    out = _stft_power(signal, stft_cfg, mel_filter_matrix(n_fft, cfg))
-    return FeatureMatrix(out, sample_rate=1.0 / cfg.stride_seconds, name=f"mel_{cfg.mel_variant}")
+    return _stft_power(signal, stft_cfg, mel_filter_matrix(n_fft, cfg))
 
 
 def mix_to_mono(signal: np.ndarray) -> np.ndarray:

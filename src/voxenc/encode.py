@@ -10,6 +10,11 @@ targets from a single in-place residual buffer. Each target picks its own
 lambda (ties break toward stronger regularization), then full-train weights
 for the winning lambda are assembled per lambda-group.
 
+Stages pass plain numpy arrays: ``detrend_blocks`` overwrites the caller's
+float64 response in place, ``brain_score`` takes X and Y, and ``ScoreMap``,
+the only container, holds what it returns. Finiteness is checked once here,
+in ``ridge_solve``; the CLI's inputs were already checked when read.
+
 Everything runs in the calling thread; the only parallelism is the BLAS
 library's. Results are bit-identical across reruns at a fixed BLAS thread
 count. Across thread counts they agree to about 1e-15, because BLAS may split
@@ -18,11 +23,9 @@ a product differently (OpenBLAS at 1 thread versus 2 or more).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .types import ResponseMatrix, ScoreMap
 
 #: 20 log-spaced penalties from 10 to 1e8 inclusive.
 DEFAULT_LAMBDA_GRID = np.logspace(1.0, 8.0, 20)
@@ -57,23 +60,57 @@ class RidgeFit:
     chosen_lambda: np.ndarray  # per target
 
 
-def detrend_blocks(y: ResponseMatrix, blocks: list[tuple[int, int]]) -> ResponseMatrix:
-    """Remove a least-squares line (intercept + slope) per column, per block."""
+@dataclass
+class ScoreMap:
+    """Cross-validated Pearson scores: per-target mean plus per-fold values.
+
+    ``undefined`` flags targets whose correlation was degenerate (zero
+    variance on either side) in at least one fold; those folds score 0.
+    """
+
+    r_mean: np.ndarray
+    r_per_fold: np.ndarray
+    undefined: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        self.r_mean = np.asarray(self.r_mean, dtype=np.float64)
+        self.r_per_fold = np.asarray(self.r_per_fold, dtype=np.float64)
+        if self.undefined is None:
+            self.undefined = np.zeros(self.r_mean.shape[0], dtype=bool)
+        self.undefined = np.asarray(self.undefined, dtype=bool)
+        if self.r_per_fold.shape[1] != self.r_mean.shape[0]:
+            raise ValueError("r_per_fold target count must match r_mean")
+
+    @property
+    def n_targets(self) -> int:
+        return self.r_mean.shape[0]
+
+    @property
+    def n_folds(self) -> int:
+        return self.r_per_fold.shape[0]
+
+
+def detrend_blocks(y: np.ndarray, blocks: list[tuple[int, int]]) -> None:
+    """Remove a least-squares line (intercept + slope) per column, per block, in place.
+
+    ``y`` is a float64 scans x targets array; each block's rows are
+    overwritten with their residuals, so no copy of ``y`` is made.
+    """
+    if y.dtype != np.float64 or y.ndim != 2:
+        raise ValueError("detrend_blocks needs a float64 2-D array")
     covered = sorted(blocks)
-    if not covered or covered[0][0] != 0 or covered[-1][1] != y.n_scans or any(
+    if not covered or covered[0][0] != 0 or covered[-1][1] != y.shape[0] or any(
         covered[i][0] != covered[i - 1][1] for i in range(1, len(covered))
     ):
         raise ValueError("blocks must cover all response rows without gaps or overlap")
-    out = y.data.copy()
     for a, b in blocks:
         n = b - a
         if n < 3:
             raise ValueError(f"block ({a}, {b}) has {n} rows; need >= 3 to detrend")
         t = np.arange(n, dtype=np.float64)
         basis = np.column_stack([np.ones(n), t])
-        coef, *_ = np.linalg.lstsq(basis, out[a:b], rcond=None)
-        out[a:b] -= basis @ coef
-    return ResponseMatrix(out, y.tr_seconds, y.target_labels)
+        coef, *_ = np.linalg.lstsq(basis, y[a:b], rcond=None)
+        y[a:b] -= basis @ coef
 
 
 def make_split_plan(blocks: list[tuple[int, int]]) -> SplitPlan:
@@ -162,18 +199,6 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
         shrink = s / (s2 + grid[gi])
         weights[:, cols] = Vt.T @ (shrink[:, None] * UtY[:, cols])
     return RidgeFit(weights=weights, chosen_lambda=grid[chosen_idx])
-
-
-def pearson(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, bool]:
-    """Pearson r of two series by ``brain_score``'s formula; (0.0, True) if either is constant."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
-    if y_true.shape[0] < 3:
-        raise ValueError("need >= 3 samples")
-    r, flagged = _pearson_columns(y_true[:, None], y_pred[:, None])
-    return float(r[0]), bool(flagged[0])
 
 
 def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,10 @@
 """Hemodynamic alignment: [0,1] normalization, double-gamma HRF convolution,
 and downsampling from activation rate (50 Hz) to acquisition rate (0.5 Hz).
 
+Activations are a plain time x feature numpy array whose sampling rate is
+passed once, to ``hrf_align``, which builds the kernel and the resampling
+spec at that rate; the result is the scans x feature array.
+
 The gamma densities of the HRF repeat the operations of
 ``scipy.stats.gamma.pdf`` with numpy and ``math``, so the kernel equals
 scipy's bit for bit and importing this module does not load scipy.
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import FeatureMatrix
-
 # Double-gamma constants: main lobe peaking at (PEAK_SHAPE-1)*DISPERSION = 5 s,
 # undershoot peaking at 15 s with 1/6 amplitude, 32 s support.
 PEAK_SHAPE = 6.0
@@ -29,6 +31,8 @@ UNDERSHOOT_SHAPE = 16.0
 DISPERSION = 1.0
 UNDERSHOOT_RATIO = 1.0 / 6.0
 DEFAULT_DURATION = 32.0
+#: Lowest activation rate the kernel is sampled at, in Hz.
+MIN_OVERSAMPLE_HZ = 10.0
 
 # Columns per FFT block in convolve_downsample. At 30000 input rows a block's
 # spectrum and convolved signal take about 2 MB each. Small blocks also run
@@ -74,13 +78,6 @@ def _normalized(data: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarra
     return out
 
 
-def minmax_normalize(activations: FeatureMatrix) -> FeatureMatrix:
-    """Map each column independently to [0, 1]; constant columns become zeros."""
-    data = activations.data
-    out = _normalized(data, *_column_range(data))
-    return FeatureMatrix(out, activations.sample_rate, activations.name)
-
-
 def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
     """Gamma density at t >= 0: x**(shape-1) exp(-x) / (Gamma(shape) scale), x = t/scale.
 
@@ -106,8 +103,8 @@ def glover_hrf(oversample_hz: float = 50.0, duration_seconds: float = DEFAULT_DU
 
     Positive lobe peaks near 5 s, followed by a negative undershoot.
     """
-    if oversample_hz < 10:
-        raise ValueError("oversample_hz must be >= 10")
+    if oversample_hz < MIN_OVERSAMPLE_HZ:
+        raise ValueError(f"oversample_hz must be >= {MIN_OVERSAMPLE_HZ:g}")
     if duration_seconds < 20:
         raise ValueError("duration_seconds must be >= 20")
     n = int(round(duration_seconds * oversample_hz))
@@ -119,30 +116,24 @@ def glover_hrf(oversample_hz: float = 50.0, duration_seconds: float = DEFAULT_DU
     return HrfKernel(kernel, oversample_hz, duration_seconds)
 
 
-def convolve_downsample(
-    activations: FeatureMatrix, kernel: HrfKernel, spec: ResampleSpec
-) -> FeatureMatrix:
+def convolve_downsample(data: np.ndarray, kernel: HrfKernel, spec: ResampleSpec) -> np.ndarray:
     """Causal convolution with the HRF, then nearest-sample pick at scan times.
 
     Scan k reads the convolved signal at t_k = k / output_rate. History before
     onset is zero-padded, so early scans see only the kernel's rising edge.
     """
-    return _convolve_downsample(activations, kernel, spec, normalize=False)
+    return _convolve_downsample(data, kernel, spec, normalize=False)
 
 
 def _convolve_downsample(
-    activations: FeatureMatrix, kernel: HrfKernel, spec: ResampleSpec, normalize: bool
-) -> FeatureMatrix:
+    data: np.ndarray, kernel: HrfKernel, spec: ResampleSpec, normalize: bool
+) -> np.ndarray:
     """``convolve_downsample``, of the min-max normalised columns if ``normalize``."""
-    if activations.sample_rate != spec.input_rate:
-        raise ValueError(
-            f"activation rate {activations.sample_rate} != spec input_rate {spec.input_rate}"
-        )
+    data = np.asarray(data, dtype=np.float64)  # copies only another dtype, e.g. float32
     if kernel.oversample_hz != spec.input_rate:
         raise ValueError(
             f"kernel rate {kernel.oversample_hz} != spec input_rate {spec.input_rate}"
         )
-    data = activations.data
     n_in = data.shape[0]
     conv_len = n_in + len(kernel.samples) - 1
     scan_idx = np.rint(np.arange(spec.n_output) / spec.output_rate * spec.input_rate).astype(int)
@@ -162,16 +153,20 @@ def _convolve_downsample(
         spec_x = np.fft.rfft(block, n=n_fft, axis=0)
         spec_x *= spec_h
         out[:, cols] = np.fft.irfft(spec_x, n=n_fft, axis=0)[scan_idx]
-    return FeatureMatrix(out, spec.output_rate, activations.name)
+    return out
 
 
 def hrf_align(
-    activations: FeatureMatrix,
+    data: np.ndarray,
+    rate: float,
     n_scans: int,
     tr_seconds: float = 2.0,
     normalize: bool = True,
-) -> FeatureMatrix:
-    """Full alignment pipeline: [0,1] normalize, convolve, downsample to TR."""
-    kernel = glover_hrf(oversample_hz=activations.sample_rate)
-    spec = ResampleSpec(activations.sample_rate, 1.0 / tr_seconds, n_scans)
-    return _convolve_downsample(activations, kernel, spec, normalize)
+) -> np.ndarray:
+    """Full alignment pipeline: [0,1] normalize, convolve, downsample to TR.
+
+    ``data`` is time x feature at ``rate`` Hz; the result is n_scans x feature.
+    """
+    kernel = glover_hrf(oversample_hz=rate)
+    spec = ResampleSpec(rate, 1.0 / tr_seconds, n_scans)
+    return _convolve_downsample(data, kernel, spec, normalize)

@@ -154,15 +154,6 @@ def _read_csv(path: Path, text: io.TextIOWrapper) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def write_csv(path: str | Path, data: np.ndarray, header: list[str] | None = None) -> None:
-    arr = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    names = header or [f"c{j}" for j in range(arr.shape[1])]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_manifest(path: str | Path) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

@@ -18,7 +18,6 @@ from .contrast import delta_vs_baseline
 from .encode import SplitPlan, brain_score, make_split_plan
 from .hemo import hrf_align
 from .rng import CounterRng
-from .types import FeatureMatrix, ResponseMatrix
 
 
 @dataclass
@@ -49,14 +48,6 @@ class SynthConfig:
             raise ValueError(f"n_time_activation={self.n_time_activation} too short; need ~{needed}")
 
 
-@dataclass
-class SynthDataset:
-    features: FeatureMatrix  # at activation rate
-    features_at_tr: FeatureMatrix
-    response: ResponseMatrix
-    true_weights: np.ndarray
-
-
 def even_blocks(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
     """Split rows into n_blocks contiguous near-equal ranges."""
     edges = np.linspace(0, n_rows, n_blocks + 1).round().astype(int)
@@ -67,10 +58,9 @@ def default_plan(cfg: SynthConfig) -> SplitPlan:
     return make_split_plan(even_blocks(cfg.n_scans, cfg.n_blocks))
 
 
-def _activations(cfg: SynthConfig, seed: int, name: str) -> FeatureMatrix:
+def _activations(cfg: SynthConfig, seed: int) -> np.ndarray:
     """White-noise model features at activation rate: stream 0 of ``seed``."""
-    raw = CounterRng(seed, stream=0).normal((cfg.n_time_activation, cfg.n_features))
-    return FeatureMatrix(raw, cfg.activation_rate, name)
+    return CounterRng(seed, stream=0).normal((cfg.n_time_activation, cfg.n_features))
 
 
 def _mix_response(
@@ -100,7 +90,7 @@ PRESETS = ("linear", "null", "replica")
 
 @dataclass
 class Cohort:
-    """A preset's scan-rate features plus the recipe for each subject.
+    """A preset's named scan-rate features plus the recipe for each subject.
 
     Streams: features come from stream 0 of the seed (model B of a replica
     cohort from stream 0 of seed + 1); subject i comes from stream i + 1,
@@ -109,7 +99,8 @@ class Cohort:
 
     preset: str
     cfg: SynthConfig
-    features: list[FeatureMatrix]  # at scan rate: "synth", or "model_a" and "model_b"
+    names: list[str]  # "synth", or "model_a" and "model_b"
+    features: list[np.ndarray]  # scans x features, one per name
 
     def subjects(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Each subject's response and mixing weights (None under the null), one at a time."""
@@ -120,7 +111,7 @@ class Cohort:
             else:
                 # the last feature set carries the signal: model B of a replica cohort
                 stream = 1000 + i if self.preset == "replica" else i + 1
-                yield _mix_response(self.features[-1].data, cfg, CounterRng(cfg.seed, stream=stream))
+                yield _mix_response(self.features[-1], cfg, CounterRng(cfg.seed, stream=stream))
 
 
 def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
@@ -129,18 +120,11 @@ def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
         raise ValueError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
     names = ["model_a", "model_b"] if preset == "replica" else ["synth"]
     features = [
-        hrf_align(_activations(cfg, cfg.seed + j, name), cfg.n_scans, cfg.tr_seconds, normalize=False)
-        for j, name in enumerate(names)
+        hrf_align(_activations(cfg, cfg.seed + j), cfg.activation_rate, cfg.n_scans,
+                  cfg.tr_seconds, normalize=False)
+        for j in range(len(names))
     ]
-    return Cohort(preset, cfg, features)
-
-
-def gen_linear_dataset(cfg: SynthConfig) -> SynthDataset:
-    """One subject's worth of linearly generated data: the ``linear`` preset's first subject."""
-    cohort = build_cohort("linear", cfg)
-    y, w = next(cohort.subjects())
-    return SynthDataset(_activations(cfg, cfg.seed, "synth"), cohort.features[0],
-                        ResponseMatrix(y, cfg.tr_seconds), w)
+    return Cohort(preset, cfg, names, features)
 
 
 def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
@@ -149,7 +133,7 @@ def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndar
     plan = default_plan(cfg)
     scores = np.empty((cfg.n_subjects, cfg.n_targets))
     for i, (y, _) in enumerate(cohort.subjects()):
-        scores[i] = brain_score(cohort.features[0].data, y, plan, grid).r_mean
+        scores[i] = brain_score(cohort.features[0], y, plan, grid).r_mean
     return scores
 
 
@@ -165,6 +149,6 @@ def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.n
     plan = default_plan(cfg)
     delta = np.empty((cfg.n_subjects, cfg.n_targets))
     for i, (y, _) in enumerate(cohort.subjects()):
-        r_a = brain_score(a.data, y, plan, grid).r_mean
-        delta[i] = delta_vs_baseline(brain_score(b.data, y, plan, grid).r_mean, r_a)
+        r_a = brain_score(a, y, plan, grid).r_mean
+        delta[i] = delta_vs_baseline(brain_score(b, y, plan, grid).r_mean, r_a)
     return delta

@@ -20,13 +20,12 @@ from voxenc.synthbench import (
     SynthConfig,
     default_plan,
     even_blocks,
-    gen_linear_dataset,
     gen_null_cohort,
     gen_replica_cohort,
 )
-from voxenc.types import FeatureMatrix
 
 from oracles import ctc_brute_force, loo_residuals, ridge_closed_form
+from support import gen_linear_dataset
 
 
 def _report(n, name, detail):
@@ -145,7 +144,7 @@ def test_criterion_6_snr_recovery():
     cfg = SynthConfig(n_time_activation=30200, n_scans=300, n_features=5,
                       n_targets=200, snr=1.0, seed=106)
     ds = gen_linear_dataset(cfg)
-    sm = brain_score(ds.features_at_tr.data, ds.response.data, default_plan(cfg))
+    sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg))
     target = np.sqrt(0.5)  # analytic corr of signal-plus-noise at snr=1
     assert abs(sm.r_mean.mean() - target) <= 0.05
     _report(6, "SNR recovery", f"mean r {sm.r_mean.mean():.4f} vs {target:.4f}")
@@ -163,9 +162,9 @@ def test_criterion_7_hrf_behavior():
     spec = ResampleSpec(50.0, 0.5, 12)
     a_mat = rng.normal(size=(3000, 4))
     b_mat = rng.normal(size=(3000, 4))
-    lhs = convolve_downsample(FeatureMatrix(2.0 * a_mat + 3.0 * b_mat, 50.0), k50, spec).data
-    rhs = (2.0 * convolve_downsample(FeatureMatrix(a_mat, 50.0), k50, spec).data
-           + 3.0 * convolve_downsample(FeatureMatrix(b_mat, 50.0), k50, spec).data)
+    lhs = convolve_downsample(2.0 * a_mat + 3.0 * b_mat, k50, spec)
+    rhs = (2.0 * convolve_downsample(a_mat, k50, spec)
+           + 3.0 * convolve_downsample(b_mat, k50, spec))
     lin_err = np.abs(lhs - rhs).max()
     assert lin_err < 1e-12
     _report(7, "HRF behavior", f"peak {t_peak:.2f}s, linearity err {lin_err:.1e}")

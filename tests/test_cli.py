@@ -49,9 +49,9 @@ def test_synth_files_equal_cohort(runner, tmp_path, preset):
     cfg = synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7)
     cohort = synthbench.build_cohort(preset, cfg)
     manifest = matrixio.read_manifest(out / "manifest.json")
-    assert [f.name for f in manifest.features] == [f.name for f in cohort.features]
+    assert [f.name for f in manifest.features] == cohort.names
     for record, feats in zip(manifest.features, cohort.features):
-        assert _same_bits(matrixio.read_matrix(out / record.path), feats.data)
+        assert _same_bits(matrixio.read_matrix(out / record.path), feats)
     responses = [y for y, _ in cohort.subjects()]
     assert len(manifest.subjects) == len(responses) == 3
     for record, y in zip(manifest.subjects, responses):
@@ -336,6 +336,73 @@ def test_hrf_convolve_cmd(runner, tmp_path):
     assert matrixio.read_matrix(tmp_path / "aligned.fmx").shape == (60, 3)
 
 
+@pytest.mark.parametrize("args, needle", [
+    pytest.param(["hrf-convolve", "--in", "flat.fmx", "--n-scans", "5"], "flat.fmx", id="1d_input"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--input-rate", "0"],
+                 "'--input-rate'", id="input_rate_0"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--input-rate", "5"],
+                 "'--input-rate'", id="input_rate_5"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "-3"], "'--n-scans'",
+                 id="n_scans_negative"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--tr", "0"], "'--tr'",
+                 id="tr_0"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--tr", "nan"], "'--tr'",
+                 id="tr_nan"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--input-rate", "inf"],
+                 "'--input-rate'", id="input_rate_inf"),
+    pytest.param(["featurize", "--wav", "a.wav", "--n-mels", "0"], "'--n-mels'", id="n_mels_0"),
+])
+def test_stage_bad_input_exit_2(runner, tmp_path, args, needle):
+    act = np.random.default_rng(4).normal(size=(2000, 2))
+    matrixio.write_matrix(tmp_path / "act.fmx", act)
+    matrixio.write_matrix(tmp_path / "flat.fmx", act[:, 0])
+    _write_pcm16(tmp_path / "a.wav", np.zeros(1600, dtype="<i2"))
+    args = [str(tmp_path / a) if a.endswith((".fmx", ".wav")) else a for a in args]
+    out = tmp_path / "out.fmx"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    _assert_input_error(res, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["featurize", "hrf-convolve"])
+def test_overflow_exit_1_writes_nothing(runner, tmp_path, command):
+    from scipy.io import wavfile
+
+    if command == "featurize":  # float64 samples whose powers overflow
+        wavfile.write(tmp_path / "big.wav", 16000, np.full(1600, 1e200))
+        args = ["featurize", "--wav", str(tmp_path / "big.wav")]
+    else:  # unnormalized activations whose convolution overflows
+        matrixio.write_matrix(tmp_path / "big.fmx", np.full((2000, 2), 1e308))
+        args = ["hrf-convolve", "--in", str(tmp_path / "big.fmx"), "--n-scans", "5", "--no-normalize"]
+    out = tmp_path / "out.fmx"
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "overflowed to a non-finite value" in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "hrf-convolve"])
+def test_float32_inputs_match_float64_casts(runner, tmp_path, command):
+    data = _synth_dir(runner, tmp_path, "linear")
+    if command == "score":  # the float32 response is detrended in its float64 copy
+        inputs = {"x": matrixio.read_matrix(data / "features.fmx"),
+                  "y": matrixio.read_matrix(data / "sub000.fmx")}
+        args = ["score", "--features", str(tmp_path / "x.fmx"), "--response", str(tmp_path / "y.fmx"),
+                "--manifest", str(data / "manifest.json")]
+    else:
+        inputs = {"x": np.random.default_rng(5).normal(size=(6000, 3))}
+        args = ["hrf-convolve", "--in", str(tmp_path / "x.fmx"), "--n-scans", "60"]
+    outputs = []
+    for dtype in (np.float32, np.float64):
+        for name, x in inputs.items():
+            matrixio.write_matrix(tmp_path / f"{name}.fmx", x.astype(np.float32).astype(dtype))
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "out.fmx")])
+        assert res.exit_code == 0, res.output
+        outputs.append((tmp_path / "out.fmx").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_featurize_cmd(runner, tmp_path):
     from scipy.io import wavfile
 
@@ -527,7 +594,7 @@ class TestRun:
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("case", ["malformed", "overlap", "two_blocks", "short_block",
-                                      "no_features", "feature_rows", "flat_response"])
+                                      "no_features", "no_subjects", "feature_rows", "flat_response"])
     def test_bad_manifest_run_input_exit_2(self, runner, tmp_path, case):
         data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
         doc = json.loads((data / "manifest.json").read_text())
@@ -549,6 +616,9 @@ class TestRun:
         elif case == "no_features":
             doc["features"] = []
             needles = [str(manifest), "lists no feature files"]
+        elif case == "no_subjects":
+            doc["subjects"] = []
+            needles = [str(manifest), "lists no subjects"]
         elif case == "feature_rows":
             short = tmp_path / "short.fmx"
             matrixio.write_matrix(short, matrixio.read_matrix(data / "features_b.fmx")[:57])

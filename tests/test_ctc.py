@@ -3,11 +3,9 @@ import pytest
 
 from voxenc.ctc import (
     CtcInstance,
-    char_error_rate,
     collapse,
     ctc_greedy_decode,
     ctc_log_likelihood,
-    word_error_rate,
 )
 
 from oracles import count_alignments, ctc_brute_force
@@ -131,20 +129,3 @@ class TestDecode:
         p = np.array([[0.1, 0.8, 0.1], [0.1, 0.8, 0.1], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
         assert ctc_greedy_decode(np.log(p)) == [1, 2]
 
-
-class TestErrorRates:
-    def test_identical_zero(self):
-        assert word_error_rate(["a", "b"], ["a", "b"]) == 0.0
-
-    def test_single_deletion(self):
-        assert word_error_rate(["the", "cat", "sat"], ["the", "cat"]) == pytest.approx(1 / 3)
-
-    def test_empty_reference_errors(self):
-        with pytest.raises(ValueError):
-            word_error_rate([], ["a"])
-
-    def test_cer(self):
-        assert char_error_rate("abc", "axc") == pytest.approx(1 / 3)
-
-    def test_substitution_and_insertion(self):
-        assert word_error_rate(["a", "b", "c"], ["a", "x", "c", "d"]) == pytest.approx(2 / 3)

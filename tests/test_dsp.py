@@ -1,6 +1,4 @@
-import os
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -8,18 +6,20 @@ import pytest
 from voxenc import dsp
 from voxenc.dsp import MelConfig, StftConfig
 
+from support import read_through_fifo
+
 
 def test_zero_signal_zero_spectrogram():
     out = dsp.power_spectrogram(np.zeros(1000), StftConfig())
-    assert np.all(out.data == 0)
+    assert np.all(out == 0)
 
 
 def test_spectrogram_shape_16k_20ms():
     cfg = StftConfig()
     out = dsp.power_spectrogram(np.random.default_rng(0).normal(size=16000), cfg)
     assert cfg.window_samples == 320
-    assert out.data.shape[1] == 161
-    assert out.data.shape[0] == dsp.frame_count(16000, 320, 160)
+    assert out.shape[1] == 161
+    assert out.shape[0] == dsp.frame_count(16000, 320, 160)
 
 
 def test_sine_peak_bin_matches_direct_dft():
@@ -28,7 +28,7 @@ def test_sine_peak_bin_matches_direct_dft():
     k = 20
     t = np.arange(16000) / 16000.0
     sig = np.sin(2 * np.pi * (k * 50.0) * t)
-    spec = dsp.power_spectrogram(sig, cfg).data
+    spec = dsp.power_spectrogram(sig, cfg)
     assert np.all(np.argmax(spec, axis=1) == k)
     # independent oracle: direct DFT of one windowed frame
     frame = sig[:320] * np.hanning(321)[:320]
@@ -48,8 +48,8 @@ def test_spectrogram_power_scaling():
     rng = np.random.default_rng(1)
     sig = rng.normal(size=4000)
     a = 3.0
-    p1 = dsp.power_spectrogram(sig).data.sum()
-    p2 = dsp.power_spectrogram(a * sig).data.sum()
+    p1 = dsp.power_spectrogram(sig).sum()
+    p2 = dsp.power_spectrogram(a * sig).sum()
     assert p2 == pytest.approx(a**2 * p1, rel=1e-12)
 
 
@@ -76,8 +76,8 @@ def test_mel_hz_inverse():
 
 def test_zero_signal_zero_filterbank():
     out = dsp.mel_filterbank(np.zeros(2000), MelConfig())
-    assert np.all(out.data == 0)
-    assert out.data.shape[1] == 80
+    assert np.all(out == 0)
+    assert out.shape[1] == 80
 
 
 def test_mel_filter_matrix_properties():
@@ -115,7 +115,7 @@ def test_resample_spectral_peak():
     t = np.arange(rate * 2) / rate
     sig = np.sin(2 * np.pi * 1000.0 * t)
     out = dsp.resample_to_mono_16k(sig, rate)
-    spec = dsp.power_spectrogram(out, StftConfig()).data.mean(axis=0)
+    spec = dsp.power_spectrogram(out, StftConfig()).mean(axis=0)
     peak_hz = np.argmax(spec) * 16000 / 320
     assert abs(peak_hz - 1000.0) <= 50.0  # within one bin
 
@@ -149,7 +149,7 @@ def test_spectrogram_frame_blocks_match_whole_array(n_frames):
     cfg = StftConfig()
     n_samples = (n_frames - 1) * cfg.stride_samples + cfg.window_samples + 7  # 7 unused tail samples
     sig = np.random.default_rng(n_frames).normal(size=n_samples)
-    out = dsp.power_spectrogram(sig, cfg).data
+    out = dsp.power_spectrogram(sig, cfg)
     assert out.shape[0] == n_frames
     assert out.tobytes() == _whole_array_power(sig, cfg).tobytes()
 
@@ -161,7 +161,7 @@ def test_mel_frame_blocks_match_whole_array(n_frames):
     stft = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, 512)
     n_samples = (n_frames - 1) * stft.stride_samples + stft.window_samples
     sig = np.random.default_rng(n_frames).normal(size=n_samples)
-    out = dsp.mel_filterbank(sig, cfg).data
+    out = dsp.mel_filterbank(sig, cfg)
     assert out.shape[0] == n_frames
     want = _whole_array_power(sig, stft) @ dsp.mel_filter_matrix(512, cfg).T
     assert out.tobytes() == want.tobytes()
@@ -301,10 +301,7 @@ def test_read_wav_from_pipe_equals_file(tmp_path):
     wav = _layout_case("odd_chunk_before_data", np.random.default_rng(3))
     path = tmp_path / "a.wav"
     path.write_bytes(wav)
-    pipe = tmp_path / "pipe.wav"
-    os.mkfifo(pipe)
-    threading.Thread(target=pipe.write_bytes, args=(wav,), daemon=True).start()
-    mono, rate = dsp.read_wav(pipe)
+    mono, rate = read_through_fifo(tmp_path / "pipe.wav", wav, dsp.read_wav)
     want, want_rate = dsp.read_wav(path)
     assert rate == want_rate and mono.tobytes() == want.tobytes()
 

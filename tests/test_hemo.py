@@ -2,27 +2,35 @@ import numpy as np
 import pytest
 
 from voxenc import hemo
-from voxenc.hemo import HrfKernel, ResampleSpec, convolve_downsample, glover_hrf, minmax_normalize
-from voxenc.types import FeatureMatrix
+from voxenc.hemo import (
+    HrfKernel,
+    ResampleSpec,
+    _column_range,
+    _normalized,
+    convolve_downsample,
+    glover_hrf,
+)
 
 
-def _fm(data, rate=50.0):
-    return FeatureMatrix(np.asarray(data, dtype=float), rate)
+def _unit_range(data):
+    """The per-column [0, 1] map that ``hrf_align`` applies block by block."""
+    data = np.asarray(data, dtype=float)
+    return _normalized(data, *_column_range(data))
 
 
 class TestMinMaxNormalize:
     def test_affine(self):
-        out = minmax_normalize(_fm([[2.0], [4.0], [6.0]]))
-        assert np.allclose(out.data[:, 0], [0.0, 0.5, 1.0])
+        out = _unit_range([[2.0], [4.0], [6.0]])
+        assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column(self):
-        out = minmax_normalize(_fm([[5.0], [5.0]]))
-        assert np.all(out.data == 0)
+        out = _unit_range([[5.0], [5.0]])
+        assert np.all(out == 0)
 
     def test_idempotent_on_unit_range(self):
         data = np.array([[0.0, 0.25], [0.5, 1.0], [1.0, 0.0]])
-        out = minmax_normalize(_fm(data))
-        assert np.allclose(out.data, data)
+        out = _unit_range(data)
+        assert np.allclose(out, data)
 
     def test_constant_columns_mixed_in_match_whole_array_formula(self):
         rng = np.random.default_rng(4)
@@ -33,19 +41,19 @@ class TestMinMaxNormalize:
         live = span > 0
         want = np.zeros_like(data)
         want[:, live] = (data[:, live] - lo[live]) / span[live]
-        out = minmax_normalize(_fm(data)).data
+        out = _unit_range(data)
         assert out.tobytes() == want.tobytes()  # bitwise, signs of zeros included
 
     def test_input_untouched(self):
         data = np.array([[1.0, 3.0], [2.0, 3.0]])
-        minmax_normalize(_fm(data))
+        _unit_range(data)
         assert data.tolist() == [[1.0, 3.0], [2.0, 3.0]]
 
     def test_columns_independent(self):
         data = np.array([[0.0, 100.0], [1.0, 300.0], [2.0, 200.0]])
-        out = minmax_normalize(_fm(data))
-        assert np.allclose(out.data[:, 0], [0, 0.5, 1])
-        assert np.allclose(out.data[:, 1], [0, 1, 0.5])
+        out = _unit_range(data)
+        assert np.allclose(out[:, 0], [0, 0.5, 1])
+        assert np.allclose(out[:, 1], [0, 1, 0.5])
 
 
 class TestGloverHrf:
@@ -86,58 +94,58 @@ class TestConvolveDownsample:
         return glover_hrf(50.0)
 
     def test_zero_in_zero_out(self):
-        out = convolve_downsample(_fm(np.zeros((2000, 3))), self._kernel(), self.spec)
-        assert np.allclose(out.data, 0, atol=1e-14)
-        assert out.data.shape == (10, 3)
+        out = convolve_downsample(np.zeros((2000, 3)), self._kernel(), self.spec)
+        assert np.allclose(out, 0, atol=1e-14)
+        assert out.shape == (10, 3)
 
     def test_impulse_reads_kernel_at_scan_times(self):
         k = self._kernel()
         data = np.zeros((2000, 1))
         data[0, 0] = 1.0
-        out = convolve_downsample(_fm(data), k, self.spec)
+        out = convolve_downsample(data, k, self.spec)
         expected = k.samples[np.arange(10) * 100]  # 0 s, 2 s, 4 s, ...
-        assert np.allclose(out.data[:, 0], expected, atol=1e-12)
+        assert np.allclose(out[:, 0], expected, atol=1e-12)
 
     def test_one_row_per_100_inputs(self):
-        out = convolve_downsample(_fm(np.zeros((1000, 1))), self._kernel(), ResampleSpec(50.0, 0.5, 10))
-        assert out.data.shape[0] == 10
+        out = convolve_downsample(np.zeros((1000, 1)), self._kernel(), ResampleSpec(50.0, 0.5, 10))
+        assert out.shape[0] == 10
 
     def test_beyond_support_errors(self):
         with pytest.raises(ValueError, match="beyond convolved support"):
-            convolve_downsample(_fm(np.zeros((100, 1))), self._kernel(), ResampleSpec(50.0, 0.5, 100))
+            convolve_downsample(np.zeros((100, 1)), self._kernel(), ResampleSpec(50.0, 0.5, 100))
 
     def test_rate_mismatch_errors(self):
-        with pytest.raises(ValueError, match="input_rate"):
-            convolve_downsample(_fm(np.zeros((2000, 1)), rate=25.0), self._kernel(), self.spec)
+        with pytest.raises(ValueError, match="kernel rate 25.0 != spec input_rate 50.0"):
+            convolve_downsample(np.zeros((2000, 1)), glover_hrf(25.0), self.spec)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         a_mat = rng.normal(size=(2000, 4))
         b_mat = rng.normal(size=(2000, 4))
         k = self._kernel()
-        out_sum = convolve_downsample(_fm(2.0 * a_mat + 3.0 * b_mat), k, self.spec)
+        out_sum = convolve_downsample(2.0 * a_mat + 3.0 * b_mat, k, self.spec)
         out_parts = (
-            2.0 * convolve_downsample(_fm(a_mat), k, self.spec).data
-            + 3.0 * convolve_downsample(_fm(b_mat), k, self.spec).data
+            2.0 * convolve_downsample(a_mat, k, self.spec)
+            + 3.0 * convolve_downsample(b_mat, k, self.spec)
         )
-        assert np.abs(out_sum.data - out_parts).max() < 1e-12
+        assert np.abs(out_sum - out_parts).max() < 1e-12
 
     def test_shift_by_one_tr(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(3000, 2))
         shifted = np.vstack([np.zeros((100, 2)), data[:-100]])
         k = self._kernel()
-        out = convolve_downsample(_fm(data), k, ResampleSpec(50.0, 0.5, 12))
-        out_shift = convolve_downsample(_fm(shifted), k, ResampleSpec(50.0, 0.5, 12))
-        assert np.allclose(out_shift.data[1:], out.data[:-1], atol=1e-10)
+        out = convolve_downsample(data, k, ResampleSpec(50.0, 0.5, 12))
+        out_shift = convolve_downsample(shifted, k, ResampleSpec(50.0, 0.5, 12))
+        assert np.allclose(out_shift[1:], out[:-1], atol=1e-10)
 
     def test_column_order_invariant(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(2000, 3))
         k = self._kernel()
-        out = convolve_downsample(_fm(data), k, self.spec)
-        out_rev = convolve_downsample(_fm(data[:, ::-1]), k, self.spec)
-        assert np.array_equal(out.data, out_rev.data[:, ::-1])
+        out = convolve_downsample(data, k, self.spec)
+        out_rev = convolve_downsample(data[:, ::-1], k, self.spec)
+        assert np.array_equal(out, out_rev[:, ::-1])
 
     @pytest.mark.parametrize("n_cols", sorted({1, hemo._COLUMN_BLOCK - 1, hemo._COLUMN_BLOCK,
                                                hemo._COLUMN_BLOCK + 1, 2 * hemo._COLUMN_BLOCK + 2,
@@ -152,16 +160,15 @@ class TestConvolveDownsample:
         spec_h = np.fft.rfft(k.samples, n=n_fft)
         conv = np.fft.irfft(spec_x * spec_h[:, None], n=n_fft, axis=0)[:conv_len]
         want = conv[np.arange(10) * 100]
-        out = convolve_downsample(_fm(data), k, self.spec)
-        assert out.data.tobytes() == want.tobytes()
+        out = convolve_downsample(data, k, self.spec)
+        assert out.tobytes() == want.tobytes()
 
 
 def test_hrf_align_shapes():
     rng = np.random.default_rng(3)
-    feats = _fm(rng.normal(size=(6000, 5)))
-    out = hemo.hrf_align(feats, n_scans=60)
-    assert out.data.shape == (60, 5)
-    assert out.sample_rate == 0.5
+    feats = rng.normal(size=(6000, 5))
+    out = hemo.hrf_align(feats, 50.0, n_scans=60)
+    assert out.shape == (60, 5)
 
 
 @pytest.mark.parametrize("n_cols", [1, hemo._COLUMN_BLOCK + 3])
@@ -169,8 +176,7 @@ def test_hrf_align_normalizes_per_block_like_whole_array(n_cols):
     rng = np.random.default_rng(n_cols)
     data = rng.normal(size=(6000, n_cols))
     data[:, 0] = 2.5  # a constant column maps to zeros
-    feats = _fm(data)
-    want = convolve_downsample(minmax_normalize(feats), glover_hrf(50.0), ResampleSpec(50.0, 0.5, 60))
-    assert hemo.hrf_align(feats, n_scans=60).data.tobytes() == want.data.tobytes()
-    assert hemo.hrf_align(feats, n_scans=60, normalize=False).data.tobytes() == \
-        convolve_downsample(feats, glover_hrf(50.0), ResampleSpec(50.0, 0.5, 60)).data.tobytes()
+    want = convolve_downsample(_unit_range(data), glover_hrf(50.0), ResampleSpec(50.0, 0.5, 60))
+    assert hemo.hrf_align(data, 50.0, n_scans=60).tobytes() == want.tobytes()
+    assert hemo.hrf_align(data, 50.0, n_scans=60, normalize=False).tobytes() == \
+        convolve_downsample(data, glover_hrf(50.0), ResampleSpec(50.0, 0.5, 60)).tobytes()

@@ -1,6 +1,3 @@
-import os
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +11,11 @@ from voxenc.matrixio import (
     read_manifest,
     read_matrix,
     validate_manifest,
-    write_csv,
     write_manifest,
     write_matrix,
 )
+
+from support import read_through_fifo
 
 
 def test_binary_roundtrip_f64(tmp_path):
@@ -56,7 +54,7 @@ def test_csv_parse(tmp_path):
 def test_csv_roundtrip_precision(tmp_path):
     m = np.array([[np.pi, 1 / 3], [1e-17, 123456789.123456789]])
     path = tmp_path / "m.csv"
-    write_csv(path, m)
+    path.write_text("c0,c1\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m))
     assert np.array_equal(read_matrix(path), m)  # repr() is shortest-exact
 
 
@@ -134,23 +132,16 @@ def test_trailing_bytes_rejected(tmp_path):
         read_matrix(path)
 
 
-def _fifo(path, payload):
-    """A named pipe at ``path`` that a thread fills with ``payload`` once it is opened."""
-    os.mkfifo(path)
-    threading.Thread(target=path.write_bytes, args=(payload,), daemon=True).start()
-    return path
-
-
 def test_read_from_pipe(tmp_path):
     m = np.arange(12.0).reshape(3, 4)
     write_matrix(tmp_path / "m.fmx", m)
     payload = (tmp_path / "m.fmx").read_bytes()
-    back = read_matrix(_fifo(tmp_path / "pipe.fmx", payload))
+    back = read_through_fifo(tmp_path / "pipe.fmx", payload, read_matrix)
     assert back.tobytes() == m.tobytes() and back.shape == m.shape
     assert back.flags.writeable
     with pytest.raises(MatrixParseError, match=r"payload holds 4 values \(\+6 bytes\), header declares 12"):
-        read_matrix(_fifo(tmp_path / "short.fmx", payload[:6 + 16 + 38]))
-    csv = read_matrix(_fifo(tmp_path / "pipe.csv", b"alpha,beta\n1,2\n3,4\n"))
+        read_through_fifo(tmp_path / "short.fmx", payload[:6 + 16 + 38], read_matrix)
+    csv = read_through_fifo(tmp_path / "pipe.csv", b"alpha,beta\n1,2\n3,4\n", read_matrix)
     assert np.array_equal(csv, [[1.0, 2.0], [3.0, 4.0]])
 
 

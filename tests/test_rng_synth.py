@@ -6,10 +6,11 @@ from voxenc.synthbench import (
     SynthConfig,
     default_plan,
     even_blocks,
-    gen_linear_dataset,
     gen_null_cohort,
     gen_replica_cohort,
 )
+
+from support import gen_linear_dataset
 
 
 class TestCounterRng:
@@ -63,29 +64,29 @@ class TestGenLinearDataset:
         cfg = SynthConfig(n_time_activation=6000, n_scans=60, n_features=4, n_targets=6, seed=5)
         a = gen_linear_dataset(cfg)
         b = gen_linear_dataset(cfg)
-        assert np.array_equal(a.features.data, b.features.data)
-        assert np.array_equal(a.response.data, b.response.data)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.response, b.response)
         assert np.array_equal(a.true_weights, b.true_weights)
 
     def test_seed_changes_data(self):
         cfg1 = SynthConfig(n_time_activation=6000, n_scans=60, seed=1)
         cfg2 = SynthConfig(n_time_activation=6000, n_scans=60, seed=2)
-        assert not np.array_equal(gen_linear_dataset(cfg1).response.data,
-                                  gen_linear_dataset(cfg2).response.data)
+        assert not np.array_equal(gen_linear_dataset(cfg1).response,
+                                  gen_linear_dataset(cfg2).response)
 
     def test_snr_zero_response_independent_of_signal(self):
         cfg = SynthConfig(n_time_activation=6000, n_scans=60, n_features=4, n_targets=6,
                           snr=0.0, seed=3)
         ds = gen_linear_dataset(cfg)
-        signal = ds.features_at_tr.data @ ds.true_weights
-        corr = np.corrcoef(signal[:, 0], ds.response.data[:, 0])[0, 1]
+        signal = ds.features_at_tr @ ds.true_weights
+        corr = np.corrcoef(signal[:, 0], ds.response[:, 0])[0, 1]
         assert abs(corr) < 0.4
 
     def test_noiseless_is_exact_linear(self):
         cfg = SynthConfig(n_time_activation=6000, n_scans=60, n_features=4, n_targets=6,
                           snr=None, seed=3)
         ds = gen_linear_dataset(cfg)
-        assert np.allclose(ds.response.data, ds.features_at_tr.data @ ds.true_weights)
+        assert np.allclose(ds.response, ds.features_at_tr @ ds.true_weights)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="too short"):
