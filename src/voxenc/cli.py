@@ -188,6 +188,15 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
         _fail(EXIT_USAGE, f"input file {in_path} must be a non-empty 2-D time x features "
                           f"matrix, got shape {data.shape}")
     try:
+        spec = hemo.ResampleSpec(input_rate, 1.0 / tr, n_scans)
+    except ValueError:
+        _fail(EXIT_USAGE, f"'--tr' {tr:g} s samples at {1.0 / tr:g} Hz, which must be below "
+                          f"'--input-rate' {input_rate:g} Hz")
+    try:
+        hemo.scan_index(data.shape[0], hemo.glover_hrf(input_rate), spec)
+    except ValueError as exc:
+        _fail(EXIT_USAGE, f"'--n-scans' {n_scans} reaches past {in_path}: {exc}")
+    try:
         out = hemo.hrf_align(data, input_rate, n_scans, tr, normalize=normalize)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))

@@ -125,6 +125,21 @@ def convolve_downsample(data: np.ndarray, kernel: HrfKernel, spec: ResampleSpec)
     return _convolve_downsample(data, kernel, spec, normalize=False)
 
 
+def scan_index(n_rows: int, kernel: HrfKernel, spec: ResampleSpec) -> np.ndarray:
+    """Sample of the convolved signal that each output scan reads.
+
+    Raises ValueError when the last scan lies beyond the convolved signal of
+    ``n_rows`` input samples.
+    """
+    conv_len = n_rows + len(kernel.samples) - 1
+    scan_idx = np.rint(np.arange(spec.n_output) / spec.output_rate * spec.input_rate).astype(int)
+    if spec.n_output > 0 and scan_idx[-1] >= conv_len:
+        raise ValueError(
+            f"scan {spec.n_output - 1} at sample {scan_idx[-1]} beyond convolved support {conv_len}"
+        )
+    return scan_idx
+
+
 def _convolve_downsample(
     data: np.ndarray, kernel: HrfKernel, spec: ResampleSpec, normalize: bool
 ) -> np.ndarray:
@@ -134,13 +149,8 @@ def _convolve_downsample(
         raise ValueError(
             f"kernel rate {kernel.oversample_hz} != spec input_rate {spec.input_rate}"
         )
-    n_in = data.shape[0]
-    conv_len = n_in + len(kernel.samples) - 1
-    scan_idx = np.rint(np.arange(spec.n_output) / spec.output_rate * spec.input_rate).astype(int)
-    if spec.n_output > 0 and scan_idx[-1] >= conv_len:
-        raise ValueError(
-            f"scan {spec.n_output - 1} at sample {scan_idx[-1]} beyond convolved support {conv_len}"
-        )
+    conv_len = data.shape[0] + len(kernel.samples) - 1
+    scan_idx = scan_index(data.shape[0], kernel, spec)
     if normalize:
         lo, span = _column_range(data)
     # FFT convolution, causal "full" mode, _COLUMN_BLOCK columns at a time

@@ -350,6 +350,10 @@ def test_hrf_convolve_cmd(runner, tmp_path):
                  id="tr_nan"),
     pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--input-rate", "inf"],
                  "'--input-rate'", id="input_rate_inf"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "5", "--input-rate", "50",
+                  "--tr", "0.01"], "'--tr'", id="tr_above_input_rate"),
+    pytest.param(["hrf-convolve", "--in", "act.fmx", "--n-scans", "500"], "'--n-scans'",
+                 id="n_scans_past_input"),
     pytest.param(["featurize", "--wav", "a.wav", "--n-mels", "0"], "'--n-mels'", id="n_mels_0"),
 ])
 def test_stage_bad_input_exit_2(runner, tmp_path, args, needle):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,19 @@ import voxenc
 from voxenc.encode import (
     _CHUNK,
     DEFAULT_LAMBDA_GRID,
+    _exact_loo_mse,
+    _last_argmin,
     _pearson_columns,
+    _screen,
+    _screen_pays,
+    _svd_path,
     brain_score,
     detrend_blocks,
     make_split_plan,
     ridge_solve,
     standardize,
 )
-from voxenc.synthbench import SynthConfig, default_plan, even_blocks
+from voxenc.synthbench import SynthConfig, build_cohort, default_plan, even_blocks
 
 from oracles import loo_residuals, ridge_closed_form
 from support import gen_linear_dataset
@@ -215,6 +221,121 @@ class TestRidgeSolve:
             ridge_solve(np.ones((5, 2)), np.ones((4, 1)))
 
 
+def _exact_choice(X, Y, grid):
+    """Each target's grid index from the exact kernel run over every lambda, chunk by chunk."""
+    U, _, _, D, W = _svd_path(X, grid)
+    UtY = U.T @ Y
+    every = np.arange(len(grid))
+    return np.concatenate([
+        _last_argmin(_exact_loo_mse(U, D, W, Y[:, a:a + _CHUNK], UtY[:, a:a + _CHUNK], every))
+        for a in range(0, Y.shape[1], _CHUNK)])
+
+
+def _assert_screen_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
+    """ridge_solve takes the screened route here and picks the exact kernel's lambdas.
+
+    Returns the number of nonzero targets the screen left more than one
+    candidate, which the exact kernel then settled.
+    """
+    assert _screen_pays(X.shape[0], min(X.shape))
+    fit = ridge_solve(X, Y, grid)
+    assert np.array_equal(fit.chosen_lambda, grid[_exact_choice(X, Y, grid)])
+    U, _, _, D, W = _svd_path(X, grid)
+    UtY = U.T @ Y
+    unsettled = 0
+    for a in range(0, Y.shape[1], _CHUNK):
+        Yc = Y[:, a:a + _CHUNK]
+        cand = _screen(U, D, W, Yc, UtY[:, a:a + _CHUNK])
+        unsettled += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
+    return unsettled
+
+
+class TestScreenedSelection:
+    """The screened route (n >> p) must choose exactly what the exact kernel chooses."""
+
+    @staticmethod
+    def _design(n=110, p=8, seed=0):
+        rng = np.random.default_rng(seed)
+        X, _, _, _ = standardize(rng.normal(size=(n, p)))
+        return X, rng
+
+    def test_replica_subject_fold_solves(self):
+        cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8, n_targets=1000,
+                          n_subjects=1, seed=3)
+        cohort = build_cohort("replica", cfg)
+        plan = default_plan(cfg)
+        y, _ = next(cohort.subjects())
+        y = np.array(y, dtype=np.float64)
+        detrend_blocks(y, plan.blocks)
+        for X in (cohort.features[0], np.hstack(cohort.features)):  # p = 8 and 16
+            for fold in range(plan.n_folds):
+                tr, _ = plan.fold_rows(fold)
+                Xtr, _, _, _ = standardize(X[tr])
+                Ytr, _, _, _ = standardize(y[tr])
+                _assert_screen_exact(Xtr, Ytr)
+
+    def test_duplicate_grid_values(self):
+        X, rng = self._design()
+        Y = rng.normal(size=(110, 300)) + X @ rng.normal(size=(8, 300)) * rng.uniform(0, 1, 300)
+        grid = np.repeat(DEFAULT_LAMBDA_GRID[::2], 2)
+        assert _assert_screen_exact(X, Y, grid) == 300  # every target needs the exact pass
+
+    @pytest.mark.parametrize("spacing", [1e-9, 1e-14])
+    def test_near_tie_grid(self, spacing):
+        # at 1e-14 the LOO errors of neighbouring lambdas differ by less than
+        # their rounding errors: a screen without the bound picks wrongly here
+        X, rng = self._design(seed=1)
+        Y = rng.normal(size=(110, 300)) + X @ rng.normal(size=(8, 300)) * rng.uniform(0, 1, 300)
+        grid = 100.0 * (1.0 + spacing * np.arange(20))
+        assert _assert_screen_exact(X, Y, grid) > 0
+
+    def test_all_zero_targets(self):
+        X, rng = self._design(seed=2)
+        Y = rng.normal(size=(110, 50))
+        Y[:, ::3] = 0.0
+        assert _assert_screen_exact(X, Y) == 0
+        assert _assert_screen_exact(X, np.zeros((110, 4))) == 0
+        assert np.all(ridge_solve(X, np.zeros((110, 4))).chosen_lambda == DEFAULT_LAMBDA_GRID[-1])
+
+    def test_targets_in_span_of_features(self):
+        X, rng = self._design(seed=3)
+        _assert_screen_exact(X, X @ rng.normal(size=(8, 40)))
+
+    def test_single_target(self):
+        X, rng = self._design(p=16, seed=4)
+        _assert_screen_exact(X, rng.normal(size=(110, 1)) + X[:, :1])
+
+    def test_multi_chunk_target_count(self):
+        X, rng = self._design(n=60, p=10, seed=5)
+        n_targets = 2 * _CHUNK + 37
+        Y = rng.normal(size=(60, n_targets)) + X @ rng.normal(size=(10, n_targets)) * rng.uniform(
+            0, 2, n_targets)
+        _assert_screen_exact(X, Y)
+
+    def test_wide_shape_keeps_exact_route(self):
+        assert not _screen_pays(733, 500)
+        assert _screen_pays(110, 16) and _screen_pays(110, 8)
+
+    def test_selection_peak_memory(self):
+        """ridge_solve's traced peak at n = 110, p = 16, 1000 targets stays at or below
+        1,745,152 bytes: the previous selection, the exact kernel over every
+        lambda, peaked there on the same inputs (numpy 2.4, x86-64). The screen's
+        buffers are sized to the exact kernel's (k + n + grid) x _CHUNK floats;
+        it measured 1,402,288.
+        """
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(110, 16))
+        Y = rng.normal(size=(110, 1000)) + X @ rng.normal(size=(16, 1000)) * rng.uniform(0, 1, 1000)
+        ridge_solve(X, Y)  # first-call allocations are not the solve's
+        tracemalloc.start()
+        try:
+            ridge_solve(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_745_152
+
+
 def pearson(y_true, y_pred):
     """``brain_score``'s correlation of one pair of series."""
     r, flagged = _pearson_columns(np.asarray(y_true)[:, None], np.asarray(y_pred)[:, None])
@@ -314,7 +435,12 @@ from voxenc.synthbench import even_blocks
 rng = np.random.default_rng(12)
 X = rng.normal(size=(400, 300))
 Y = rng.normal(size=(400, 2500))
-np.save(sys.argv[1], brain_score(X, Y, make_split_plan(even_blocks(400, 4))).r_per_fold)
+wide = brain_score(X, Y, make_split_plan(even_blocks(400, 4))).r_per_fold
+# the screened shape: n = 110, p = 8 per fold
+X = rng.normal(size=(120, 8))
+Y = rng.normal(size=(120, 1000)) + X @ rng.normal(size=(8, 1000)) * rng.uniform(0, 1, 1000)
+narrow = brain_score(X, Y, make_split_plan(even_blocks(120, 12))).r_per_fold
+np.savez(sys.argv[1], wide=wide, narrow=narrow)
 """
 
 
@@ -323,16 +449,18 @@ def test_scores_across_blas_thread_counts(tmp_path):
 
     OpenBLAS splits some products differently at 1 thread than at 2 or more,
     so scores move by a few ulps between those; a rerun at the same count
-    gives the same bits.
+    gives the same bits. Both selection routes are covered: the exact kernel
+    over every lambda (400 x 300) and the screen (n = 110, p = 8).
     """
     src = str(Path(voxenc.__file__).resolve().parents[1])
     runs = {}
     for name, threads in [("1", 1), ("2", 2), ("4", 4), ("2-again", 2)]:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = tmp_path / f"r_{name}.npy"
+        out = tmp_path / f"r_{name}.npz"
         subprocess.run([sys.executable, "-c", _SCORE_CHILD, str(out)], env=env, check=True)
-        runs[name] = np.load(out)
-    for name in ("2", "4"):
-        np.testing.assert_allclose(runs[name], runs["1"], rtol=0, atol=1e-12)
-    assert np.array_equal(runs["2-again"], runs["2"])
+        runs[name] = dict(np.load(out))
+    for shape in ("wide", "narrow"):
+        for name in ("2", "4"):
+            np.testing.assert_allclose(runs[name][shape], runs["1"][shape], rtol=0, atol=1e-12)
+        assert np.array_equal(runs["2-again"][shape], runs["2"][shape])
