@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -25,7 +26,7 @@ EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -38,7 +39,6 @@ def _load(path: str) -> np.ndarray:
         return matrixio.read_matrix(p)
     except matrixio.MatrixParseError as exc:
         _fail(EXIT_USAGE, str(exc))
-    raise AssertionError("unreachable")
 
 
 def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
@@ -55,17 +55,17 @@ def _load_manifest(path: str | Path) -> matrixio.DatasetManifest:
         return matrixio.read_manifest(path)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON or field layout
         _fail(EXIT_USAGE, f"malformed manifest {path}: {type(exc).__name__}: {exc}")
-    raise AssertionError("unreachable")
 
 
 @dataclass
 class _Dataset:
-    """A checked manifest with its fold plan and feature matrices, all the same height."""
+    """A checked manifest with its fold plan and its feature files' column-stack X."""
 
     manifest_path: Path
     manifest: matrixio.DatasetManifest
     plan: SplitPlan
-    features: list[np.ndarray]
+    X: np.ndarray
+    ends: list[int]  # feature file i holds the columns of X up to ends[i]
     rows: dict[str, int]  # feature file -> row count
     detrend: bool
 
@@ -77,7 +77,7 @@ def _row_mismatch(rows: dict[str, int]) -> str:
 
 def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None,
                   detrend: bool) -> _Dataset:
-    """Read and check a manifest, plan its folds and load its 2-D feature matrices.
+    """Read and check a manifest, plan its folds and column-stack its 2-D feature matrices.
 
     ``feature_paths`` default to the manifest's own, relative to its directory.
     Every problem exits 2 with a message naming the file.
@@ -106,7 +106,9 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None,
     rows = {path: mat.shape[0] for path, mat in zip(feature_paths, features)}
     if len(set(rows.values())) > 1:
         _fail(EXIT_USAGE, _row_mismatch(rows))
-    return _Dataset(manifest_path, manifest, plan, features, rows, detrend)
+    ends = np.cumsum([mat.shape[1] for mat in features]).tolist()
+    X = features[0] if len(features) == 1 else np.hstack(features)
+    return _Dataset(manifest_path, manifest, plan, X, ends, rows, detrend)
 
 
 def _load_response(data: _Dataset, path: str | Path) -> np.ndarray:
@@ -119,7 +121,7 @@ def _load_response(data: _Dataset, path: str | Path) -> np.ndarray:
     if y.ndim != 2:
         _fail(EXIT_USAGE, f"response file {path} must be a 2-D scans x targets "
                           f"matrix, got shape {y.shape}")
-    n_rows = data.features[0].shape[0]
+    n_rows = data.X.shape[0]
     if y.shape[0] != n_rows:
         _fail(EXIT_USAGE, _row_mismatch({**data.rows, str(path): y.shape[0]}))
     end = data.manifest.blocks[-1][1]
@@ -150,7 +152,6 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
         audio, rate = dsp.read_wav(wav_path)
     except dsp.WavError as exc:
         _fail(EXIT_USAGE, str(exc))
-        return
     try:
         # rebinding frees the input-rate signal as soon as the 16 kHz one exists
         audio = dsp.resample_to_mono_16k(audio, rate)
@@ -160,7 +161,6 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
             feats = dsp.mel_filterbank(audio, dsp.MelConfig(n_mels=n_mels, mel_variant=mel_variant))
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
-        return
     matrixio.write_matrix(out_path, _finite_output(feats, f"{kind} of {wav_path}"))
     click.echo(f"wrote {feats.shape[0]}x{feats.shape[1]} {kind} to {out_path}")
 
@@ -200,7 +200,6 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
         out = hemo.hrf_align(data, input_rate, n_scans, tr, normalize=normalize)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
-        return
     matrixio.write_matrix(out_path, _finite_output(out, f"HRF alignment of {in_path}"))
     click.echo(f"wrote {out.shape[0]}x{out.shape[1]} aligned features to {out_path}")
 
@@ -218,10 +217,9 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
     data = _load_dataset(manifest_path, features.split(","), detrend)
     Y = _load_response(data, response_path)
     try:
-        sm = brain_score(np.hstack(data.features), Y, data.plan)
+        sm, = brain_score(data.X, Y, data.plan, [slice(None)])
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
-        return
     matrixio.write_matrix(out_path, sm.r_mean)
     if report_path:
         report.write_report(
@@ -245,7 +243,6 @@ def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
         delta = contrast_mod.delta_vs_baseline(_load(a_path), _load(b_path))
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
-        return
     matrixio.write_matrix(out_path, delta)
     click.echo(f"mean delta R = {delta.mean():.4f}")
 
@@ -268,7 +265,6 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
         stats = groupstats.group_test(values, alternative, q)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
-        return
     doc = {
         "q": q,
         "alternative": alternative,
@@ -304,7 +300,6 @@ def ctc_eval(logprobs_path: str, targets_path: str) -> None:
         inst = ctc_mod.CtcInstance(lp, targets)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
-        return
     ll = ctc_mod.ctc_log_likelihood(inst)
     decoded = ctc_mod.ctc_greedy_decode(lp)
     click.echo(f"log_likelihood = {ll:.10g}")
@@ -328,7 +323,6 @@ def synth(preset: str, seed: int, out_dir: str, n_subjects: int | None,
         cfg = synthbench.SynthConfig(seed=seed, **{k: v for k, v in sizes.items() if v is not None})
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
-        return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_synth_dataset(out, synthbench.build_cohort(preset, cfg))
@@ -411,12 +405,15 @@ def _check_features(features: object) -> None:
     def valid(f: object) -> bool:
         if not isinstance(f, dict) or not set(f) <= {"name", "path", "sample_rate"}:
             return False
-        rate = f.get("sample_rate", 1.0)
         return (isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
-                and type(rate) in (int, float) and 0 < rate < np.inf)
+                and matrixio.positive_rate(f.get("sample_rate", 1.0)))
     if not isinstance(features, list) or not features or not all(map(valid, features)):
         raise ValueError(f"config key 'features' must be a non-empty list of objects with string "
                          f"name and path and an optional positive sample_rate, got {features!r}")
+    rates = [f.get("sample_rate", 1.0) for f in features]
+    if len(set(rates)) > 1:
+        raise ValueError(f"config key 'features' must share one sample_rate: equal row counts at "
+                         f"different rates cannot be aligned, got {rates!r}")
 
 
 def _synth_config(cfg: dict) -> tuple[str, synthbench.SynthConfig]:
@@ -470,7 +467,6 @@ def run(config_path: str) -> None:
         cfg = _resolve_run_config(doc)
     except (json.JSONDecodeError, ValueError) as exc:
         _fail(EXIT_USAGE, str(exc))
-        return
     out_dir = Path(cfg["out_dir"])
     made_out_dir = not out_dir.exists()
     written: list[Path] = []
@@ -511,31 +507,32 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     snapshot.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(snapshot)
 
-    # score every concatenation level for every subject
+    # score every concatenation level, a column prefix of X, for every subject
     t0 = time.perf_counter()
-    levels = [np.hstack(data.features[: L + 1]) for L in range(len(names))]
-    per_subject_scores: list[list[np.ndarray]] = []
+    prefixes = [slice(end) for end in data.ends]
+    per_subject = []
     for sub in data.manifest.subjects:
         y = _load_response(data, manifest_path.parent / sub.response_path)
-        per_subject_scores.append([brain_score(X, y, data.plan, grid).r_mean for X in levels])
+        per_subject.append([sm.r_mean for sm in brain_score(data.X, y, data.plan, prefixes, grid)])
+    per_subject_scores = np.array(per_subject)  # subjects x levels x targets
     timings["score"] = time.perf_counter() - t0
+    n_levels = len(names)
+    # each level's subjects x targets, contiguous: a strided view sums in another order
+    level_scores = [np.ascontiguousarray(per_subject_scores[:, L]) for L in range(n_levels)]
 
     # contrasts: per-level deltas relative to the previous level
     t0 = time.perf_counter()
-    n_levels = len(names)
     contrasts: dict[str, dict] = {}
+    level_deltas: list[float] = []
     group_block = {}
     if n_levels >= 2:
         # subjects x (levels-1) x targets
         deltas = np.array([contrast_mod.delta_layerwise(s) for s in per_subject_scores])
-        for L in range(1, n_levels):
-            contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {
-                "mean_delta_r": float(deltas[:, L - 1].mean()),
-                "per_level_index": L,
-            }
+        level_deltas = [float(deltas[:, L - 1].mean()) for L in range(1, n_levels)]
+        for L, delta in enumerate(level_deltas, start=1):
+            contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {"mean_delta_r": delta, "per_level_index": L}
         if len(data.manifest.subjects) >= 5:
-            top_delta = np.array([contrast_mod.delta_vs_baseline(s[-1], s[0])
-                                  for s in per_subject_scores])
+            top_delta = contrast_mod.delta_vs_baseline(level_scores[-1], level_scores[0])
             stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
             group_block = {
                 "contrast": f"{names[-1]}_vs_{names[0]}",
@@ -547,24 +544,17 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
             written.append(out_dir / "group_delta.fmx")
     timings["contrast"] = time.perf_counter() - t0
 
-    mean_scores_per_level = [
-        float(np.mean([s[L] for s in per_subject_scores])) for L in range(n_levels)
-    ]
-    svg = report.bar_chart_svg(
-        names, mean_scores_per_level, title="mean brain score per concatenation level"
-    )
-    (out_dir / "scores_per_level.svg").write_text(svg, encoding="utf-8")
-    written.append(out_dir / "scores_per_level.svg")
+    mean_scores_per_level = [float(level.mean()) for level in level_scores]
+    charts = {"scores_per_level.svg": report.bar_chart_svg(
+        names, mean_scores_per_level, title="mean brain score per concatenation level")}
     if n_levels >= 2:
-        bar_labels = [f"L{L}" for L in range(1, n_levels)]
-        bar_vals = [contrasts[f"{names[L]}_vs_{names[L - 1]}"]["mean_delta_r"] for L in range(1, n_levels)]
-        (out_dir / "delta_per_level.svg").write_text(
-            report.bar_chart_svg(bar_labels, bar_vals, title="mean delta R per level"),
-            encoding="utf-8",
-        )
-        written.append(out_dir / "delta_per_level.svg")
+        charts["delta_per_level.svg"] = report.bar_chart_svg(
+            [f"L{L}" for L in range(1, n_levels)], level_deltas, title="mean delta R per level")
+    for chart, svg in charts.items():
+        (out_dir / chart).write_text(svg, encoding="utf-8")
+        written.append(out_dir / chart)
 
-    subject_mean = np.mean([s[-1] for s in per_subject_scores], axis=0)
+    subject_mean = level_scores[-1].mean(axis=0)
     doc = {
         "stages": {"timings_seconds": timings},
         "scores": {

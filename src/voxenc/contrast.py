@@ -1,9 +1,10 @@
 """Score contrasts (delta-R maps) between concatenation levels or models.
 
 Contrasts take per-target mean score arrays (``encode.ScoreMap.r_mean``),
-which is all the pipeline keeps of each fit, and return arrays. The CLI
-builds the concatenations themselves, one column-stack of the first L + 1
-feature matrices per level.
+which is all the pipeline keeps of each fit, and return arrays. Level L is
+the column prefix of the first L + 1 feature matrices in the one
+column-stack the CLI builds, and ``encode.brain_score`` scores every level in
+one fold loop.
 """
 
 from __future__ import annotations

@@ -55,9 +55,10 @@ screens every lambda first and confirms only near-ties:
   stacked matrix would take more than half of that.
 
 Stages pass plain numpy arrays: ``detrend_blocks`` overwrites the caller's
-float64 response in place, ``brain_score`` takes X and Y, and ``ScoreMap``,
-the only container, holds what it returns. Finiteness is checked once here,
-in ``ridge_solve``; the CLI's inputs were already checked when read.
+float64 response in place, and ``brain_score``, the one fold loop, takes one
+X, column sets of it and one Y and returns a ``ScoreMap``, the only
+container, per set. Finiteness is checked once here, in ``ridge_solve``; the
+CLI's inputs were already checked when read.
 
 Everything runs in the calling thread; the only parallelism is the BLAS
 library's. Results are bit-identical across reruns at a fixed BLAS thread
@@ -67,7 +68,7 @@ a product differently (OpenBLAS at 1 thread versus 2 or more).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,26 +117,13 @@ class ScoreMap:
     variance on either side) in at least one fold; those folds score 0.
     """
 
-    r_mean: np.ndarray
-    r_per_fold: np.ndarray
-    undefined: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.r_mean = np.asarray(self.r_mean, dtype=np.float64)
-        self.r_per_fold = np.asarray(self.r_per_fold, dtype=np.float64)
-        if self.undefined is None:
-            self.undefined = np.zeros(self.r_mean.shape[0], dtype=bool)
-        self.undefined = np.asarray(self.undefined, dtype=bool)
-        if self.r_per_fold.shape[1] != self.r_mean.shape[0]:
-            raise ValueError("r_per_fold target count must match r_mean")
+    r_mean: np.ndarray  # targets
+    r_per_fold: np.ndarray  # folds x targets
+    undefined: np.ndarray  # targets, bool
 
     @property
     def n_targets(self) -> int:
         return self.r_mean.shape[0]
-
-    @property
-    def n_folds(self) -> int:
-        return self.r_per_fold.shape[0]
 
 
 def detrend_blocks(y: np.ndarray, blocks: list[tuple[int, int]]) -> None:
@@ -408,34 +396,36 @@ def brain_score(
     X: np.ndarray,
     Y: np.ndarray,
     plan: SplitPlan,
+    sets: list[slice],
     grid: np.ndarray | None = None,
-) -> ScoreMap:
-    """Cross-validated encoding score per target.
+) -> list[ScoreMap]:
+    """Cross-validated encoding score per target, one ``ScoreMap`` per column slice in ``sets``.
 
-    Per fold: standardize on train rows, fit ridge with per-target LOO lambda
-    selection, predict the held-out block, correlate per target. The score is
-    the mean of the per-fold correlations.
+    Per fold: standardize X and Y on the train rows once; for each set, fit
+    ridge with per-target LOO lambda selection on its columns, predict the
+    held-out block and correlate per target. Standardizing is column-wise, so
+    a set scores bit for bit as its columns alone. A score is the mean of the
+    per-fold correlations.
     """
     Xd = np.asarray(X, dtype=np.float64)
     Yd = np.asarray(Y, dtype=np.float64)
     if Xd.shape[0] != Yd.shape[0]:
         raise ValueError(f"X has {Xd.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
-    n_targets = Yd.shape[1]
-    n_folds = plan.n_folds
-    r_per_fold = np.zeros((n_folds, n_targets))
-    flagged = np.zeros(n_targets, dtype=bool)
-
-    for k in range(n_folds):
+    r_per_fold = np.zeros((len(sets), plan.n_folds, Yd.shape[1]))
+    flagged = np.zeros((len(sets), Yd.shape[1]), dtype=bool)
+    for k in range(plan.n_folds):
         tr, te = plan.fold_rows(k)
         Xtr, Xte, _, _ = standardize(Xd[tr], Xd[te])
         Ytr, Yte, _, _ = standardize(Yd[tr], Yd[te])
-        fit = ridge_solve(Xtr, Ytr, grid)
-        pred = Xte @ fit.weights
-        r, fl = _pearson_columns(Yte, pred)
-        r_per_fold[k] = r
-        flagged |= fl
-        # Free the fold's two largest arrays before the next fold allocates its own.
-        # Freeing the small ones too made glibc return and re-fault heap pages
-        # every fold, which cost 0.3-0.7 s per 480-solve replica run.
-        del Ytr, fit
-    return ScoreMap(r_mean=r_per_fold.mean(axis=0), r_per_fold=r_per_fold, undefined=flagged)
+        for j, cols in enumerate(sets):
+            fit = ridge_solve(Xtr[:, cols], Ytr, grid)
+            pred = Xte[:, cols] @ fit.weights
+            r_per_fold[j, k], fl = _pearson_columns(Yte, pred)
+            flagged[j] |= fl
+            # Free each solve's and fold's largest arrays before the next allocates its
+            # own. Freeing the small ones too made glibc return and re-fault heap pages
+            # every fold, which cost 0.3-0.7 s per 480-solve replica run.
+            del fit
+        del Ytr
+    return [ScoreMap(r_mean=r.mean(axis=0), r_per_fold=r, undefined=fl)
+            for r, fl in zip(r_per_fold, flagged)]

@@ -189,6 +189,11 @@ def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
         fh.write("\n")
 
 
+def positive_rate(rate: object) -> bool:
+    """A sample rate must be a positive, finite int or float (bool excluded)."""
+    return type(rate) in (int, float) and 0 < rate < np.inf
+
+
 def validate_manifest(manifest: DatasetManifest) -> list[str]:
     """Check manifest invariants; returns one message per violation.
 
@@ -212,6 +217,13 @@ def validate_manifest(manifest: DatasetManifest) -> list[str]:
         violations.append(f"block 0 starts at {blocks[0][0]}, expected 0")
     if manifest.n_rows is not None and blocks and blocks[-1][1] != manifest.n_rows:
         violations.append(f"blocks end at {blocks[-1][1]} but manifest declares {manifest.n_rows} rows")
+    rates = [(f.name, f.sample_rate) for f in manifest.features if positive_rate(f.sample_rate)]
+    violations += [f"feature {f.name!r}: sample_rate {f.sample_rate!r} is not a positive finite number"
+                   for f in manifest.features if not positive_rate(f.sample_rate)]
+    if len({rate for _, rate in rates}) > 1:
+        listed = ", ".join(f"{name!r} at {rate:g} Hz" for name, rate in rates)
+        violations.append(f"feature sample rates differ ({listed}); equal row counts at different "
+                          "rates cannot be aligned")
     if manifest.n_targets is not None:
         for name, idx in manifest.rois.items():
             bad = [i for i in idx if i < 0 or i >= manifest.n_targets]

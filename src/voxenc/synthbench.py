@@ -16,7 +16,7 @@ import numpy as np
 
 from .contrast import delta_vs_baseline
 from .encode import SplitPlan, brain_score, make_split_plan
-from .hemo import hrf_align
+from .hemo import MIN_OVERSAMPLE_HZ, hrf_align
 from .rng import CounterRng
 
 
@@ -34,14 +34,22 @@ class SynthConfig:
     tr_seconds: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects"):
+        for name in ("n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects",
+                     "n_blocks"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.snr is not None and self.snr < 0:
-            raise ValueError("snr must be >= 0")
+        # bools are refused; another non-number fails a comparison with TypeError
+        if self.snr is not None and (isinstance(self.snr, bool) or not self.snr >= 0):
+            raise ValueError(f"snr must be null or a number >= 0, got {self.snr!r}")
+        rate, tr = self.activation_rate, self.tr_seconds
+        if isinstance(rate, bool) or isinstance(tr, bool) or not (
+                MIN_OVERSAMPLE_HZ <= rate < np.inf and 0 < tr < np.inf and rate > 1.0 / tr):
+            raise ValueError(f"need a finite activation_rate >= {MIN_OVERSAMPLE_HZ:g} Hz above the "
+                             f"finite scan rate 1/tr_seconds > 0, got activation_rate={rate!r}, "
+                             f"tr_seconds={tr!r}")
         # scans must extend past the last block start and stay within support
         if self.n_scans * self.tr_seconds * self.activation_rate > self.n_time_activation + 1:
             needed = int(np.ceil(self.n_scans * self.tr_seconds * self.activation_rate))
@@ -113,6 +121,16 @@ class Cohort:
                 stream = 1000 + i if self.preset == "replica" else i + 1
                 yield _mix_response(self.features[-1], cfg, CounterRng(cfg.seed, stream=stream))
 
+    def scores(self, grid: np.ndarray | None = None) -> np.ndarray:
+        """Subjects x names x targets mean scores: each subject's response against
+        the column-stack of the features, one disjoint column set per name."""
+        X = np.hstack(self.features)
+        edges = np.cumsum([0] + [x.shape[1] for x in self.features])
+        sets = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        plan = default_plan(self.cfg)
+        return np.array([[sm.r_mean for sm in brain_score(X, y, plan, sets, grid)]
+                         for y, _ in self.subjects()])
+
 
 def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
     """The preset's cohort; its features are drawn here, its subjects on demand."""
@@ -129,12 +147,7 @@ def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
 
 def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
     """Subjects x targets score matrix under the null (responses are noise)."""
-    cohort = build_cohort("null", cfg)
-    plan = default_plan(cfg)
-    scores = np.empty((cfg.n_subjects, cfg.n_targets))
-    for i, (y, _) in enumerate(cohort.subjects()):
-        scores[i] = brain_score(cohort.features[0], y, plan, grid).r_mean
-    return scores
+    return build_cohort("null", cfg).scores(grid)[:, 0]
 
 
 def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
@@ -144,11 +157,5 @@ def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.n
     response; feature set A is an independent distractor of the same size.
     The resulting delta-R should be positive across subjects.
     """
-    cohort = build_cohort("replica", cfg)
-    a, b = cohort.features
-    plan = default_plan(cfg)
-    delta = np.empty((cfg.n_subjects, cfg.n_targets))
-    for i, (y, _) in enumerate(cohort.subjects()):
-        r_a = brain_score(a, y, plan, grid).r_mean
-        delta[i] = delta_vs_baseline(brain_score(b, y, plan, grid).r_mean, r_a)
-    return delta
+    scores = build_cohort("replica", cfg).scores(grid)
+    return delta_vs_baseline(scores[:, 1], scores[:, 0])

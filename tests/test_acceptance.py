@@ -144,7 +144,7 @@ def test_criterion_6_snr_recovery():
     cfg = SynthConfig(n_time_activation=30200, n_scans=300, n_features=5,
                       n_targets=200, snr=1.0, seed=106)
     ds = gen_linear_dataset(cfg)
-    sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg))
+    sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg), [slice(None)])[0]
     target = np.sqrt(0.5)  # analytic corr of signal-plus-noise at snr=1
     assert abs(sm.r_mean.mean() - target) <= 0.05
     _report(6, "SNR recovery", f"mean r {sm.r_mean.mean():.4f} vs {target:.4f}")
@@ -198,12 +198,12 @@ def test_criterion_10_performance_and_thread_identity():
     Y = rng.normal(size=(800, 10000))
     plan = make_split_plan(even_blocks(800, 12))
     t0 = time.perf_counter()
-    sm1 = brain_score(X, Y, plan)
+    sm1 = brain_score(X, Y, plan, [slice(None)])[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
     # byte-identical at a fixed BLAS thread count; across thread counts see
     # test_encode.test_scores_across_blas_thread_counts
-    sm2 = brain_score(X, Y, plan)
+    sm2 = brain_score(X, Y, plan, [slice(None)])[0]
     assert np.array_equal(sm1.r_per_fold, sm2.r_per_fold)
     assert np.array_equal(sm1.r_mean, sm2.r_mean)
     _report(10, "performance + thread identity",

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import voxenc
-from voxenc import matrixio, report, synthbench
+from voxenc import groupstats, matrixio, report, synthbench
 from voxenc.cli import main
 from voxenc.encode import brain_score, make_split_plan
 
@@ -65,7 +66,8 @@ def test_null_files_score_like_gen_null_cohort(runner, tmp_path):
     X = matrixio.read_matrix(out / "features.fmx")
     plan = make_split_plan(manifest.blocks)
     for i, record in enumerate(manifest.subjects):
-        r = brain_score(X, matrixio.read_matrix(out / record.response_path), plan).r_mean
+        r = brain_score(X, matrixio.read_matrix(out / record.response_path), plan,
+                        [slice(None)])[0].r_mean
         assert _same_bits(r, expected[i])
 
 
@@ -180,6 +182,26 @@ def test_score_bad_blocks_exit_2(runner, tmp_path, blocks, needle):
                                "--out", str(tmp_path / "o.fmx"), "--no-detrend"])
     _assert_input_error(res, str(manifest), needle)
     assert not (tmp_path / "o.fmx").exists()
+
+
+@pytest.mark.parametrize("rates, needle", [
+    ([0.5, 1.0], "feature sample rates differ ('model_a' at 0.5 Hz, 'model_b' at 1 Hz)"),
+    ([0.5, 0], "feature 'model_b': sample_rate 0 is not a positive finite number"),
+    (["0.5", 0.5], "feature 'model_a': sample_rate '0.5' is not a positive finite number"),
+])
+def test_score_bad_feature_rates_exit_2(runner, tmp_path, rates, needle):
+    out = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "1"])
+    doc = json.loads((out / "manifest.json").read_text())
+    assert [f["sample_rate"] for f in doc["features"]] == [0.5, 0.5]
+    for f, rate in zip(doc["features"], rates):
+        f["sample_rate"] = rate
+    manifest = tmp_path / "bad_rates.json"
+    manifest.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["score", "--features", f"{out / 'features_a.fmx'},{out / 'features_b.fmx'}",
+                               "--response", str(out / "sub000.fmx"), "--manifest", str(manifest),
+                               "--out", str(tmp_path / "o.fmx"), "--report", str(tmp_path / "r.json")])
+    _assert_input_error(res, f"manifest {manifest}", needle)
+    assert not (tmp_path / "o.fmx").exists() and not (tmp_path / "r.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -564,6 +586,10 @@ class TestRun:
         ({"synth": None, "manifest": 5}, "config key 'manifest'"),
         ({"manifest": ""}, "config key 'manifest'"),
         ({"response": "r.fmx"}, "unknown config keys: ['response']"),
+        ({"features": [{"name": "a", "path": "a.fmx", "sample_rate": 0.5},
+                       {"name": "b", "path": "b.fmx", "sample_rate": 1.0}]}, "share one sample_rate"),
+        ({"features": [{"name": "a", "path": "a.fmx"},
+                       {"name": "b", "path": "b.fmx", "sample_rate": 0.5}]}, "[1.0, 0.5]"),
     ])
     def test_bad_config_value_exit_2(self, runner, tmp_path, change, needle):
         path, cfg = self._config(tmp_path)
@@ -598,7 +624,8 @@ class TestRun:
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("case", ["malformed", "overlap", "two_blocks", "short_block",
-                                      "no_features", "no_subjects", "feature_rows", "flat_response"])
+                                      "no_features", "no_subjects", "feature_rows", "flat_response",
+                                      "feature_rates"])
     def test_bad_manifest_run_input_exit_2(self, runner, tmp_path, case):
         data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
         doc = json.loads((data / "manifest.json").read_text())
@@ -629,6 +656,9 @@ class TestRun:
             cfg["features"] = [{"name": "a", "path": str(data / "features_a.fmx")},
                                {"name": "b", "path": str(short)}]
             needles = [f"{data / 'features_a.fmx'} has 60", f"{short} has 57"]
+        elif case == "feature_rates":
+            doc["features"][1]["sample_rate"] = 1.0
+            needles = [str(manifest), "feature sample rates differ"]
         else:  # the fourth subject's response is 1-D: found mid-run, after out_dir exists
             matrixio.write_matrix(data / "flat.fmx", matrixio.read_matrix(data / "sub003.fmx")[:, 0])
             doc["subjects"][3]["response"] = "flat.fmx"
@@ -643,6 +673,78 @@ class TestRun:
     def test_missing_config_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["run", "--config", str(tmp_path / "none.json")])
         assert res.exit_code == 2
+
+
+_NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
+                         st.lists(st.integers(), max_size=2))
+_BAD_RATE = st.one_of(_NOT_A_NUMBER, st.floats(max_value=0), st.just(float("nan")),
+                      st.just(float("inf")))
+_GRID = {"min": 10.0, "max": 1e8, "num": 20}
+_SYNTH_INTS = ["n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects", "n_blocks"]
+_SYNTH_KEYS = {"preset", *(f.name for f in fields(synthbench.SynthConfig))}
+
+#: Config values that are wrong by construction, per run config key.
+_BAD_RUN_VALUES = {
+    "seed": st.one_of(_NOT_A_NUMBER, st.floats()),
+    "q": st.one_of(_NOT_A_NUMBER, st.floats().filter(lambda q: not 0 < q <= 1),
+                   st.integers().filter(lambda q: q != 1)),
+    "alternative": st.one_of(_NOT_A_NUMBER, st.integers()).filter(
+        lambda a: a not in groupstats.ALTERNATIVES),
+    "detrend": st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=5)),
+    "lambda_grid": st.one_of(
+        _NOT_A_NUMBER,
+        st.dictionaries(st.sampled_from(["min", "max", "num", "step"]), st.integers(1, 100)).filter(
+            lambda g: set(g) != set(_GRID)),
+        st.tuples(st.sampled_from(["min", "max"]), _BAD_RATE).map(lambda kv: {**_GRID, kv[0]: kv[1]}),
+        st.one_of(_NOT_A_NUMBER, st.integers(max_value=0), st.floats()).map(
+            lambda num: {**_GRID, "num": num}),
+        st.tuples(st.floats(1, 1e8), st.floats(1, 1e8)).map(  # min >= max
+            lambda v: {**_GRID, "min": max(v), "max": min(v)}),
+    ),
+    "features": st.one_of(
+        _NOT_A_NUMBER, st.integers(), st.just([]),
+        st.lists(st.one_of(st.text(max_size=5), st.integers(),
+                           st.fixed_dictionaries({"name": st.integers(), "path": st.text(max_size=5)}),
+                           st.fixed_dictionaries({"name": st.text(max_size=5)}),
+                           _BAD_RATE.map(lambda r: {"name": "a", "path": "a.fmx", "sample_rate": r})),
+                 min_size=1, max_size=3),
+        st.lists(st.floats(0.1, 10), min_size=2, max_size=3, unique=True).map(  # rates differ
+            lambda rates: [{"name": f"f{i}", "path": f"f{i}.fmx", "sample_rate": r}
+                           for i, r in enumerate(rates)]),
+    ),
+    "synth": st.one_of(
+        _NOT_A_NUMBER,
+        st.text(min_size=1, max_size=8).filter(lambda k: k not in _SYNTH_KEYS).map(lambda k: {k: 1}),
+        st.one_of(_NOT_A_NUMBER, st.integers()).filter(lambda p: p not in synthbench.PRESETS).map(
+            lambda p: {"preset": p}),
+        st.tuples(st.sampled_from(_SYNTH_INTS),
+                  st.one_of(_NOT_A_NUMBER, st.floats(), st.integers(max_value=0))).map(
+            lambda kv: {kv[0]: kv[1]}),
+        st.one_of(_NOT_A_NUMBER, st.floats()).map(lambda v: {"seed": v}),
+        st.one_of(st.booleans(), st.text(max_size=5), st.floats(max_value=0, exclude_max=True),
+                  st.just(float("nan"))).map(lambda v: {"snr": v}),
+        st.tuples(st.sampled_from(["activation_rate", "tr_seconds"]), _BAD_RATE).map(
+            lambda kv: {kv[0]: kv[1]}),
+        st.floats(0, 10, exclude_max=True).map(lambda v: {"activation_rate": v}),
+        st.floats(0, 1 / 50).map(lambda v: {"tr_seconds": v}),  # scans at or above 50 Hz
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(_BAD_RUN_VALUES)), data=st.data())
+def test_run_bad_config_value_exit_2(key, data):
+    value = data.draw(_BAD_RUN_VALUES[key], label=key)
+    synth = {"preset": "replica", "n_subjects": 5, "n_targets": 5}
+    cfg = {"seed": 4, "synth": synth,
+           key: {**synth, **value} if key == "synth" and isinstance(value, dict) else value}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["out_dir"] = os.path.join(tmp, "run_out")
+        path = os.path.join(tmp, "config.json")
+        Path(path).write_text(json.dumps(cfg))
+        res = CliRunner().invoke(main, ["run", "--config", path])
+        _assert_input_error(res)
+        assert not os.path.exists(cfg["out_dir"])
 
 
 def test_report_schema_validation():

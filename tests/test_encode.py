@@ -385,25 +385,25 @@ class TestBrainScore:
         cfg = SynthConfig(n_time_activation=30200, n_scans=300, n_features=8,
                           n_targets=12, snr=None, seed=3)
         ds = gen_linear_dataset(cfg)
-        sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg))
+        sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg), [slice(None)])[0]
         assert np.all(sm.r_mean >= 0.999)
 
     def test_null_scores_near_zero(self):
         cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8,
                           n_targets=500, snr=0.0, seed=9)
         ds = gen_linear_dataset(cfg)
-        sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg))
+        sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg), [slice(None)])[0]
         assert abs(sm.r_mean.mean()) < 0.05
 
     def test_row_mismatch(self):
         plan = make_split_plan(even_blocks(30, 3))
         with pytest.raises(ValueError, match="align"):
-            brain_score(np.zeros((30, 2)), np.zeros((29, 2)), plan)
+            brain_score(np.zeros((30, 2)), np.zeros((29, 2)), plan, [slice(None)])
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(10)
         plan = make_split_plan(even_blocks(40, 4))
-        sm = brain_score(rng.normal(size=(40, 3)), rng.normal(size=(40, 6)), plan)
+        sm = brain_score(rng.normal(size=(40, 3)), rng.normal(size=(40, 6)), plan, [slice(None)])[0]
         assert np.all(sm.r_per_fold <= 1.0) and np.all(sm.r_per_fold >= -1.0)
 
     def test_no_leakage_from_test_rows(self):
@@ -424,6 +424,43 @@ class TestBrainScore:
         assert np.array_equal(fa.weights, fb.weights)
 
 
+class TestColumnSets:
+    """Several column sets of one X, scored in one fold loop, each get the bits
+    of a one-set call on a contiguous copy of their columns."""
+
+    # (scans, blocks, set width): 120 scans in 12 blocks train on n = 110 rows
+    # with p = 8 or 16, the screened route; in 4 blocks they train on n = 90
+    # with p = 20 or 40, where k^2 >= 4n takes the exact route.
+    SHAPES = {"screened": (120, 12, 8), "exact": (120, 4, 20)}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("layout", ["prefixes", "disjoint", "non_contiguous"])
+    def test_sets_equal_one_set_calls(self, shape, layout):
+        n, n_blocks, width = self.SHAPES[shape]
+        plan = make_split_plan(even_blocks(n, n_blocks))
+        n_train = len(plan.fold_rows(0)[0])
+        assert _screen_pays(n_train, width) == _screen_pays(n_train, 2 * width) == (shape == "screened")
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(n, 2 * width))
+        Y = rng.normal(size=(n, 300)) + X @ rng.normal(size=(2 * width, 300)) * rng.uniform(0, 1, 300)
+        Y[:, :5] = 0.0  # constant targets: undefined
+        if layout == "non_contiguous":
+            X = np.repeat(X, 2, axis=1)[:, ::2]
+            assert not X.flags.c_contiguous
+        if layout == "disjoint":
+            sets = [slice(0, width), slice(width, 2 * width)]
+        else:
+            sets = [slice(width), slice(2 * width)]
+        together = brain_score(X, Y, plan, sets)
+        assert len(together) == len(sets)
+        for cols, sm in zip(sets, together):
+            alone, = brain_score(np.ascontiguousarray(X[:, cols]), Y, plan, [slice(None)])
+            assert sm.r_per_fold.tobytes() == alone.r_per_fold.tobytes()
+            assert sm.r_mean.tobytes() == alone.r_mean.tobytes()
+            assert np.array_equal(sm.undefined, alone.undefined)
+            assert sm.undefined[:5].all() and not sm.undefined[5:].any()
+
+
 # One brain_score in a fresh process, so the BLAS library reads its thread
 # count from the environment at start-up; writes r_per_fold to argv[1].
 _SCORE_CHILD = """
@@ -435,11 +472,11 @@ from voxenc.synthbench import even_blocks
 rng = np.random.default_rng(12)
 X = rng.normal(size=(400, 300))
 Y = rng.normal(size=(400, 2500))
-wide = brain_score(X, Y, make_split_plan(even_blocks(400, 4))).r_per_fold
+wide = brain_score(X, Y, make_split_plan(even_blocks(400, 4)), [slice(None)])[0].r_per_fold
 # the screened shape: n = 110, p = 8 per fold
 X = rng.normal(size=(120, 8))
 Y = rng.normal(size=(120, 1000)) + X @ rng.normal(size=(8, 1000)) * rng.uniform(0, 1, 1000)
-narrow = brain_score(X, Y, make_split_plan(even_blocks(120, 12))).r_per_fold
+narrow = brain_score(X, Y, make_split_plan(even_blocks(120, 12)), [slice(None)])[0].r_per_fold
 np.savez(sys.argv[1], wide=wide, narrow=narrow)
 """
 

@@ -183,6 +183,28 @@ def test_manifest_gap():
     assert any("gap" in v for v in validate_manifest(m))
 
 
+@pytest.mark.parametrize("rate", [0, -0.5, float("nan"), float("inf"), "0.5", True, None])
+def test_manifest_bad_sample_rate(rate):
+    m = DatasetManifest(features=[matrixio.FeatureRecord("mel", "mel.fmx", rate)],
+                        blocks=[(0, 5)], n_rows=5)
+    assert validate_manifest(m) == [
+        f"feature 'mel': sample_rate {rate!r} is not a positive finite number"]
+
+
+def test_manifest_feature_rates_must_agree():
+    feats = [matrixio.FeatureRecord("a", "a.fmx", 0.5), matrixio.FeatureRecord("b", "b.fmx", 1.0),
+             matrixio.FeatureRecord("c", "c.fmx", 0.5)]
+    m = DatasetManifest(features=feats, blocks=[(0, 5)], n_rows=5)
+    assert validate_manifest(m) == [
+        "feature sample rates differ ('a' at 0.5 Hz, 'b' at 1 Hz, 'c' at 0.5 Hz); "
+        "equal row counts at different rates cannot be aligned"]
+    feats[1].sample_rate = 0.5
+    assert validate_manifest(m) == []
+    for f, rate in zip(feats, [2, 2.0, 2]):  # an int and a float of one value agree
+        f.sample_rate = rate
+    assert validate_manifest(m) == []
+
+
 def test_manifest_json_roundtrip(tmp_path):
     m = DatasetManifest(
         subjects=[matrixio.SubjectRecord("s1", "s1.fmx")],

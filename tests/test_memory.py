@@ -1,4 +1,4 @@
-"""Peak-memory gates for the streaming stages.
+"""Peak-memory gates for the streaming stages and for ``run``'s levels.
 
 Each command runs in a fresh process that imports everything it needs, notes
 its peak RSS, runs the command and notes the peak again. The growth must stay
@@ -20,6 +20,7 @@ projected gave 2.21x, 3.89x and 1.66x; whole-array versions that held
 full-length spectra or a float64 stereo copy measured 8.3x and 10.7x.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -31,7 +32,10 @@ import pytest
 
 import voxenc
 from voxenc import matrixio
+from voxenc.synthbench import even_blocks
 
+#: Levels of the manifest run in test_run_levels_memory.
+RUN_LEVELS, RUN_LEVEL_COLS = 12, 30
 HRF_MAX_GROWTH = 1.6
 FEATURIZE_MAX_GROWTH = 3.4
 FEATURIZE_6CH_MAX_GROWTH = 1.3
@@ -96,3 +100,35 @@ def test_featurize_spectrogram_6ch_peak_memory(tmp_path):
     growth = _rss_growth_bytes(["featurize", "--wav", str(tmp_path / "audio.wav"),
                                 "--kind", "spectrogram", "--out", str(tmp_path / "spec.fmx")])
     assert growth < FEATURIZE_6CH_MAX_GROWTH * nbytes, growth / nbytes
+
+
+def test_run_levels_memory(tmp_path):
+    """``run`` scores its levels as column prefixes of one feature matrix X.
+
+    A 12-level run (2000 scans x 30 columns per level, 20 targets, 4 blocks)
+    must grow by no more than a 1-level run over the same 360 columns plus
+    X's own size, which the 12-level run holds once more while column-
+    stacking its files. Measured growths (2-vCPU x86-64): 49.7 MB at one
+    level and 79.8 MB at twelve when each level was its own column-stacked
+    copy (O(L^2) columns); 43.9 and 43.8 MB with prefixes of one X.
+    """
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(2000, RUN_LEVELS * RUN_LEVEL_COLS))
+    matrixio.write_matrix(tmp_path / "all.fmx", X)
+    features = []
+    for level in range(RUN_LEVELS):
+        path = f"level{level:02d}.fmx"
+        matrixio.write_matrix(tmp_path / path, X[:, level * RUN_LEVEL_COLS:(level + 1) * RUN_LEVEL_COLS])
+        features.append(matrixio.FeatureRecord(f"level{level:02d}", path, 0.5))
+    matrixio.write_matrix(tmp_path / "sub0.fmx", rng.normal(size=(2000, 20)))
+    matrixio.write_manifest(tmp_path / "manifest.json", matrixio.DatasetManifest(
+        subjects=[matrixio.SubjectRecord("sub0", "sub0.fmx")], features=features,
+        blocks=even_blocks(2000, 4), n_rows=2000, n_targets=20))
+    growth = {}
+    for name, extra in (("levels", {}),
+                        ("one", {"features": [{"name": "all", "path": str(tmp_path / "all.fmx")}]})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path / name),
+                                      "manifest": str(tmp_path / "manifest.json"), **extra}))
+        growth[name] = _rss_growth_bytes(["run", "--config", str(config)])
+    assert growth["levels"] - growth["one"] <= X.nbytes, growth
