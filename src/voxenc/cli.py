@@ -20,7 +20,7 @@ import numpy as np
 from . import contrast as contrast_mod
 from . import ctc as ctc_mod
 from . import dsp, groupstats, hemo, matrixio, report, synthbench
-from .encode import SplitPlan, brain_score, detrend_blocks, make_split_plan
+from .encode import brain_score, detrend_blocks
 
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
@@ -59,11 +59,9 @@ def _load_manifest(path: str | Path) -> matrixio.DatasetManifest:
 
 @dataclass
 class _Dataset:
-    """A checked manifest with its fold plan and its feature files' column-stack X."""
+    """A checked manifest with its feature files' column-stack X."""
 
-    manifest_path: Path
     manifest: matrixio.DatasetManifest
-    plan: SplitPlan
     X: np.ndarray
     ends: list[int]  # feature file i holds the columns of X up to ends[i]
     rows: dict[str, int]  # feature file -> row count
@@ -75,20 +73,36 @@ def _row_mismatch(rows: dict[str, int]) -> str:
             + ", ".join(f"{path} has {n}" for path, n in rows.items()))
 
 
-def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None,
-                  detrend: bool) -> _Dataset:
-    """Read and check a manifest, plan its folds and column-stack its 2-D feature matrices.
+def _load_2d(path: str | Path, kind: str, columns: str) -> np.ndarray:
+    mat = _load(path)
+    if mat.ndim != 2:
+        _fail(EXIT_USAGE, f"{kind} file {path} must be a 2-D scans x {columns} "
+                          f"matrix, got shape {mat.shape}")
+    return mat
+
+
+def _read_response(path: str | Path, rows: dict[str, int]) -> np.ndarray:
+    """A 2-D response with as many rows as the feature files in ``rows``."""
+    y = _load_2d(path, "response", "targets")
+    if y.shape[0] != next(iter(rows.values())):
+        _fail(EXIT_USAGE, _row_mismatch({**rows, str(path): y.shape[0]}))
+    return y
+
+
+def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, detrend: bool,
+                  response_path: str | None = None) -> tuple[_Dataset, np.ndarray | None]:
+    """Read and check a manifest, column-stack its 2-D feature matrices and read ``response_path``.
 
     ``feature_paths`` default to the manifest's own, relative to its directory.
-    Every problem exits 2 with a message naming the file.
+    ``score``'s one response is row-checked against the features before the
+    blocks are, and returned detrended if asked (None without a path). Every
+    problem exits 2 with a message naming the file, before anything is written.
     """
     manifest_path = Path(manifest_path)
     manifest = _load_manifest(manifest_path)
     problems = matrixio.validate_manifest(manifest)
-    try:
-        plan = make_split_plan(manifest.blocks)
-    except ValueError as exc:
-        problems.append(str(exc))
+    if len(manifest.blocks) < 3:
+        problems.append(f"need >= 3 blocks for leave-one-block-out, got {len(manifest.blocks)}")
     if detrend:
         problems += [f"block ({a}, {b}) has {b - a} rows; need >= 3 to detrend"
                      for a, b in manifest.blocks if 0 < b - a < 3]
@@ -98,35 +112,28 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None,
         feature_paths = [str(manifest_path.parent / f.path) for f in manifest.features]
     if not feature_paths:
         _fail(EXIT_USAGE, f"manifest {manifest_path} lists no feature files")
-    features = [_load(path) for path in feature_paths]
-    for path, mat in zip(feature_paths, features):
-        if mat.ndim != 2:
-            _fail(EXIT_USAGE, f"feature file {path} must be a 2-D scans x features "
-                              f"matrix, got shape {mat.shape}")
+    features = [_load_2d(path, "feature", "features") for path in feature_paths]
     rows = {path: mat.shape[0] for path, mat in zip(feature_paths, features)}
     if len(set(rows.values())) > 1:
         _fail(EXIT_USAGE, _row_mismatch(rows))
     ends = np.cumsum([mat.shape[1] for mat in features]).tolist()
     X = features[0] if len(features) == 1 else np.hstack(features)
-    return _Dataset(manifest_path, manifest, plan, X, ends, rows, detrend)
+    del features  # the column-stack is the one copy kept
+    y = None if response_path is None else _read_response(response_path, rows)
+    end = manifest.blocks[-1][1]
+    if X.shape[0] != end:
+        _fail(EXIT_USAGE, f"the blocks of {manifest_path} end at {end}, but the feature files "
+                          f"have {X.shape[0]} rows: {', '.join(feature_paths)}")
+    data = _Dataset(manifest, X, ends, rows, detrend)
+    return data, None if y is None else _detrended(data, y)
 
 
-def _load_response(data: _Dataset, path: str | Path) -> np.ndarray:
-    """One subject's 2-D response, row-checked against ``data`` and detrended if it asks.
+def _detrended(data: _Dataset, y: np.ndarray) -> np.ndarray:
+    """``y`` detrended per block if ``data`` asks, else ``y`` as it is.
 
     A float64 response is detrended in place; a float32 one is detrended in
     its float64 copy. Either way only the returned array outlives the call.
     """
-    y = _load(path)
-    if y.ndim != 2:
-        _fail(EXIT_USAGE, f"response file {path} must be a 2-D scans x targets "
-                          f"matrix, got shape {y.shape}")
-    n_rows = data.X.shape[0]
-    if y.shape[0] != n_rows:
-        _fail(EXIT_USAGE, _row_mismatch({**data.rows, str(path): y.shape[0]}))
-    end = data.manifest.blocks[-1][1]
-    if n_rows != end:
-        _fail(EXIT_USAGE, f"{path} has {n_rows} rows; the blocks of {data.manifest_path} end at {end}")
     if data.detrend:
         y = np.asarray(y, dtype=np.float64)
         detrend_blocks(y, data.manifest.blocks)
@@ -143,7 +150,7 @@ def main() -> None:
 @click.option("--kind", type=click.Choice(["spectrogram", "mel"]), default="spectrogram")
 @click.option("--out", "out_path", required=True)
 @click.option("--n-mels", type=click.IntRange(min=1), default=80, show_default=True)
-@click.option("--mel-variant", type=click.Choice(["slaney", "htk"]), default="slaney")
+@click.option("--mel-variant", type=click.Choice(dsp.MEL_VARIANTS), default=dsp.MEL_VARIANTS[0])
 def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant: str) -> None:
     """Extract spectrogram or mel-filterbank features from audio."""
     if not Path(wav_path).exists():
@@ -156,9 +163,9 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
         # rebinding frees the input-rate signal as soon as the 16 kHz one exists
         audio = dsp.resample_to_mono_16k(audio, rate)
         if kind == "spectrogram":
-            feats = dsp.power_spectrogram(audio, dsp.StftConfig())
+            feats = dsp.power_spectrogram(audio)
         else:
-            feats = dsp.mel_filterbank(audio, dsp.MelConfig(n_mels=n_mels, mel_variant=mel_variant))
+            feats = dsp.mel_filterbank(audio, n_mels, mel_variant)
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
     matrixio.write_matrix(out_path, _finite_output(feats, f"{kind} of {wav_path}"))
@@ -187,13 +194,11 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
     if data.ndim != 2 or data.size == 0:
         _fail(EXIT_USAGE, f"input file {in_path} must be a non-empty 2-D time x features "
                           f"matrix, got shape {data.shape}")
-    try:
-        spec = hemo.ResampleSpec(input_rate, 1.0 / tr, n_scans)
-    except ValueError:
+    if not 1.0 / tr < input_rate:
         _fail(EXIT_USAGE, f"'--tr' {tr:g} s samples at {1.0 / tr:g} Hz, which must be below "
                           f"'--input-rate' {input_rate:g} Hz")
     try:
-        hemo.scan_index(data.shape[0], hemo.glover_hrf(input_rate), spec)
+        hemo.scan_index(data.shape[0], input_rate, n_scans, tr)
     except ValueError as exc:
         _fail(EXIT_USAGE, f"'--n-scans' {n_scans} reaches past {in_path}: {exc}")
     try:
@@ -214,10 +219,9 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
           report_path: str | None, detrend: bool) -> None:
     """Cross-validated ridge brain scores per target."""
-    data = _load_dataset(manifest_path, features.split(","), detrend)
-    Y = _load_response(data, response_path)
+    data, Y = _load_dataset(manifest_path, features.split(","), detrend, response_path)
     try:
-        sm, = brain_score(data.X, Y, data.plan, [slice(None)])
+        sm, = brain_score(data.X, Y, data.manifest.blocks, [slice(None)])
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
     matrixio.write_matrix(out_path, sm.r_mean)
@@ -225,7 +229,7 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
         report.write_report(
             report_path,
             {
-                "stages": {"score": {"n_folds": data.plan.n_folds, "n_targets": sm.n_targets}},
+                "stages": {"score": {"n_folds": len(data.manifest.blocks), "n_targets": sm.n_targets}},
                 "scores": report.summarize_scores(sm.r_mean, data.manifest.rois or None),
                 "contrasts": {},
             },
@@ -410,6 +414,10 @@ def _check_features(features: object) -> None:
     if not isinstance(features, list) or not features or not all(map(valid, features)):
         raise ValueError(f"config key 'features' must be a non-empty list of objects with string "
                          f"name and path and an optional positive sample_rate, got {features!r}")
+    names = [f["name"] for f in features]
+    if len(set(names)) < len(names):
+        raise ValueError(f"config key 'features' must have distinct names: a run's report keys "
+                         f"its levels by name, got {names!r}")
     rates = [f.get("sample_rate", 1.0) for f in features]
     if len(set(rates)) > 1:
         raise ValueError(f"config key 'features' must share one sample_rate: equal row counts at "
@@ -498,7 +506,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     timings["synth"] = time.perf_counter() - t0
 
     features = cfg.get("features")
-    data = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
+    data, _ = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
     names = [f["name"] for f in features] if features else [f.name for f in data.manifest.features]
     if not data.manifest.subjects:
         _fail(EXIT_USAGE, f"manifest {manifest_path} lists no subjects")
@@ -512,8 +520,8 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     prefixes = [slice(end) for end in data.ends]
     per_subject = []
     for sub in data.manifest.subjects:
-        y = _load_response(data, manifest_path.parent / sub.response_path)
-        per_subject.append([sm.r_mean for sm in brain_score(data.X, y, data.plan, prefixes, grid)])
+        y = _detrended(data, _read_response(manifest_path.parent / sub.response_path, data.rows))
+        per_subject.append([sm.r_mean for sm in brain_score(data.X, y, data.manifest.blocks, prefixes, grid)])
     per_subject_scores = np.array(per_subject)  # subjects x levels x targets
     timings["score"] = time.perf_counter() - t0
     n_levels = len(names)

@@ -52,53 +52,18 @@ _MIX_BLOCK = 1 << 17
 _RESAMPLE_BLOCK = 1 << 17
 
 
-@dataclass
-class StftConfig:
-    sample_rate: float = 16000.0
-    window_seconds: float = 0.020
-    stride_seconds: float = 0.010
-    n_fft: int = 320
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window_seconds * self.sample_rate))
-
-    @property
-    def stride_samples(self) -> int:
-        return int(round(self.stride_seconds * self.sample_rate))
-
-    def __post_init__(self) -> None:
-        if self.stride_samples <= 0:
-            raise ValueError("stride must be positive")
-        if self.window_samples < 1:
-            raise ValueError("window must span at least one sample")
-        if self.n_fft < self.window_samples:
-            raise ValueError(f"n_fft={self.n_fft} smaller than window of {self.window_samples} samples")
-
-
-@dataclass
-class MelConfig:
-    sample_rate: float = 16000.0
-    window_seconds: float = 0.025
-    stride_seconds: float = 0.010
-    n_mels: int = 80
-    f_min: float = 0.0
-    f_max: float | None = None  # defaults to Nyquist
-    mel_variant: str = "slaney"
-
-    def __post_init__(self) -> None:
-        if self.f_max is None:
-            self.f_max = self.sample_rate / 2.0
-        if not (0 <= self.f_min < self.f_max <= self.sample_rate / 2.0):
-            raise ValueError(f"need 0 <= f_min < f_max <= nyquist, got [{self.f_min}, {self.f_max}]")
-        if self.n_mels < 1:
-            raise ValueError("n_mels must be >= 1")
-        if self.mel_variant not in ("htk", "slaney"):
-            raise ValueError(f"unknown mel variant {self.mel_variant!r}")
-
-
-def frame_count(n_samples: int, window: int, stride: int) -> int:
-    return (n_samples - window) // stride + 1
+#: The front end's sample rate in Hz: audio is resampled to it before framing.
+SAMPLE_RATE = 16000
+#: Spectrogram frames in samples: a 20 ms Hann window every 10 ms, one FFT per window.
+STFT_WINDOW, STFT_STRIDE, STFT_N_FFT = 320, 160, 320
+#: Mel frames in samples: a 25 ms Hann window every 10 ms, zero-padded to the next
+#: power of two; the filters span 0 Hz up to Nyquist.
+MEL_WINDOW, MEL_STRIDE, MEL_N_FFT = 400, 160, 512
+#: Mel scales ``mel_filterbank`` takes, the default first.
+MEL_VARIANTS = ("slaney", "htk")
+# The slaney scale: linear below 1 kHz at 200/3 Hz per mel, logarithmic above.
+_F_SP, _MIN_LOG_HZ = 200.0 / 3.0, 1000.0
+_MIN_LOG_MEL, _LOGSTEP = _MIN_LOG_HZ / _F_SP, np.log(6.4) / 27.0
 
 
 def _frame(signal: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -120,16 +85,16 @@ def periodic_hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
-def power_spectrogram(signal: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
-    """Squared-magnitude STFT: frames x (n_fft/2 + 1) non-negative powers.
+def power_spectrogram(signal: np.ndarray) -> np.ndarray:
+    """Squared-magnitude STFT of a 16 kHz signal: frames x 161 non-negative powers.
 
-    Hann-windowed frames are zero-padded to n_fft before the FFT.
+    Frames are ``STFT_WINDOW`` samples every ``STFT_STRIDE``, Hann-windowed.
     """
-    cfg = cfg or StftConfig()
-    return _stft_power(signal, cfg)
+    return _stft_power(signal, STFT_WINDOW, STFT_STRIDE, STFT_N_FFT)
 
 
-def _stft_power(signal: np.ndarray, cfg: StftConfig, fb: np.ndarray | None = None) -> np.ndarray:
+def _stft_power(signal: np.ndarray, window: int, stride: int, n_fft: int,
+                fb: np.ndarray | None = None) -> np.ndarray:
     """The power spectrogram, or with ``fb`` its projection ``power @ fb.T``.
 
     Frames are windowed, transformed and squared ``_FRAME_BLOCK`` at a time.
@@ -140,9 +105,9 @@ def _stft_power(signal: np.ndarray, cfg: StftConfig, fb: np.ndarray | None = Non
     differently, and with full blocks the blocked projection equals one
     product of the whole spectrogram bit for bit.
     """
-    frames = _frame(signal, cfg.window_samples, cfg.stride_samples)
-    win = periodic_hann(cfg.window_samples)
-    n_frames, n_bins = frames.shape[0], cfg.n_fft // 2 + 1
+    frames = _frame(signal, window, stride)
+    win = periodic_hann(window)
+    n_frames, n_bins = frames.shape[0], n_fft // 2 + 1
     out = np.empty((n_frames, n_bins if fb is None else fb.shape[0]))
     last = max(0, n_frames // _FRAME_BLOCK - 1) * _FRAME_BLOCK  # first row of the last projection
     power = out if fb is None else np.empty((n_frames - last, n_bins))
@@ -150,7 +115,7 @@ def _stft_power(signal: np.ndarray, cfg: StftConfig, fb: np.ndarray | None = Non
         stop = min(start + _FRAME_BLOCK, n_frames)
         base = 0 if fb is None else min(start, last)  # row of out at power's first row
         rows = power[start - base : stop - base]
-        np.abs(np.fft.rfft(frames[start:stop] * win, n=cfg.n_fft, axis=1), out=rows)
+        np.abs(np.fft.rfft(frames[start:stop] * win, n=n_fft, axis=1), out=rows)
         np.square(rows, out=rows)
         if fb is not None and (stop <= last or stop == n_frames):
             np.matmul(power[: stop - base], fb.T, out=out[base:stop])
@@ -161,12 +126,8 @@ def hz_to_mel(f: np.ndarray | float, variant: str = "slaney") -> np.ndarray | fl
     f = np.asarray(f, dtype=np.float64)
     if variant == "htk":
         return 2595.0 * np.log10(1.0 + f / 700.0)
-    # slaney: linear below 1 kHz, logarithmic above
-    f_sp = 200.0 / 3.0
-    min_log_hz = 1000.0
-    min_log_mel = min_log_hz / f_sp
-    logstep = np.log(6.4) / 27.0
-    mel = np.where(f < min_log_hz, f / f_sp, min_log_mel + np.log(np.maximum(f, min_log_hz) / min_log_hz) / logstep)
+    mel = np.where(f < _MIN_LOG_HZ, f / _F_SP,
+                   _MIN_LOG_MEL + np.log(np.maximum(f, _MIN_LOG_HZ) / _MIN_LOG_HZ) / _LOGSTEP)
     return mel if mel.ndim else float(mel)
 
 
@@ -174,30 +135,26 @@ def mel_to_hz(m: np.ndarray | float, variant: str = "slaney") -> np.ndarray | fl
     m = np.asarray(m, dtype=np.float64)
     if variant == "htk":
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-    f_sp = 200.0 / 3.0
-    min_log_hz = 1000.0
-    min_log_mel = min_log_hz / f_sp
-    logstep = np.log(6.4) / 27.0
-    hz = np.where(m < min_log_mel, m * f_sp, min_log_hz * np.exp(logstep * (m - min_log_mel)))
+    hz = np.where(m < _MIN_LOG_MEL, m * _F_SP, _MIN_LOG_HZ * np.exp(_LOGSTEP * (m - _MIN_LOG_MEL)))
     return hz if hz.ndim else float(hz)
 
 
-def mel_filter_matrix(n_fft: int, cfg: MelConfig) -> np.ndarray:
-    """Triangular filters, shape (n_mels, n_fft//2 + 1).
+def mel_filter_matrix(n_fft: int, n_mels: int, variant: str) -> np.ndarray:
+    """Triangular filters at 16 kHz, shape (n_mels, n_fft//2 + 1).
 
-    Centers are equally spaced on the chosen mel scale; each triangle rises
-    from the previous center to its own and falls to the next.
+    Centers are equally spaced on the chosen mel scale from 0 Hz to Nyquist;
+    each triangle rises from the previous center to its own and falls to the next.
     """
+    if n_mels < 1:
+        raise ValueError("n_mels must be >= 1")
+    if variant not in MEL_VARIANTS:
+        raise ValueError(f"unknown mel variant {variant!r}")
     n_bins = n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * cfg.sample_rate / n_fft
-    mel_pts = np.linspace(
-        hz_to_mel(cfg.f_min, cfg.mel_variant),
-        hz_to_mel(cfg.f_max, cfg.mel_variant),
-        cfg.n_mels + 2,
-    )
-    hz_pts = np.asarray(mel_to_hz(mel_pts, cfg.mel_variant))
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    fft_freqs = np.arange(n_bins) * SAMPLE_RATE / n_fft
+    mel_pts = np.linspace(hz_to_mel(0.0, variant), hz_to_mel(SAMPLE_RATE / 2, variant), n_mels + 2)
+    hz_pts = np.asarray(mel_to_hz(mel_pts, variant))
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         lo, ctr, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (fft_freqs - lo) / max(ctr - lo, 1e-12)
         down = (hi - fft_freqs) / max(hi - ctr, 1e-12)
@@ -205,13 +162,10 @@ def mel_filter_matrix(n_fft: int, cfg: MelConfig) -> np.ndarray:
     return fb
 
 
-def mel_filterbank(signal: np.ndarray, cfg: MelConfig | None = None) -> np.ndarray:
-    """Mel-filterbank energies: frames x n_mels, triangular-weighted powers."""
-    cfg = cfg or MelConfig()
-    window = int(round(cfg.window_seconds * cfg.sample_rate))
-    n_fft = 1 << max(window - 1, 1).bit_length()  # next power of two >= window
-    stft_cfg = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, n_fft)
-    return _stft_power(signal, stft_cfg, mel_filter_matrix(n_fft, cfg))
+def mel_filterbank(signal: np.ndarray, n_mels: int = 80, variant: str = "slaney") -> np.ndarray:
+    """Mel-filterbank energies of a 16 kHz signal: frames x n_mels, triangular-weighted powers."""
+    return _stft_power(signal, MEL_WINDOW, MEL_STRIDE, MEL_N_FFT,
+                       mel_filter_matrix(MEL_N_FFT, n_mels, variant))
 
 
 def mix_to_mono(signal: np.ndarray) -> np.ndarray:
@@ -349,15 +303,14 @@ def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
 
     Output length is ceil(len * 16000 / rate). Upsampling is refused.
     """
-    target = 16000
-    if rate < target:
+    if rate < SAMPLE_RATE:
         raise ValueError(f"upsampling from {rate} Hz is not supported")
     sig = mix_to_mono(signal)
-    if rate == target:
+    if rate == SAMPLE_RATE:
         return sig
     rate_i = int(round(rate))
-    g = math.gcd(target, rate_i)
-    return _resample_poly(sig, target // g, rate_i // g)
+    g = math.gcd(SAMPLE_RATE, rate_i)
+    return _resample_poly(sig, SAMPLE_RATE // g, rate_i // g)
 
 
 class WavError(ValueError):

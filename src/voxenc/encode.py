@@ -86,24 +86,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
-class SplitPlan:
-    """Leave-one-block-out folds: (train_block_ids, test_block_ids) pairs."""
-
-    folds: list[tuple[list[int], list[int]]]
-    blocks: list[tuple[int, int]]
-
-    @property
-    def n_folds(self) -> int:
-        return len(self.folds)
-
-    def fold_rows(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        train_ids, test_ids = self.folds[fold]
-        train = np.concatenate([np.arange(*self.blocks[b]) for b in train_ids])
-        test = np.concatenate([np.arange(*self.blocks[b]) for b in test_ids])
-        return train, test
-
-
-@dataclass
 class RidgeFit:
     weights: np.ndarray  # d_x x d_y
     chosen_lambda: np.ndarray  # per target
@@ -147,15 +129,6 @@ def detrend_blocks(y: np.ndarray, blocks: list[tuple[int, int]]) -> None:
         basis = np.column_stack([np.ones(n), t])
         coef, *_ = np.linalg.lstsq(basis, y[a:b], rcond=None)
         y[a:b] -= basis @ coef
-
-
-def make_split_plan(blocks: list[tuple[int, int]]) -> SplitPlan:
-    """One fold per block: test on it, train on all others."""
-    if len(blocks) < 3:
-        raise ValueError(f"need >= 3 blocks for leave-one-block-out, got {len(blocks)}")
-    n = len(blocks)
-    folds = [([j for j in range(n) if j != i], [i]) for i in range(n)]
-    return SplitPlan(folds, list(blocks))
 
 
 def standardize(
@@ -395,26 +368,31 @@ def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.nda
 def brain_score(
     X: np.ndarray,
     Y: np.ndarray,
-    plan: SplitPlan,
+    blocks: list[tuple[int, int]],
     sets: list[slice],
     grid: np.ndarray | None = None,
 ) -> list[ScoreMap]:
     """Cross-validated encoding score per target, one ``ScoreMap`` per column slice in ``sets``.
 
-    Per fold: standardize X and Y on the train rows once; for each set, fit
-    ridge with per-target LOO lambda selection on its columns, predict the
-    held-out block and correlate per target. Standardizing is column-wise, so
-    a set scores bit for bit as its columns alone. A score is the mean of the
-    per-fold correlations.
+    Fold k of the >= 3 half-open row ranges in ``blocks`` tests on block k and
+    trains on the others in order. Per fold: standardize X and Y on the train
+    rows once; for each set, fit ridge with per-target LOO lambda selection on
+    its columns, predict the held-out block and correlate per target.
+    Standardizing is column-wise, so a set scores bit for bit as its columns
+    alone. A score is the mean of the per-fold correlations.
     """
+    if len(blocks) < 3:
+        raise ValueError(f"need >= 3 blocks for leave-one-block-out, got {len(blocks)}")
     Xd = np.asarray(X, dtype=np.float64)
     Yd = np.asarray(Y, dtype=np.float64)
     if Xd.shape[0] != Yd.shape[0]:
         raise ValueError(f"X has {Xd.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
-    r_per_fold = np.zeros((len(sets), plan.n_folds, Yd.shape[1]))
+    r_per_fold = np.zeros((len(sets), len(blocks), Yd.shape[1]))
     flagged = np.zeros((len(sets), Yd.shape[1]), dtype=bool)
-    for k in range(plan.n_folds):
-        tr, te = plan.fold_rows(k)
+    for k in range(len(blocks)):
+        # rows per fold: index arrays kept across folds doubled the loop's page faults (glibc heap)
+        tr = np.concatenate([np.arange(a, b) for j, (a, b) in enumerate(blocks) if j != k])
+        te = np.arange(*blocks[k])
         Xtr, Xte, _, _ = standardize(Xd[tr], Xd[te])
         Ytr, Yte, _, _ = standardize(Yd[tr], Yd[te])
         for j, cols in enumerate(sets):

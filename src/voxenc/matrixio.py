@@ -220,6 +220,9 @@ def validate_manifest(manifest: DatasetManifest) -> list[str]:
     rates = [(f.name, f.sample_rate) for f in manifest.features if positive_rate(f.sample_rate)]
     violations += [f"feature {f.name!r}: sample_rate {f.sample_rate!r} is not a positive finite number"
                    for f in manifest.features if not positive_rate(f.sample_rate)]
+    names = [f.name for f in manifest.features]
+    violations += [f"feature name {n!r} is used {names.count(n)} times; a run's report keys its levels by name"
+                   for i, n in enumerate(names) if names.count(n) > 1 and names.index(n) == i]
     if len({rate for _, rate in rates}) > 1:
         listed = ", ".join(f"{name!r} at {rate:g} Hz" for name, rate in rates)
         violations.append(f"feature sample rates differ ({listed}); equal row counts at different "

@@ -23,7 +23,11 @@ def validate_report(doc: dict) -> list[str]:
 
 
 def write_report(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` with the schema version; raises ValueError, writing nothing, if it is invalid."""
     doc = {"schema_version": REPORT_SCHEMA_VERSION, **doc}
+    problems = validate_report(doc)
+    if problems:
+        raise ValueError(f"report {path}: " + "; ".join(problems))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

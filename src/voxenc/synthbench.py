@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import delta_vs_baseline
-from .encode import SplitPlan, brain_score, make_split_plan
+from .encode import brain_score
 from .hemo import MIN_OVERSAMPLE_HZ, hrf_align
 from .rng import CounterRng
 
@@ -60,10 +60,6 @@ def even_blocks(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
     """Split rows into n_blocks contiguous near-equal ranges."""
     edges = np.linspace(0, n_rows, n_blocks + 1).round().astype(int)
     return [(int(edges[i]), int(edges[i + 1])) for i in range(n_blocks)]
-
-
-def default_plan(cfg: SynthConfig) -> SplitPlan:
-    return make_split_plan(even_blocks(cfg.n_scans, cfg.n_blocks))
 
 
 def _activations(cfg: SynthConfig, seed: int) -> np.ndarray:
@@ -127,8 +123,8 @@ class Cohort:
         X = np.hstack(self.features)
         edges = np.cumsum([0] + [x.shape[1] for x in self.features])
         sets = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        plan = default_plan(self.cfg)
-        return np.array([[sm.r_mean for sm in brain_score(X, y, plan, sets, grid)]
+        blocks = even_blocks(self.cfg.n_scans, self.cfg.n_blocks)
+        return np.array([[sm.r_mean for sm in brain_score(X, y, blocks, sets, grid)]
                          for y, _ in self.subjects()])
 
 

@@ -13,12 +13,11 @@ from scipy.stats import rankdata
 
 from voxenc.contrast import delta_layerwise
 from voxenc.ctc import CtcInstance, ctc_log_likelihood
-from voxenc.encode import DEFAULT_LAMBDA_GRID, brain_score, make_split_plan
+from voxenc.encode import DEFAULT_LAMBDA_GRID, brain_score
 from voxenc.groupstats import fdr_bh, group_test, wilcoxon_signed_rank
-from voxenc.hemo import ResampleSpec, convolve_downsample, glover_hrf
+from voxenc.hemo import glover_hrf, hrf_align
 from voxenc.synthbench import (
     SynthConfig,
-    default_plan,
     even_blocks,
     gen_null_cohort,
     gen_replica_cohort,
@@ -144,7 +143,8 @@ def test_criterion_6_snr_recovery():
     cfg = SynthConfig(n_time_activation=30200, n_scans=300, n_features=5,
                       n_targets=200, snr=1.0, seed=106)
     ds = gen_linear_dataset(cfg)
-    sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg), [slice(None)])[0]
+    sm = brain_score(ds.features_at_tr, ds.response, even_blocks(cfg.n_scans, cfg.n_blocks),
+                     [slice(None)])[0]
     target = np.sqrt(0.5)  # analytic corr of signal-plus-noise at snr=1
     assert abs(sm.r_mean.mean() - target) <= 0.05
     _report(6, "SNR recovery", f"mean r {sm.r_mean.mean():.4f} vs {target:.4f}")
@@ -152,19 +152,20 @@ def test_criterion_6_snr_recovery():
 
 def test_criterion_7_hrf_behavior():
     kernel = glover_hrf(1000.0)
-    t_peak = np.argmax(kernel.samples) / 1000.0
+    t_peak = np.argmax(kernel) / 1000.0
     assert 4.5 <= t_peak <= 6.5
-    peak = int(np.argmax(kernel.samples))
-    assert kernel.samples[peak:].min() < 0
-    # linearity of the convolution+downsample pipeline
+    peak = int(np.argmax(kernel))
+    assert kernel[peak:].min() < 0
+    # linearity of the convolution+downsample pipeline, at 50 Hz read every 2 s
     rng = np.random.default_rng(107)
-    k50 = glover_hrf(50.0)
-    spec = ResampleSpec(50.0, 0.5, 12)
     a_mat = rng.normal(size=(3000, 4))
     b_mat = rng.normal(size=(3000, 4))
-    lhs = convolve_downsample(2.0 * a_mat + 3.0 * b_mat, k50, spec)
-    rhs = (2.0 * convolve_downsample(a_mat, k50, spec)
-           + 3.0 * convolve_downsample(b_mat, k50, spec))
+
+    def convolve(data):
+        return hrf_align(data, 50.0, 12, 2.0, normalize=False)
+
+    lhs = convolve(2.0 * a_mat + 3.0 * b_mat)
+    rhs = 2.0 * convolve(a_mat) + 3.0 * convolve(b_mat)
     lin_err = np.abs(lhs - rhs).max()
     assert lin_err < 1e-12
     _report(7, "HRF behavior", f"peak {t_peak:.2f}s, linearity err {lin_err:.1e}")
@@ -196,14 +197,14 @@ def test_criterion_10_performance_and_thread_identity():
     rng = np.random.default_rng(110)
     X = rng.normal(size=(800, 500))
     Y = rng.normal(size=(800, 10000))
-    plan = make_split_plan(even_blocks(800, 12))
+    blocks = even_blocks(800, 12)
     t0 = time.perf_counter()
-    sm1 = brain_score(X, Y, plan, [slice(None)])[0]
+    sm1 = brain_score(X, Y, blocks, [slice(None)])[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
     # byte-identical at a fixed BLAS thread count; across thread counts see
     # test_encode.test_scores_across_blas_thread_counts
-    sm2 = brain_score(X, Y, plan, [slice(None)])[0]
+    sm2 = brain_score(X, Y, blocks, [slice(None)])[0]
     assert np.array_equal(sm1.r_per_fold, sm2.r_per_fold)
     assert np.array_equal(sm1.r_mean, sm2.r_mean)
     _report(10, "performance + thread identity",

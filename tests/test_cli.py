@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import voxenc
 from voxenc import groupstats, matrixio, report, synthbench
 from voxenc.cli import main
-from voxenc.encode import brain_score, make_split_plan
+from voxenc.encode import brain_score
 
 
 @pytest.fixture
@@ -64,9 +64,8 @@ def test_null_files_score_like_gen_null_cohort(runner, tmp_path):
     expected = synthbench.gen_null_cohort(synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7))
     manifest = matrixio.read_manifest(out / "manifest.json")
     X = matrixio.read_matrix(out / "features.fmx")
-    plan = make_split_plan(manifest.blocks)
     for i, record in enumerate(manifest.subjects):
-        r = brain_score(X, matrixio.read_matrix(out / record.response_path), plan,
+        r = brain_score(X, matrixio.read_matrix(out / record.response_path), manifest.blocks,
                         [slice(None)])[0].r_mean
         assert _same_bits(r, expected[i])
 
@@ -169,6 +168,7 @@ def test_score_feature_shape_errors_exit_2(runner, tmp_path):
 @pytest.mark.parametrize("blocks, needle", [
     ([[0, 30], [30, 60]], "need >= 3 blocks"),
     ([[0, 30], [30, 50], [50, 70]], "end at 70"),  # past the files' 60 rows
+    ([[0, 30], [30, 45], [45, 58]], "end at 58, but the feature files have 60 rows"),
 ])
 def test_score_bad_blocks_exit_2(runner, tmp_path, blocks, needle):
     out = _synth_dir(runner, tmp_path, "linear")
@@ -590,6 +590,8 @@ class TestRun:
                        {"name": "b", "path": "b.fmx", "sample_rate": 1.0}]}, "share one sample_rate"),
         ({"features": [{"name": "a", "path": "a.fmx"},
                        {"name": "b", "path": "b.fmx", "sample_rate": 0.5}]}, "[1.0, 0.5]"),
+        ({"features": [{"name": "m", "path": "a.fmx"}, {"name": "m", "path": "b.fmx"}]},
+         "distinct names"),
     ])
     def test_bad_config_value_exit_2(self, runner, tmp_path, change, needle):
         path, cfg = self._config(tmp_path)
@@ -625,7 +627,7 @@ class TestRun:
 
     @pytest.mark.parametrize("case", ["malformed", "overlap", "two_blocks", "short_block",
                                       "no_features", "no_subjects", "feature_rows", "flat_response",
-                                      "feature_rates"])
+                                      "feature_rates", "feature_names", "blocks_end"])
     def test_bad_manifest_run_input_exit_2(self, runner, tmp_path, case):
         data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
         doc = json.loads((data / "manifest.json").read_text())
@@ -659,6 +661,16 @@ class TestRun:
         elif case == "feature_rates":
             doc["features"][1]["sample_rate"] = 1.0
             needles = [str(manifest), "feature sample rates differ"]
+        elif case == "feature_names":
+            doc["features"].append(dict(doc["features"][0]))
+            for f in doc["features"]:
+                f["name"] = "m"
+            needles = [str(manifest), "feature name 'm' is used 3 times"]
+        elif case == "blocks_end":  # the files have 60 rows
+            blocks[-1][1] = 58
+            del doc["n_rows"]
+            needles = [f"the blocks of {manifest} end at 58", "feature files have 60 rows",
+                       str(data / "features_a.fmx"), str(data / "features_b.fmx")]
         else:  # the fourth subject's response is 1-D: found mid-run, after out_dir exists
             matrixio.write_matrix(data / "flat.fmx", matrixio.read_matrix(data / "sub003.fmx")[:, 0])
             doc["subjects"][3]["response"] = "flat.fmx"
@@ -711,6 +723,8 @@ _BAD_RUN_VALUES = {
         st.lists(st.floats(0.1, 10), min_size=2, max_size=3, unique=True).map(  # rates differ
             lambda rates: [{"name": f"f{i}", "path": f"f{i}.fmx", "sample_rate": r}
                            for i, r in enumerate(rates)]),
+        st.tuples(st.text(max_size=5), st.integers(2, 3)).map(  # one name repeated
+            lambda nk: [{"name": nk[0], "path": f"f{i}.fmx"} for i in range(nk[1])]),
     ),
     "synth": st.one_of(
         _NOT_A_NUMBER,
@@ -751,6 +765,15 @@ def test_report_schema_validation():
     good = {"schema_version": report.REPORT_SCHEMA_VERSION, "stages": {}, "scores": {}, "contrasts": {}}
     assert report.validate_report(good) == []
     assert report.validate_report({"stages": {}}) != []
+
+
+def test_write_report_refuses_invalid_doc(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=r"missing keys: \['scores'\]"):
+        report.write_report(path, {"stages": {}, "contrasts": {}})
+    assert not path.exists()
+    report.write_report(path, {"stages": {}, "scores": {}, "contrasts": {}})
+    assert report.validate_report(json.loads(path.read_text())) == []
 
 
 def test_bar_chart_svg_structure():

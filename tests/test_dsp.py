@@ -4,31 +4,31 @@ import numpy as np
 import pytest
 
 from voxenc import dsp
-from voxenc.dsp import MelConfig, StftConfig
 
 from support import read_through_fifo
 
 
+def _frame_count(n_samples, window, stride):
+    return (n_samples - window) // stride + 1
+
+
 def test_zero_signal_zero_spectrogram():
-    out = dsp.power_spectrogram(np.zeros(1000), StftConfig())
+    out = dsp.power_spectrogram(np.zeros(1000))
     assert np.all(out == 0)
 
 
 def test_spectrogram_shape_16k_20ms():
-    cfg = StftConfig()
-    out = dsp.power_spectrogram(np.random.default_rng(0).normal(size=16000), cfg)
-    assert cfg.window_samples == 320
+    out = dsp.power_spectrogram(np.random.default_rng(0).normal(size=16000))
     assert out.shape[1] == 161
-    assert out.shape[0] == dsp.frame_count(16000, 320, 160)
+    assert out.shape[0] == _frame_count(16000, 320, 160)
 
 
 def test_sine_peak_bin_matches_direct_dft():
     # bin k of a 320-point FFT at 16 kHz sits at k*50 Hz; use k=20 -> 1 kHz
-    cfg = StftConfig()
     k = 20
     t = np.arange(16000) / 16000.0
     sig = np.sin(2 * np.pi * (k * 50.0) * t)
-    spec = dsp.power_spectrogram(sig, cfg)
+    spec = dsp.power_spectrogram(sig)
     assert np.all(np.argmax(spec, axis=1) == k)
     # independent oracle: direct DFT of one windowed frame
     frame = sig[:320] * np.hanning(321)[:320]
@@ -55,7 +55,7 @@ def test_spectrogram_power_scaling():
 
 def test_signal_too_short():
     with pytest.raises(ValueError, match="shorter than one"):
-        dsp.power_spectrogram(np.zeros(100), StftConfig())
+        dsp.power_spectrogram(np.zeros(100))
 
 
 def test_mel_origin_both_variants():
@@ -75,22 +75,27 @@ def test_mel_hz_inverse():
 
 
 def test_zero_signal_zero_filterbank():
-    out = dsp.mel_filterbank(np.zeros(2000), MelConfig())
+    out = dsp.mel_filterbank(np.zeros(2000))
     assert np.all(out == 0)
     assert out.shape[1] == 80
 
 
 def test_mel_filter_matrix_properties():
-    cfg = MelConfig()
-    fb = dsp.mel_filter_matrix(512, cfg)
+    fb = dsp.mel_filter_matrix(512, 80, "slaney")
     assert np.all(fb >= 0)
     # each triangle's max sits at the bin nearest its center frequency
-    mel_pts = np.linspace(dsp.hz_to_mel(cfg.f_min), dsp.hz_to_mel(cfg.f_max), cfg.n_mels + 2)
+    mel_pts = np.linspace(dsp.hz_to_mel(0.0), dsp.hz_to_mel(8000.0), 80 + 2)
     centers = np.asarray(dsp.mel_to_hz(mel_pts))[1:-1]
-    fft_freqs = np.arange(257) * cfg.sample_rate / 512
-    for m in range(cfg.n_mels):
+    fft_freqs = np.arange(257) * 16000.0 / 512
+    for m in range(80):
         peak_bin = np.argmax(fb[m])
-        assert abs(fft_freqs[peak_bin] - centers[m]) <= cfg.sample_rate / 512
+        assert abs(fft_freqs[peak_bin] - centers[m]) <= 16000.0 / 512
+
+
+@pytest.mark.parametrize("n_mels, variant, needle", [(0, "slaney", "n_mels"), (80, "mel", "variant")])
+def test_mel_filter_matrix_bad_arguments(n_mels, variant, needle):
+    with pytest.raises(ValueError, match=needle):
+        dsp.mel_filter_matrix(512, n_mels, variant)
 
 
 def test_resample_identity_rate():
@@ -115,7 +120,7 @@ def test_resample_spectral_peak():
     t = np.arange(rate * 2) / rate
     sig = np.sin(2 * np.pi * 1000.0 * t)
     out = dsp.resample_to_mono_16k(sig, rate)
-    spec = dsp.power_spectrogram(out, StftConfig()).mean(axis=0)
+    spec = dsp.power_spectrogram(out).mean(axis=0)
     peak_hz = np.argmax(spec) * 16000 / 320
     assert abs(peak_hz - 1000.0) <= 50.0  # within one bin
 
@@ -136,34 +141,30 @@ def test_wav_roundtrip(tmp_path):
     assert np.allclose(sig, pcm / 32768.0)
 
 
-def _whole_array_power(sig, cfg):
+def _whole_array_power(sig, window, stride, n_fft):
     # the unblocked formula: gather every frame, window, transform, square
-    window, stride = cfg.window_samples, cfg.stride_samples
-    n = dsp.frame_count(len(sig), window, stride)
+    n = _frame_count(len(sig), window, stride)
     idx = np.arange(window)[None, :] + stride * np.arange(n)[:, None]
-    return np.abs(np.fft.rfft(sig[idx] * dsp.periodic_hann(window), n=cfg.n_fft, axis=1)) ** 2
+    return np.abs(np.fft.rfft(sig[idx] * dsp.periodic_hann(window), n=n_fft, axis=1)) ** 2
 
 
 @pytest.mark.parametrize("n_frames", [dsp._FRAME_BLOCK - 1, dsp._FRAME_BLOCK, dsp._FRAME_BLOCK + 1])
 def test_spectrogram_frame_blocks_match_whole_array(n_frames):
-    cfg = StftConfig()
-    n_samples = (n_frames - 1) * cfg.stride_samples + cfg.window_samples + 7  # 7 unused tail samples
+    n_samples = (n_frames - 1) * 160 + 320 + 7  # 7 unused tail samples
     sig = np.random.default_rng(n_frames).normal(size=n_samples)
-    out = dsp.power_spectrogram(sig, cfg)
+    out = dsp.power_spectrogram(sig)
     assert out.shape[0] == n_frames
-    assert out.tobytes() == _whole_array_power(sig, cfg).tobytes()
+    assert out.tobytes() == _whole_array_power(sig, 320, 160, 320).tobytes()
 
 
 @pytest.mark.parametrize("n_frames", [dsp._FRAME_BLOCK - 1, dsp._FRAME_BLOCK, dsp._FRAME_BLOCK + 1,
                                       2 * dsp._FRAME_BLOCK, 3 * dsp._FRAME_BLOCK - 1])
 def test_mel_frame_blocks_match_whole_array(n_frames):
-    cfg = MelConfig()
-    stft = StftConfig(cfg.sample_rate, cfg.window_seconds, cfg.stride_seconds, 512)
-    n_samples = (n_frames - 1) * stft.stride_samples + stft.window_samples
+    n_samples = (n_frames - 1) * 160 + 400
     sig = np.random.default_rng(n_frames).normal(size=n_samples)
-    out = dsp.mel_filterbank(sig, cfg)
+    out = dsp.mel_filterbank(sig)
     assert out.shape[0] == n_frames
-    want = _whole_array_power(sig, stft) @ dsp.mel_filter_matrix(512, cfg).T
+    want = _whole_array_power(sig, 400, 160, 512) @ dsp.mel_filter_matrix(512, 80, "slaney").T
     assert out.tobytes() == want.tobytes()
 
 
@@ -171,7 +172,7 @@ def test_frames_are_a_view():
     sig = np.arange(1000.0)
     frames = dsp._frame(sig, 320, 160)
     assert np.shares_memory(frames, sig)
-    assert frames.shape == (dsp.frame_count(1000, 320, 160), 320)
+    assert frames.shape == (_frame_count(1000, 320, 160), 320)
     assert np.array_equal(frames[2], sig[320:640])
 
 

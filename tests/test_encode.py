@@ -21,11 +21,10 @@ from voxenc.encode import (
     _svd_path,
     brain_score,
     detrend_blocks,
-    make_split_plan,
     ridge_solve,
     standardize,
 )
-from voxenc.synthbench import SynthConfig, build_cohort, default_plan, even_blocks
+from voxenc.synthbench import SynthConfig, build_cohort, even_blocks
 
 from oracles import loo_residuals, ridge_closed_form
 from support import gen_linear_dataset
@@ -76,22 +75,30 @@ class TestDetrend:
             detrend_blocks(y, [(0, 5), (5, 10)])
 
 
-class TestSplitPlan:
-    def test_12_blocks_12_folds(self):
+class TestFolds:
+    """``brain_score``'s leave-one-block-out folds."""
+
+    def test_fold_k_tests_block_k_and_trains_on_the_rest_in_order(self):
         blocks = [(5 * i, 5 * (i + 1)) for i in range(12)]
-        plan = make_split_plan(blocks)
-        assert plan.n_folds == 12
-        for train_ids, test_ids in plan.folds:
-            assert len(test_ids) == 1
-            assert set(train_ids) | set(test_ids) == set(range(12))
-            assert set(train_ids) & set(test_ids) == set()
-        tested = [t for _, te in plan.folds for t in te]
-        assert sorted(tested) == list(range(12))
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(60, 3))
+        Y = rng.normal(size=(60, 4)) + X @ rng.normal(size=(3, 4))
+        sm, = brain_score(X, Y, blocks, [slice(None)])
+        assert sm.r_per_fold.shape == (12, 4)
+        for k, (a, b) in enumerate(blocks):
+            tr = np.concatenate([np.arange(0, a), np.arange(b, 60)])
+            Xtr, Xte, _, _ = standardize(X[tr], X[a:b])
+            Ytr, Yte, _, _ = standardize(Y[tr], Y[a:b])
+            r, _ = _pearson_columns(Yte, Xte @ ridge_solve(Xtr, Ytr).weights)
+            assert r.tobytes() == sm.r_per_fold[k].tobytes()
 
     def test_minimum_three_blocks(self):
-        assert make_split_plan([(0, 3), (3, 6), (6, 9)]).n_folds == 3
-        with pytest.raises(ValueError):
-            make_split_plan([(0, 3), (3, 6)])
+        rng = np.random.default_rng(15)
+        X, Y = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+        sm, = brain_score(X, Y, [(0, 3), (3, 6), (6, 9)], [slice(None)])
+        assert sm.r_per_fold.shape[0] == 3
+        with pytest.raises(ValueError, match="need >= 3 blocks for leave-one-block-out, got 2"):
+            brain_score(X, Y, [(0, 3), (3, 9)], [slice(None)])
 
 
 class TestStandardize:
@@ -263,13 +270,13 @@ class TestScreenedSelection:
         cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8, n_targets=1000,
                           n_subjects=1, seed=3)
         cohort = build_cohort("replica", cfg)
-        plan = default_plan(cfg)
+        blocks = even_blocks(cfg.n_scans, cfg.n_blocks)
         y, _ = next(cohort.subjects())
         y = np.array(y, dtype=np.float64)
-        detrend_blocks(y, plan.blocks)
+        detrend_blocks(y, blocks)
         for X in (cohort.features[0], np.hstack(cohort.features)):  # p = 8 and 16
-            for fold in range(plan.n_folds):
-                tr, _ = plan.fold_rows(fold)
+            for a, b in blocks:
+                tr = np.r_[0:a, b:cfg.n_scans]
                 Xtr, _, _, _ = standardize(X[tr])
                 Ytr, _, _, _ = standardize(y[tr])
                 _assert_screen_exact(Xtr, Ytr)
@@ -385,33 +392,33 @@ class TestBrainScore:
         cfg = SynthConfig(n_time_activation=30200, n_scans=300, n_features=8,
                           n_targets=12, snr=None, seed=3)
         ds = gen_linear_dataset(cfg)
-        sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg), [slice(None)])[0]
+        sm = brain_score(ds.features_at_tr, ds.response, even_blocks(cfg.n_scans, cfg.n_blocks),
+                         [slice(None)])[0]
         assert np.all(sm.r_mean >= 0.999)
 
     def test_null_scores_near_zero(self):
         cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8,
                           n_targets=500, snr=0.0, seed=9)
         ds = gen_linear_dataset(cfg)
-        sm = brain_score(ds.features_at_tr, ds.response, default_plan(cfg), [slice(None)])[0]
+        sm = brain_score(ds.features_at_tr, ds.response, even_blocks(cfg.n_scans, cfg.n_blocks),
+                         [slice(None)])[0]
         assert abs(sm.r_mean.mean()) < 0.05
 
     def test_row_mismatch(self):
-        plan = make_split_plan(even_blocks(30, 3))
         with pytest.raises(ValueError, match="align"):
-            brain_score(np.zeros((30, 2)), np.zeros((29, 2)), plan, [slice(None)])
+            brain_score(np.zeros((30, 2)), np.zeros((29, 2)), even_blocks(30, 3), [slice(None)])
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(10)
-        plan = make_split_plan(even_blocks(40, 4))
-        sm = brain_score(rng.normal(size=(40, 3)), rng.normal(size=(40, 6)), plan, [slice(None)])[0]
+        sm = brain_score(rng.normal(size=(40, 3)), rng.normal(size=(40, 6)), even_blocks(40, 4),
+                         [slice(None)])[0]
         assert np.all(sm.r_per_fold <= 1.0) and np.all(sm.r_per_fold >= -1.0)
 
     def test_no_leakage_from_test_rows(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 4))
         Y = rng.normal(size=(40, 3))
-        plan = make_split_plan(even_blocks(40, 4))
-        tr, te = plan.fold_rows(0)
+        tr, te = np.arange(10, 40), np.arange(0, 10)  # fold 0 of even_blocks(40, 4)
         Y_perm = Y.copy()
         Y_perm[te] = Y_perm[te][::-1]
         from voxenc.encode import standardize as stdz
@@ -437,8 +444,8 @@ class TestColumnSets:
     @pytest.mark.parametrize("layout", ["prefixes", "disjoint", "non_contiguous"])
     def test_sets_equal_one_set_calls(self, shape, layout):
         n, n_blocks, width = self.SHAPES[shape]
-        plan = make_split_plan(even_blocks(n, n_blocks))
-        n_train = len(plan.fold_rows(0)[0])
+        blocks = even_blocks(n, n_blocks)
+        n_train = n - blocks[0][1]
         assert _screen_pays(n_train, width) == _screen_pays(n_train, 2 * width) == (shape == "screened")
         rng = np.random.default_rng(13)
         X = rng.normal(size=(n, 2 * width))
@@ -451,10 +458,10 @@ class TestColumnSets:
             sets = [slice(0, width), slice(width, 2 * width)]
         else:
             sets = [slice(width), slice(2 * width)]
-        together = brain_score(X, Y, plan, sets)
+        together = brain_score(X, Y, blocks, sets)
         assert len(together) == len(sets)
         for cols, sm in zip(sets, together):
-            alone, = brain_score(np.ascontiguousarray(X[:, cols]), Y, plan, [slice(None)])
+            alone, = brain_score(np.ascontiguousarray(X[:, cols]), Y, blocks, [slice(None)])
             assert sm.r_per_fold.tobytes() == alone.r_per_fold.tobytes()
             assert sm.r_mean.tobytes() == alone.r_mean.tobytes()
             assert np.array_equal(sm.undefined, alone.undefined)
@@ -466,17 +473,17 @@ class TestColumnSets:
 _SCORE_CHILD = """
 import sys
 import numpy as np
-from voxenc.encode import brain_score, make_split_plan
+from voxenc.encode import brain_score
 from voxenc.synthbench import even_blocks
 
 rng = np.random.default_rng(12)
 X = rng.normal(size=(400, 300))
 Y = rng.normal(size=(400, 2500))
-wide = brain_score(X, Y, make_split_plan(even_blocks(400, 4)), [slice(None)])[0].r_per_fold
+wide = brain_score(X, Y, even_blocks(400, 4), [slice(None)])[0].r_per_fold
 # the screened shape: n = 110, p = 8 per fold
 X = rng.normal(size=(120, 8))
 Y = rng.normal(size=(120, 1000)) + X @ rng.normal(size=(8, 1000)) * rng.uniform(0, 1, 1000)
-narrow = brain_score(X, Y, make_split_plan(even_blocks(120, 12)), [slice(None)])[0].r_per_fold
+narrow = brain_score(X, Y, even_blocks(120, 12), [slice(None)])[0].r_per_fold
 np.savez(sys.argv[1], wide=wide, narrow=narrow)
 """
 

@@ -205,6 +205,18 @@ def test_manifest_feature_rates_must_agree():
     assert validate_manifest(m) == []
 
 
+def test_manifest_feature_names_must_differ():
+    feats = [matrixio.FeatureRecord(name, f"{i}.fmx", 0.5)
+             for i, name in enumerate(["m", "a", "m", ["x"], "m", ["x"]])]
+    m = DatasetManifest(features=feats, blocks=[(0, 5)], n_rows=5)
+    assert validate_manifest(m) == [
+        "feature name 'm' is used 3 times; a run's report keys its levels by name",
+        "feature name ['x'] is used 2 times; a run's report keys its levels by name"]
+    for f, name in zip(feats, "mabcde"):
+        f.name = name
+    assert validate_manifest(m) == []
+
+
 def test_manifest_json_roundtrip(tmp_path):
     m = DatasetManifest(
         subjects=[matrixio.SubjectRecord("s1", "s1.fmx")],

@@ -4,7 +4,6 @@ import pytest
 from voxenc.rng import CounterRng
 from voxenc.synthbench import (
     SynthConfig,
-    default_plan,
     even_blocks,
     gen_null_cohort,
     gen_replica_cohort,
