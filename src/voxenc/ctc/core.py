@@ -52,22 +52,28 @@ def min_frames(targets: list[int]) -> int:
 
 
 def forward_log_likelihood(log_probs: np.ndarray, extended: np.ndarray) -> float:
-    """Alpha recursion over the blank-extended targets; total log-likelihood."""
+    """Alpha recursion over the blank-extended targets; total log-likelihood.
+
+    alpha lives in a buffer behind two -inf slots, so the previous-state and
+    skip-transition terms are views of it, and every step writes into
+    buffers made once.
+    """
     T = log_probs.shape[0]
     S = extended.shape[0]
-    alpha = np.full(S, -np.inf)
-    alpha[0] = log_probs[0, extended[0]]
-    if S > 1:
-        alpha[1] = log_probs[0, extended[1]]
+    emit = log_probs[:, extended]
+    buf = np.full(S + 2, -np.inf)
+    alpha, prev, skip_from = buf[2:], buf[1:-1], buf[:-2]
+    alpha[:2] = emit[0, :2]
     # skip transition s-2 -> s is legal only onto a label differing from l'[s-2]
     can_skip = np.zeros(S, dtype=bool)
     can_skip[2:] = (extended[2:] != BLANK) & (extended[2:] != extended[:-2])
+    skip = np.full(S, -np.inf)  # stays -inf wherever the skip is illegal
+    total = np.empty(S)
     for t in range(1, T):
-        stay = alpha
-        prev = np.concatenate(([-np.inf], alpha[:-1]))
-        skip = np.concatenate(([-np.inf, -np.inf], alpha[:-2]))
-        skip = np.where(can_skip, skip, -np.inf)
-        alpha = np.logaddexp(np.logaddexp(stay, prev), skip) + log_probs[t, extended]
+        np.copyto(skip, skip_from, where=can_skip)
+        np.logaddexp(alpha, prev, out=total)
+        np.logaddexp(total, skip, out=total)
+        np.add(total, emit[t], out=alpha)
     if S == 1:
         return float(alpha[0])
     return float(np.logaddexp(alpha[-1], alpha[-2]))

@@ -12,8 +12,19 @@ per lambda group.
 
 The values that decide are those ``_exact_loo_mse`` computes: per lambda it
 shrinks c, forms r in one n x targets buffer, squares it and takes one GEMV
-with W. When n >> p that is mostly memory traffic, so ``ridge_solve``
-screens every lambda first and confirms only near-ties:
+with W. ``ridge_solve`` never changes those values; it only avoids running
+the kernel where it cannot change a choice. It takes one of two routes by
+the shape of the design, and both end the same way:
+
+- Confirm on the chunk. Each route leaves each target candidate lambdas
+  that include every lambda where its exact value is smallest. A target
+  with one candidate takes it; an all-zero target has LOO error exactly 0
+  at every lambda and takes the largest. For the union of the remaining
+  targets' candidates ``_exact_loo_mse`` runs on the whole chunk, which gives
+  the same bits as the pass over every lambda, and each target takes its
+  last argmin over its own candidates.
+
+Tall designs (n >> p) screen every lambda first:
 
 - Screen. With C = U^T Y, Y_perp = Y - U C and c~ = (1 - D) c, r equals
   Y_perp + U c~, so
@@ -32,27 +43,69 @@ screens every lambda first and confirms only near-ties:
   products and sums, and n + 2k + 16 in evaluating the bound and S +- b.
   The code takes b = 2 gamma_N (W . Y_perp^2 + nu |c|^2), which is >= gamma_N M^2.
   The bound assumes no square underflows or overflows; a target whose b
-  leaves 2 gamma_N [sqrt(tiny), sqrt(max) / 2] keeps every lambda.
-- Confirm. A lambda stays a candidate for a target if S - b <= min(S + b),
-  so the lambda the exact values pick is always a candidate. A target with
-  one candidate takes it; an all-zero target has LOO error exactly 0 at
-  every lambda and takes the largest. For the union of the remaining
-  targets' candidates ``_exact_loo_mse`` runs on the whole chunk, which gives
-  the same bits as the pass over every lambda, and each target takes its
-  argmin over its own candidates.
-- Shape rule. Per lambda and target both routes do about n k multiply-adds
-  (U times a k-vector, or the stacked rows against Y_perp) and an n-long
-  weighted sum. On top, the exact kernel writes, subtracts, squares and
-  reads an n-long residual (4n element operations), and the screen
-  multiplies by the k x k block (k^2). Counting both alike, the screen pays
-  when k^2 < 4n. Timed at n = 60 to 733 (2-vCPU x86-64, OpenBLAS at 2
-  threads) the crossover lay between k^2 = 3n and 8n. The replica shape
-  (n = 110, k = 8 or 16) is screened; the wide one (n = 733, k = 500) runs
-  the exact kernel over every lambda.
-- Memory. Targets go in chunks of ``_CHUNK``. The screen's buffers hold no
-  more floats than the exact kernel's for a full chunk, (k + n + grid) x
-  ``_CHUNK``: targets go through in passes, and lambdas in blocks if one
-  stacked matrix would take more than half of that.
+  leaves 2 gamma_N [sqrt(tiny), sqrt(max) / 2] keeps every lambda. A lambda
+  stays a candidate for a target if S - b <= min(S + b), so the lambda the
+  exact values pick is always a candidate.
+
+Wide designs (p near or above n) certify the choice with one float32 pass
+and confirm in float64 only the lambdas a target could still pick:
+
+- Float32 pass. ``_float32_screen`` runs the exact kernel's arithmetic per
+  lambda in float32 (U, D, W, C and Y rounded to float32; shrink, SGEMM,
+  subtract, square, weighted sum), giving S32.
+- Bound. Let r = y - U D c be the exact residual, T = W . r^2 the exact
+  value, R the computed residual, delta_i = |R_i - r_i| and |x|_W^2 =
+  W . x^2. With u the unit roundoff of the arithmetic (2^-24 or 2^-53),
+  |U_ik| <= 1 and 0 <= D < 1, Higham's model gives per row
+      delta_i <= gamma_{k+5} |U_i| |D c| + gamma_2 |y_i|      (float32)
+      delta_i <= gamma_{k+2} |U_i| |D c| + gamma_1 |y_i|      (float64)
+  (the float32 count takes in rounding U, D, C and y to float32). By
+  Cauchy-Schwarz |U_i| |D c| <= ||U_i|| ||D c||, so
+      e = |delta|_W <= gamma sqrt(nu) ||D c|| + gamma' |y|_W.
+  Underflow adds at most the format's smallest normal number (tiny, which
+  also covers flush-to-zero) to each operation: in all at most
+  tiny (4 sqrt(k) ||c|| + 5k + 5) to each delta_i, so e gains
+  sqrt(sum W) times that, and a = 3 tiny n (1 + max W) to S. Then
+  |W . R^2 - T| <= e (2 |r|_W + e); squaring and the weighted sum add
+  gamma_{n+2} W . R^2 in float32 (gamma_{n+1} in float64) and a; and
+  rho = sqrt((S + a) / (1 - gamma_{n+2})) + e >= |r|_W. Together
+      |S - T| <= gamma_{n+2} (rho + e)^2 + a + e (2 rho + e).
+  b is this bound for float32 plus the same bound for the float64 kernel,
+  with the same rho, so |S32 - the kernel's value| <= b. Every count
+  carries 8 more roundings, which cover evaluating the bound and S +- b in
+  float64. A lambda stays a candidate where S32 - b <= min(S32 + b). A
+  target whose S32 or b is not finite (values beyond float32's range)
+  keeps every lambda.
+- Confirm on columns. A GEMM's bits for a column depend on which other
+  columns it is given: OpenBLAS 0.3.31's DGEMM of a 733 x 500 U with the
+  first 1, 255, 257 or 500 of 1024 columns gave other bits than with all
+  1024 in hundreds to thousands of entries. So for each lambda,
+  ``_exact_loo_mse`` runs on just the columns of the targets that hold it,
+  and since both those bits and the whole chunk's lie within the float64
+  bound b64 of T, a candidate survives where S - 2 b64 <= min(S + 2 b64)
+  over the target's candidates (rho now from S). Only targets still tied at
+  float64 rounding level, or with duplicate lambdas, reach the confirm on
+  the chunk.
+
+- Shape rule. Per lambda and target the screen and the exact kernel both
+  do about n k multiply-adds (U times a k-vector, or the stacked rows
+  against Y_perp) and an n-long weighted sum. On top, the exact kernel
+  writes, subtracts, squares and reads an n-long residual (4n element
+  operations), and the screen multiplies by the k x k block (k^2). Counting
+  both alike, the screen pays when k^2 < 4n. Timed at n = 60 to 733 (2-vCPU
+  x86-64, OpenBLAS at 2 threads) the crossover lay between k^2 = 3n and 8n.
+  The replica shape (n = 110, k = 8 or 16) is screened; the wide one
+  (n = 733, k = 500) takes the float32 pass, whose SGEMMs run at twice the
+  rate of the kernel's DGEMMs. On that shape (wide seed 3) the pass left
+  6.5 % of (target, lambda) pairs for the confirm on columns (the
+  pure-noise quarter of targets, about 5.6 candidates each) and nothing for
+  the confirm on the chunk; a chunk took about 0.14 s against 0.21 s for the
+  kernel over every lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at 2 threads).
+- Memory. Targets go in chunks of ``_CHUNK``. The screen's and the float32
+  pass's buffers hold no more floats than the exact kernel's for a full
+  chunk, (k + n + grid) x ``_CHUNK`` float64s: targets go through in
+  passes, the screen's lambdas in blocks if one stacked matrix would take
+  more than half of that, and the confirm on columns in batches.
 
 Stages pass plain numpy arrays: ``detrend_blocks`` overwrites the caller's
 float64 response in place, and ``brain_score``, the one fold loop, takes one
@@ -163,12 +216,20 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     ``_exact_loo_mse`` computes it, is smallest (ties go to the larger
     lambda), and that lambda is refit on the full training set.
 
-    Tall designs (``_screen_pays``) screen every lambda at once, bound the
-    screen's rounding error and run ``_exact_loo_mse`` only for the lambdas a
-    target could still pick; others run it for every lambda. Both routes
-    choose the same lambdas (module docstring).
+    Tall designs (``_screen_pays``) screen every lambda at once, others take
+    one float32 pass; either way a rounding-error bound leaves each target
+    the lambdas it could still pick, and ``_exact_loo_mse`` runs only for
+    those. Both routes choose the lambdas the kernel over every lambda
+    would (module docstring). ``grid`` must be a non-empty 1-D array of
+    finite lambdas > 0.
     """
     grid = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"ridge_solve needs a non-empty 1-D lambda grid; got shape {grid.shape}")
+    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
+    if bad.size:
+        raise ValueError(f"lambda grid value {float(grid[bad[0]])} at index {bad[0]} "
+                         f"must be finite and > 0")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
@@ -183,16 +244,18 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     U, s, Vt, D, W = _svd_path(X, grid)
     UtY = U.T @ Y
     n_targets = Y.shape[1]
-    every = np.arange(len(grid))
     screen = _screen_pays(*U.shape)
     chosen_idx = np.empty(n_targets, dtype=np.intp)
     for a in range(0, n_targets, _CHUNK):
         chunk = slice(a, min(a + _CHUNK, n_targets))
         Yc, UtYc = Y[:, chunk], UtY[:, chunk]
         if screen:
-            chosen_idx[chunk] = _screened_choice(U, D, W, Yc, UtYc)
+            cand = _screen(U, D, W, Yc, UtYc)
         else:
-            chosen_idx[chunk] = _last_argmin(_exact_loo_mse(U, D, W, Yc, UtYc, every))
+            bound = _LooErrorBound(U, D, W, Yc, UtYc)
+            cand = _float32_screen(U, D, W, Yc, UtYc, bound)
+            _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound)
+        chosen_idx[chunk] = _confirm_on_chunk(U, D, W, Yc, UtYc, cand)
 
     weights = np.empty((X.shape[1], n_targets))
     for gi in range(len(grid)):
@@ -272,16 +335,15 @@ def _stacked_rows(U, W, keep, rows) -> np.ndarray:
     return M.reshape(-1, n + k)
 
 
-def _screened_choice(U, D, W, Yc, UtYc) -> np.ndarray:
+def _confirm_on_chunk(U, D, W, Yc, UtYc, cand) -> np.ndarray:
     """What ``_last_argmin`` of ``_exact_loo_mse`` over every lambda picks, per target.
 
-    ``_screen`` leaves each target its candidate lambdas. A target with one
-    candidate takes it; an all-zero target has LOO error exactly 0 at every
-    lambda and takes the largest. For the rest, ``_exact_loo_mse`` runs on the
-    whole chunk for the lambdas some of them could pick, and each picks among
-    its own candidates.
+    ``cand`` (grid x targets) must hold every lambda at which a target's
+    exact value is its minimum. A target with one candidate takes it; an
+    all-zero target has LOO error exactly 0 at every lambda and takes the
+    largest. For the rest, ``_exact_loo_mse`` runs on the whole chunk for the
+    lambdas some of them could pick, and each picks among its own candidates.
     """
-    cand = _screen(U, D, W, Yc, UtYc)
     zero = ~Yc.any(axis=0)
     cand[:, zero] = False
     cand[-1, zero] = True
@@ -350,6 +412,135 @@ def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
         np.less_equal(S, best, out=cand[:, cols])
         cand[:, cols][:, ~tame] = True
     return cand
+
+
+#: Roundings the bound counts (module docstring) on top of k in the residual's
+#: U D c term, alone in its y term and on top of n in the weighted sum, per
+#: precision; each includes 8 that cover evaluating the bound in float64.
+_ROUNDINGS = {np.float32: (13, 10, 10), np.float64: (10, 9, 9)}
+
+
+class _LooErrorBound:
+    """Forward-error bound on LOO errors computed like ``_exact_loo_mse``, per lambda and target.
+
+    Holds the chunk's norms, ||D c|| and sqrt(W . y^2) per lambda and target,
+    sqrt(nu), sqrt(sum W) and max W per lambda and ||c|| per target (module
+    docstring); ``cols`` picks targets of the chunk.
+    """
+
+    def __init__(self, U, D, W, Yc, UtYc):
+        self.n, self.k = U.shape
+        self.root_nu = np.sqrt(W @ np.einsum("ik,ik->i", U, U))[:, None]
+        self.root_sum_w = np.sqrt(W.sum(axis=1))[:, None]
+        self.max_w = W.max(axis=1)[:, None]
+        self.norm_c = np.sqrt(np.einsum("kj,kj->j", UtYc, UtYc))
+        self.norm_dc, self.norm_y = np.empty((2, W.shape[0], Yc.shape[1]))
+        D2 = np.square(D)
+        for a in range(0, Yc.shape[1], 128):  # squares of 128 targets at a time
+            cols = slice(a, a + 128)
+            self.norm_dc[:, cols] = D2 @ np.square(UtYc[:, cols])
+            self.norm_y[:, cols] = W @ np.square(Yc[:, cols])
+        np.sqrt(self.norm_dc, out=self.norm_dc)
+        np.sqrt(self.norm_y, out=self.norm_y)
+
+    def _terms(self, dtype, cols):
+        """(e, a, gamma of the weighted sum) for values computed in ``dtype``."""
+        u, tiny = float(np.finfo(dtype).eps) / 2, float(np.finfo(dtype).tiny)
+        j_dc, j_y, j_sum = (self.k + _ROUNDINGS[dtype][0], _ROUNDINGS[dtype][1],
+                            self.n + _ROUNDINGS[dtype][2])
+        g_dc, g_y, g_sum = (j * u / (1.0 - j * u) for j in (j_dc, j_y, j_sum))
+        slack = tiny * (4.0 * np.sqrt(self.k) * self.norm_c[cols] + 5 * self.k + 5)
+        e = (g_dc * self.root_nu * self.norm_dc[:, cols] + g_y * self.norm_y[:, cols]
+             + self.root_sum_w * slack)
+        return e, 3.0 * tiny * self.n * (1.0 + self.max_w), g_sum
+
+    def rho(self, S, dtype, cols=slice(None)):
+        """An upper bound on the exact residual's W-norm from values S computed in ``dtype``."""
+        e, a, g_sum = self._terms(dtype, cols)
+        return np.sqrt((S + a) / (1.0 - g_sum)) + e
+
+    def error(self, dtype, rho, cols=slice(None)):
+        """Bound on |value computed in ``dtype`` - exact value|, given ``rho``."""
+        e, a, g_sum = self._terms(dtype, cols)
+        return g_sum * np.square(rho + e) + a + e * (2.0 * rho + e)
+
+
+def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
+    """Candidate mask (grid x targets) from one float32 pass of the exact kernel's arithmetic.
+
+    S32 is ``_exact_loo_mse``'s per-lambda arithmetic in float32 and b bounds
+    |S32 - exact| plus |exact - the float64 kernel's value| (module
+    docstring); a lambda stays a candidate where S32 - b <= min(S32 + b). A
+    target whose S32 or b is not finite keeps every lambda. Targets go through
+    in passes sized so that the buffers hold no more floats than
+    ``_exact_loo_mse`` takes for a full chunk, (k + n + grid) x ``_CHUNK``
+    float64s.
+    """
+    n, k = U.shape
+    g, m = W.shape[0], Yc.shape[1]
+    budget32 = 2 * (k + n + g) * _CHUNK - n * k - 9 * g * m  # float32 slots left
+    width = max(1, min(m, budget32 // (2 * (k + n))))
+    passes = -(-m // width)
+    width = -(-m // passes)
+    U32, D32, W32 = U.astype(np.float32), D.astype(np.float32), W.astype(np.float32)
+    C32, shrunk = np.empty((k, width), np.float32), np.empty((k, width), np.float32)
+    Y32, resid = np.empty((n, width), np.float32), np.empty((n, width), np.float32)
+    S32 = np.empty((g, m), np.float32)
+    # values beyond float32's range turn into inf or nan; their targets keep every lambda
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(passes):
+            a = min(i * width, m - width)
+            cols = slice(a, a + width)
+            C32[...] = UtYc[:, cols]
+            Y32[...] = Yc[:, cols]
+            for gi in range(g):
+                np.multiply(D32[gi, :, None], C32, out=shrunk)
+                np.matmul(U32, shrunk, out=resid)
+                np.subtract(Y32, resid, out=resid)
+                np.square(resid, out=resid)
+                np.matmul(W32[gi], resid, out=S32[gi, cols])
+        # the buffers live until return: small arrays made after them then
+        # leave whole the space they free, which the refit's weights reuse
+        S = S32.astype(np.float64)
+        rho = bound.rho(S, np.float32)
+        b = bound.error(np.float32, rho) + bound.error(np.float64, rho)
+        cand = S - b <= (S + b).min(axis=0)
+        cand[:, ~np.isfinite(S + b).all(axis=0)] = True
+    return cand
+
+
+def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
+    """Drop candidates by float64 values computed on column subsets, in place.
+
+    For each lambda, ``_exact_loo_mse`` runs on just the columns of the
+    nonzero targets with more than one candidate that hold it. Those bits may differ
+    from the whole chunk's, but both lie within the float64 bound of the
+    exact value, so a lambda stays a candidate where S - 2 b64 <=
+    min(S + 2 b64) over the target's candidates. A target with a value or
+    bound that is not finite keeps its candidates. Columns go in batches
+    whose copies and kernel buffers fit in (k + n + grid) x ``_CHUNK``
+    float64s.
+    """
+    n, k = U.shape
+    g = W.shape[0]
+    multi = np.flatnonzero((np.count_nonzero(cand, axis=0) > 1) & Yc.any(axis=0))
+    if multi.size == 0:
+        return
+    sub = cand[:, multi]
+    S = np.full(sub.shape, np.inf)
+    width = max(1, (k + n + g) * _CHUNK // (2 * (k + n) + 1))
+    for gi in np.flatnonzero(sub.any(axis=1)):
+        holders = np.flatnonzero(sub[gi])
+        for a in range(0, holders.size, width):
+            part = holders[a:a + width]
+            cols = multi[part]
+            S[gi, part] = _exact_loo_mse(U, D, W, Yc[:, cols], UtYc[:, cols], [gi])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = 2.0 * bound.error(np.float64, bound.rho(S, np.float64, multi), multi)
+        hi = np.where(sub, S + b2, np.inf)
+        keep = sub & (S - b2 <= hi.min(axis=0))
+        sure = (~sub | np.isfinite(hi)).all(axis=0)
+    cand[:, multi[sure]] = keep[:, sure]
 
 
 def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,34 +57,36 @@ def _null_tails(doubled_ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]
 
 def _signed_rank(values: np.ndarray, alternative: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W+, p and the undefined mask of each column of a finite subjects x targets array."""
-    rows, cols = values.shape
-    mag = np.abs(values)
-    order = np.argsort(mag, axis=0, kind="stable")
-    srt = np.take_along_axis(mag, order, axis=0)
-    positive = np.take_along_axis(values, order, axis=0) > 0
-    pos = np.arange(rows)[:, None]
+    # one targets x subjects copy, so every sort, gather and scan runs along a contiguous row
+    vals = np.ascontiguousarray(values.T)
+    n_targets, n_subjects = vals.shape
+    mag = np.abs(vals)
+    order = np.argsort(mag, axis=1, kind="stable")
+    srt = np.take_along_axis(mag, order, axis=1)
+    positive = np.take_along_axis(vals, order, axis=1) > 0
+    pos = np.arange(n_subjects)
     run_start = np.ones(srt.shape, dtype=bool)
-    run_start[1:] = srt[1:] != srt[:-1]
+    run_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
     run_end = np.ones(srt.shape, dtype=bool)
-    run_end[:-1] = run_start[1:]
-    first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=0)
-    stop = np.minimum.accumulate(np.where(run_end, pos + 1, rows)[::-1], axis=0)[::-1]
+    run_end[:, :-1] = run_start[:, 1:]
+    first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
+    stop = np.minimum.accumulate(np.where(run_end, pos + 1, n_subjects)[:, ::-1], axis=1)[:, ::-1]
     nonzero = srt != 0
-    n = np.count_nonzero(nonzero, axis=0)
+    n = np.count_nonzero(nonzero, axis=1)
     # the run at sorted positions [first, stop) holds ranks first-zeros+1 .. stop-zeros,
     # so its doubled midrank is first + stop + 1 - 2*zeros
-    ranks2 = np.where(nonzero, first + stop + 1 - 2 * (rows - n), 0)
-    w2 = np.sum(ranks2 * positive, axis=0)
+    ranks2 = np.where(nonzero, first + stop + 1 - 2 * (n_subjects - n)[:, None], 0)
+    w2 = np.sum(ranks2 * positive, axis=1)
     w_plus = w2 / 2.0
-    p = np.full(cols, np.nan)
+    p = np.full(n_targets, np.nan)
 
     exact = np.flatnonzero((n >= 5) & (n <= EXACT_LIMIT))
     if exact.size:
-        # sort the columns by their doubled ranks, so equal ranks sit side by side
-        by_ranks = np.lexsort(ranks2[:, exact])
-        keys = ranks2[:, exact[by_ranks]]
-        starts = np.flatnonzero(np.r_[True, np.any(keys[:, 1:] != keys[:, :-1], axis=0)])
-        for key, members in zip(keys[:, starts].T, np.split(exact[by_ranks], starts[1:])):
+        # sort the targets by their doubled ranks, so equal ranks sit side by side
+        by_ranks = np.lexsort(ranks2[exact].T)
+        keys = ranks2[exact[by_ranks]]
+        starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+        for key, members in zip(keys[starts], np.split(exact[by_ranks], starts[1:])):
             ge, le = _null_tails(tuple(key[key > 0].tolist()))
             w = w2[members]
             p[members] = ge[w] if alternative == "greater" else np.minimum(
@@ -93,7 +95,7 @@ def _signed_rank(values: np.ndarray, alternative: str) -> tuple[np.ndarray, np.n
     normal = np.flatnonzero(n > EXACT_LIMIT)
     if normal.size:
         length = stop - first
-        ties = np.sum(np.where(run_end & nonzero, length**3 - length, 0), axis=0)[normal]
+        ties = np.sum(np.where(run_end & nonzero, length**3 - length, 0), axis=1)[normal]
         m, w = n[normal], w_plus[normal]
         mean = m * (m + 1) / 4.0
         sd = np.sqrt(m * (m + 1) * (2 * m + 1) / 24.0 - ties / 48.0)

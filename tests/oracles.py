@@ -2,7 +2,8 @@
 
 Each is the slow, obviously correct form of a fast path in ``voxenc``: the
 dense ridge solve and the closed-form LOO residuals for ``encode.ridge_solve``,
-path enumeration for the CTC forward recursion, and a per-target Wilcoxon for ``group_test``.
+path enumeration and a one-array-per-frame alpha recursion for the CTC forward
+recursion, and a per-target Wilcoxon for ``group_test``.
 """
 
 import itertools
@@ -47,6 +48,31 @@ def ctc_brute_force(inst: CtcInstance) -> float:
     terms = np.asarray(terms)
     m = terms.max()
     return float(m + np.log(np.exp(terms - m).sum()))
+
+
+def ctc_forward_reference(log_probs: np.ndarray, extended: np.ndarray) -> float:
+    """The alpha recursion written plainly: new arrays for every frame's terms.
+
+    ``ctc.forward_log_likelihood`` does the same operations on each element
+    in preallocated buffers, so the two agree bit for bit.
+    """
+    T = log_probs.shape[0]
+    S = extended.shape[0]
+    alpha = np.full(S, -np.inf)
+    alpha[0] = log_probs[0, extended[0]]
+    if S > 1:
+        alpha[1] = log_probs[0, extended[1]]
+    can_skip = np.zeros(S, dtype=bool)
+    can_skip[2:] = (extended[2:] != 0) & (extended[2:] != extended[:-2])
+    for t in range(1, T):
+        stay = alpha
+        prev = np.concatenate(([-np.inf], alpha[:-1]))
+        skip = np.concatenate(([-np.inf, -np.inf], alpha[:-2]))
+        skip = np.where(can_skip, skip, -np.inf)
+        alpha = np.logaddexp(np.logaddexp(stay, prev), skip) + log_probs[t, extended]
+    if S == 1:
+        return float(alpha[0])
+    return float(np.logaddexp(alpha[-1], alpha[-2]))
 
 
 def count_alignments(T: int, targets: list[int], n_classes: int) -> int:

@@ -7,8 +7,9 @@ from voxenc.ctc import (
     ctc_greedy_decode,
     ctc_log_likelihood,
 )
+from voxenc.ctc.core import _extend_with_blanks, forward_log_likelihood
 
-from oracles import count_alignments, ctc_brute_force
+from oracles import count_alignments, ctc_brute_force, ctc_forward_reference
 
 
 def random_instance(rng, T, n_classes, target_len):
@@ -62,6 +63,24 @@ class TestLogLikelihood:
                 assert np.isinf(dp)
             else:
                 assert dp == pytest.approx(bf, abs=1e-10)
+
+    @pytest.mark.parametrize("T,n_classes,target_len,repeats", [
+        (400, 37, 60, False), (400, 37, 60, True), (1, 4, 0, False), (1, 4, 1, False),
+        (6, 3, 2, True), (30, 5, 12, True), (9, 6, 5, False)])
+    def test_forward_bitwise_equals_reference(self, T, n_classes, target_len, repeats):
+        rng = np.random.default_rng(T * 100 + target_len)
+        # peaky posteriors, as a trained acoustic model gives, and some exact zeros
+        p = rng.dirichlet(np.full(n_classes, 0.05), size=T)
+        p[p < 1e-300] = 0.0
+        targets = list(rng.integers(1, n_classes, size=target_len))
+        if repeats:
+            targets[1::3] = targets[0::3][: len(targets[1::3])]  # label repeats: skips are illegal
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(p)
+        ext = _extend_with_blanks(targets)
+        got = forward_log_likelihood(log_probs, ext)
+        want = ctc_forward_reference(log_probs, ext)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(1)

@@ -13,8 +13,11 @@ import voxenc
 from voxenc.encode import (
     _CHUNK,
     DEFAULT_LAMBDA_GRID,
+    _confirm_on_columns,
     _exact_loo_mse,
+    _float32_screen,
     _last_argmin,
+    _LooErrorBound,
     _pearson_columns,
     _screen,
     _screen_pays,
@@ -227,6 +230,19 @@ class TestRidgeSolve:
         with pytest.raises(ValueError, match="ridge_solve needs"):
             ridge_solve(np.ones((5, 2)), np.ones((4, 1)))
 
+    @pytest.mark.parametrize("grid,message", [
+        ([np.nan, 10.0], "value nan at index 0"),
+        ([10.0, -5.0], "value -5.0 at index 1"),
+        ([10.0, 0.0], "value 0.0 at index 1"),
+        ([np.inf], "value inf at index 0"),
+        ([], "non-empty 1-D lambda grid; got shape \\(0,\\)"),
+        ([[10.0]], "non-empty 1-D lambda grid; got shape \\(1, 1\\)"),
+    ])
+    def test_bad_grid_rejected(self, grid, message):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match=message):
+            ridge_solve(rng.normal(size=(20, 3)), rng.normal(size=(20, 2)), grid)
+
 
 def _exact_choice(X, Y, grid):
     """Each target's grid index from the exact kernel run over every lambda, chunk by chunk."""
@@ -341,6 +357,137 @@ class TestScreenedSelection:
         finally:
             tracemalloc.stop()
         assert peak <= 1_745_152
+
+
+def _assert_float32_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
+    """ridge_solve takes the float32 route here and picks the exact kernel's lambdas.
+
+    Returns how many nonzero targets the float32 pass left more than one
+    candidate, and how many of those the float64 confirm on column subsets
+    still left more than one, which the whole-chunk exact kernel then settled.
+    """
+    assert not _screen_pays(X.shape[0], min(X.shape))
+    fit = ridge_solve(X, Y, grid)
+    assert np.array_equal(fit.chosen_lambda, grid[_exact_choice(X, Y, grid)])
+    U, _, _, D, W = _svd_path(X, grid)
+    UtY = U.T @ Y
+    after_float32 = after_columns = 0
+    for a in range(0, Y.shape[1], _CHUNK):
+        Yc, UtYc = Y[:, a:a + _CHUNK], UtY[:, a:a + _CHUNK]
+        bound = _LooErrorBound(U, D, W, Yc, UtYc)
+        cand = _float32_screen(U, D, W, Yc, UtYc, bound)
+        after_float32 += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
+        _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound)
+        after_columns += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
+    return after_float32, after_columns
+
+
+class TestFloat32Selection:
+    """The float32 route (k^2 >= 4n) must choose exactly what the exact kernel chooses."""
+
+    @staticmethod
+    def _design(n=733, p=500, seed=0):
+        rng = np.random.default_rng(seed)
+        X, _, _, _ = standardize(rng.normal(size=(n, p)))
+        return X, rng
+
+    @staticmethod
+    def _targets(X, rng, m, snr_max=1.0):
+        """A quarter pure noise, the rest with signal of random strength, as in a wide scoring run."""
+        snr = rng.uniform(0.05, snr_max, m)
+        snr[: m // 4] = 0.0
+        signal = X @ rng.normal(size=(X.shape[1], m))
+        Y = signal / signal.std(axis=0) * np.sqrt(snr) + rng.normal(size=(X.shape[0], m))
+        return standardize(Y)[0]
+
+    def test_wide_fold_solve(self):
+        X, rng = self._design()
+        after_float32, after_columns = _assert_float32_exact(X, self._targets(X, rng, 600))
+        assert after_float32 > 0 and after_columns == 0
+
+    def test_p_greater_than_n(self):
+        X, rng = self._design(n=150, p=260, seed=1)
+        _assert_float32_exact(X, self._targets(X, rng, 400))
+
+    def test_duplicate_grid_values(self):
+        X, rng = self._design(n=120, p=80, seed=2)
+        Y = self._targets(X, rng, 300)
+        grid = np.repeat(DEFAULT_LAMBDA_GRID[::2], 2)
+        assert _assert_float32_exact(X, Y, grid) == (300, 300)  # every target needs the chunk's bits
+
+    @pytest.mark.parametrize("spacing,settled_on_columns", [(1e-9, True), (1e-14, False)])
+    def test_near_tie_grid(self, spacing, settled_on_columns):
+        # at 1e-9 neighbouring LOO errors differ by far less than float32's
+        # rounding error but more than float64's; at 1e-14 by less than either
+        X, rng = self._design(n=120, p=80, seed=3)
+        Y = self._targets(X, rng, 300)
+        grid = 100.0 * (1.0 + spacing * np.arange(20))
+        after_float32, after_columns = _assert_float32_exact(X, Y, grid)
+        assert after_float32 == 300
+        assert (after_columns == 0) == settled_on_columns
+
+    def test_all_zero_targets(self):
+        X, rng = self._design(n=120, p=80, seed=4)
+        Y = self._targets(X, rng, 60)
+        Y[:, ::3] = 0.0
+        _assert_float32_exact(X, Y)
+        assert _assert_float32_exact(X, np.zeros((120, 4))) == (0, 0)
+        assert np.all(ridge_solve(X, np.zeros((120, 4))).chosen_lambda == DEFAULT_LAMBDA_GRID[-1])
+
+    def test_targets_in_span_of_features(self):
+        X, rng = self._design(n=120, p=80, seed=5)
+        _assert_float32_exact(X, X @ rng.normal(size=(80, 40)))
+
+    def test_single_target(self):
+        X, rng = self._design(n=120, p=80, seed=6)
+        _assert_float32_exact(X, rng.normal(size=(120, 1)) + X[:, :1])
+
+    @pytest.mark.parametrize("scale", [1e25, 1e-25])
+    def test_targets_beyond_float32_range(self, scale):
+        # squares of 1e25 overflow float32 and those of 1e-25 underflow it:
+        # those targets keep every lambda after the float32 pass
+        X, rng = self._design(n=120, p=80, seed=7)
+        Y = self._targets(X, rng, 40)
+        Y[:, :10] *= scale
+        _assert_float32_exact(X, Y)
+        U, _, _, D, W = _svd_path(X, DEFAULT_LAMBDA_GRID)
+        cand = _float32_screen(U, D, W, Y, U.T @ Y, _LooErrorBound(U, D, W, Y, U.T @ Y))
+        assert cand[:, :10].all()
+
+    def test_multi_chunk_target_count(self):
+        X, rng = self._design(n=90, p=60, seed=8)
+        _assert_float32_exact(X, self._targets(X, rng, 2 * _CHUNK + 37))
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(6, 60), p=st.integers(1, 80), m=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.sampled_from([-30, -3, 0, 3, 30]))
+    def test_choices_equal_exact_kernel(self, n, p, m, seed, log_scale):
+        """Either side of k^2 = 4n, both routes pick the exact kernel's lambdas."""
+        rng = np.random.default_rng(seed)
+        X = standardize(rng.normal(size=(n, p)))[0]
+        Y = rng.normal(size=(n, m)) + X @ rng.normal(size=(p, m)) * rng.uniform(0, 1, m)
+        Y *= 10.0 ** log_scale
+        assert np.array_equal(ridge_solve(X, Y).chosen_lambda,
+                              DEFAULT_LAMBDA_GRID[_exact_choice(X, Y, DEFAULT_LAMBDA_GRID)])
+
+    def test_selection_peak_memory(self):
+        """ridge_solve's traced peak at n = 733, p = 500, 1024 targets stays at or
+        below 19,570,632 bytes: the previous selection, the exact kernel over
+        every lambda, peaked there on the same inputs (numpy 2.4, x86-64). The
+        float32 pass's buffers are sized to the exact kernel's (k + n + grid) x
+        _CHUNK floats; it measured about 17.4 MB.
+        """
+        X, rng = self._design()
+        Y = rng.normal(size=(733, 1024)) + X @ rng.normal(size=(500, 1024)) * rng.uniform(0, 0.1, 1024)
+        Y = standardize(Y)[0]
+        ridge_solve(X, Y)  # first-call allocations are not the solve's
+        tracemalloc.start()
+        try:
+            ridge_solve(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19_570_632
 
 
 def pearson(y_true, y_pred):
