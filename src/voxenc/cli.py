@@ -6,13 +6,13 @@ Exit codes: 0 success, 1 computation error, 2 usage/input error.
 from __future__ import annotations
 
 import json
-import math
 import shutil
 import sys
 import time
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TypeVar
 
 import click
 import numpy as np
@@ -24,6 +24,7 @@ from .encode import brain_score, detrend_blocks
 
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
+T = TypeVar("T")
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -31,14 +32,35 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _load(path: str) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        _fail(EXIT_USAGE, f"input file not found: {p}")
+def _read(path: str | Path, reader: Callable[[str | Path], T], what: str | None = None) -> T:
+    """``reader(path)``, or exit 2 naming ``path`` if it is missing, unreadable or malformed.
+
+    A ValueError from ``reader`` means a malformed file: its message is shown
+    as it is if ``what`` is None (the reader names the file), else after
+    "malformed <what> <path>".
+    """
+    if not Path(path).exists():
+        _fail(EXIT_USAGE, f"input file not found: {path}")
     try:
-        return matrixio.read_matrix(p)
-    except matrixio.MatrixParseError as exc:
-        _fail(EXIT_USAGE, str(exc))
+        return reader(path)
+    except OSError as exc:  # a directory, or no permission
+        _fail(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc) if what is None
+              else f"malformed {what} {path}: {type(exc).__name__}: {exc}")
+
+
+def _load(path: str | Path) -> np.ndarray:
+    return _read(path, matrixio.read_matrix)
+
+
+def _out_path(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    """Refuse an output path that cannot be written before any work is done."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise click.BadParameter(f"directory {Path(value).parent} does not exist")
+    if value is not None and Path(value).is_dir():
+        raise click.BadParameter(f"{value} is a directory")
+    return value
 
 
 def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
@@ -46,15 +68,6 @@ def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(out).all():
         _fail(EXIT_COMPUTE, f"{what} overflowed to a non-finite value")
     return out
-
-
-def _load_manifest(path: str | Path) -> matrixio.DatasetManifest:
-    if not Path(path).exists():
-        _fail(EXIT_USAGE, f"input file not found: {path}")
-    try:
-        return matrixio.read_manifest(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON or field layout
-        _fail(EXIT_USAGE, f"malformed manifest {path}: {type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -73,17 +86,16 @@ def _row_mismatch(rows: dict[str, int]) -> str:
             + ", ".join(f"{path} has {n}" for path, n in rows.items()))
 
 
-def _load_2d(path: str | Path, kind: str, columns: str) -> np.ndarray:
+def _load_2d(path: str | Path, kind: str, shape: str) -> np.ndarray:
     mat = _load(path)
     if mat.ndim != 2:
-        _fail(EXIT_USAGE, f"{kind} file {path} must be a 2-D scans x {columns} "
-                          f"matrix, got shape {mat.shape}")
+        _fail(EXIT_USAGE, f"{kind} file {path} must be a 2-D {shape} matrix, got shape {mat.shape}")
     return mat
 
 
 def _read_response(path: str | Path, rows: dict[str, int]) -> np.ndarray:
     """A 2-D response with as many rows as the feature files in ``rows``."""
-    y = _load_2d(path, "response", "targets")
+    y = _load_2d(path, "response", "scans x targets")
     if y.shape[0] != next(iter(rows.values())):
         _fail(EXIT_USAGE, _row_mismatch({**rows, str(path): y.shape[0]}))
     return y
@@ -99,7 +111,7 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, de
     problem exits 2 with a message naming the file, before anything is written.
     """
     manifest_path = Path(manifest_path)
-    manifest = _load_manifest(manifest_path)
+    manifest = _read(manifest_path, matrixio.read_manifest, "manifest")
     problems = matrixio.validate_manifest(manifest)
     if len(manifest.blocks) < 3:
         problems.append(f"need >= 3 blocks for leave-one-block-out, got {len(manifest.blocks)}")
@@ -112,7 +124,7 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, de
         feature_paths = [str(manifest_path.parent / f.path) for f in manifest.features]
     if not feature_paths:
         _fail(EXIT_USAGE, f"manifest {manifest_path} lists no feature files")
-    features = [_load_2d(path, "feature", "features") for path in feature_paths]
+    features = [_load_2d(path, "feature", "scans x features") for path in feature_paths]
     rows = {path: mat.shape[0] for path, mat in zip(feature_paths, features)}
     if len(set(rows.values())) > 1:
         _fail(EXIT_USAGE, _row_mismatch(rows))
@@ -148,17 +160,12 @@ def main() -> None:
 @main.command()
 @click.option("--wav", "wav_path", required=True, help="input WAV file")
 @click.option("--kind", type=click.Choice(["spectrogram", "mel"]), default="spectrogram")
-@click.option("--out", "out_path", required=True)
+@click.option("--out", "out_path", required=True, callback=_out_path)
 @click.option("--n-mels", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--mel-variant", type=click.Choice(dsp.MEL_VARIANTS), default=dsp.MEL_VARIANTS[0])
 def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant: str) -> None:
     """Extract spectrogram or mel-filterbank features from audio."""
-    if not Path(wav_path).exists():
-        _fail(EXIT_USAGE, f"input file not found: {wav_path}")
-    try:
-        audio, rate = dsp.read_wav(wav_path)
-    except dsp.WavError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    audio, rate = _read(wav_path, dsp.read_wav)
     try:
         # rebinding frees the input-rate signal as soon as the 16 kHz one exists
         audio = dsp.resample_to_mono_16k(audio, rate)
@@ -174,14 +181,14 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
 
 def _finite_option(ctx: click.Context, param: click.Parameter, value: float) -> float:
     """Reject inf and NaN, which pass click's range checks."""
-    if not math.isfinite(value):
+    if not matrixio.finite(value):
         raise click.BadParameter(f"{value} is not a finite number")
     return value
 
 
 @main.command("hrf-convolve")
 @click.option("--in", "in_path", required=True)
-@click.option("--out", "out_path", required=True)
+@click.option("--out", "out_path", required=True, callback=_out_path)
 @click.option("--input-rate", type=click.FloatRange(min=hemo.MIN_OVERSAMPLE_HZ), default=50.0,
               show_default=True, callback=_finite_option)
 @click.option("--tr", type=click.FloatRange(min=0, min_open=True), default=2.0, show_default=True,
@@ -213,8 +220,8 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 @click.option("--features", required=True, help="comma-separated feature files, column-concatenated")
 @click.option("--response", "response_path", required=True)
 @click.option("--manifest", "manifest_path", required=True)
-@click.option("--out", "out_path", required=True, help="per-target mean R (FMX1)")
-@click.option("--report", "report_path", default=None)
+@click.option("--out", "out_path", required=True, callback=_out_path, help="per-target mean R (FMX1)")
+@click.option("--report", "report_path", default=None, callback=_out_path)
 @click.option("--detrend/--no-detrend", default=True, show_default=True)
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
           report_path: str | None, detrend: bool) -> None:
@@ -240,7 +247,7 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
 @main.command("contrast")
 @click.option("--a", "a_path", required=True)
 @click.option("--b", "b_path", required=True)
-@click.option("--out", "out_path", required=True)
+@click.option("--out", "out_path", required=True, callback=_out_path)
 def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
     """Elementwise delta-R between two score files (a minus b)."""
     try:
@@ -256,19 +263,19 @@ def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
 @click.option("--alternative", type=click.Choice(groupstats.ALTERNATIVES), default="greater")
 @click.option("--q", default=0.05, show_default=True)
 @click.option("--rois", "rois_path", default=None, help="manifest JSON with ROI lists")
-@click.option("--out", "out_path", required=True)
+@click.option("--out", "out_path", required=True, callback=_out_path)
 def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None, out_path: str) -> None:
     """Wilcoxon across subjects per target, BH-FDR across targets."""
     try:
-        _check_q(q, "--q")
+        _RUN["q"].check(q, "--q")
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
-    values = _load(in_path)
-    rois = _load_manifest(rois_path).rois if rois_path else None
-    try:
+    values = _load_2d(in_path, "input", "subjects x targets")
+    rois = _read(rois_path, matrixio.read_manifest, "manifest").rois if rois_path else None
+    try:  # every error group_test raises here describes the input
         stats = groupstats.group_test(values, alternative, q)
     except ValueError as exc:
-        _fail(EXIT_COMPUTE, str(exc))
+        _fail(EXIT_USAGE, str(exc))
     doc = {
         "q": q,
         "alternative": alternative,
@@ -296,11 +303,9 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
 def ctc_eval(logprobs_path: str, targets_path: str) -> None:
     """Print CTC log-likelihood and the greedy decode."""
     lp = _load(logprobs_path)
-    if not Path(targets_path).exists():
-        _fail(EXIT_USAGE, f"input file not found: {targets_path}")
-    text = Path(targets_path).read_text(encoding="utf-8").split()
+    text = _read(targets_path, lambda p: Path(p).read_text(encoding="utf-8"), "targets file")
     try:
-        targets = [int(t) for t in text]
+        targets = [int(t) for t in text.split()]
         inst = ctc_mod.CtcInstance(lp, targets)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
@@ -357,63 +362,49 @@ def _write_synth_dataset(out: Path, cohort: synthbench.Cohort) -> None:
     matrixio.write_manifest(out / "manifest.json", manifest)
 
 
-_RUN_KEYS = {
-    "out_dir", "seed", "synth", "features", "manifest",
-    "lambda_grid", "q", "alternative", "detrend",
+#: The run config's keys, each with its check and any default; other keys are refused.
+_RUN = {
+    "out_dir": matrixio.Check(matrixio.nonempty_path, "a non-empty path string"),
+    "manifest": matrixio.Check(matrixio.nonempty_path, "a non-empty path string"),
+    "lambda_grid": matrixio.Check(lambda g: isinstance(g, dict) and set(g) == {"min", "max", "num"},
+                                  "an object with exactly the keys min, max and num",
+                                  {"min": 10.0, "max": 1e8, "num": 20}),
+    "alternative": matrixio.Check(lambda a: a in groupstats.ALTERNATIVES,
+                                  f"one of {', '.join(groupstats.ALTERNATIVES)}", "greater"),
+    "q": matrixio.Check(matrixio.fdr_level, "a number in (0, 1]", 0.05),
+    "detrend": matrixio.Check(lambda d: isinstance(d, bool), "true or false", True),
+    "seed": matrixio.Check(matrixio.is_int, "an integer", 0),
+    "features": matrixio.Check(
+        lambda fs: isinstance(fs, list) and fs != [] and all(
+            isinstance(f, dict) and set(f) <= {"name", "path", "sample_rate"}
+            and isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
+            and matrixio.positive_rate(f.get("sample_rate", 1.0)) for f in fs),
+        "a non-empty list of objects with string name and path and an optional positive sample_rate"),
+    "synth": matrixio.Check(lambda b: isinstance(b, dict), "an object"),
 }
+_GRID = {
+    "min": matrixio.Check(matrixio.finite, "a finite number"),
+    "max": matrixio.Check(matrixio.finite, "a finite number"),
+    "num": matrixio.Check(lambda n: matrixio.is_int(n) and n >= 1, "an integer >= 1"),
+}
+_PRESET = matrixio.Check(lambda p: p in synthbench.PRESETS, f"one of {', '.join(synthbench.PRESETS)}",
+                         "replica")
 
 
-def _resolve_run_config(doc: dict) -> dict:
-    unknown = set(doc) - _RUN_KEYS
+def _resolve_run_config(doc: object) -> dict:
+    cfg = matrixio.check_fields(doc, _RUN, "config key '{}'")
+    unknown = set(doc) - set(_RUN)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "out_dir" not in doc:
+    if "out_dir" not in cfg:
         raise ValueError("config requires out_dir")
-    if "synth" not in doc and "manifest" not in doc:
+    if "synth" not in cfg and "manifest" not in cfg:
         raise ValueError("config needs a 'synth' block or a 'manifest' path")
-    for key in ("out_dir", "manifest"):
-        if key in doc and (not isinstance(doc[key], str) or not doc[key]):
-            raise ValueError(f"config key '{key}' must be a non-empty path string, got {doc[key]!r}")
-    resolved = {
-        "seed": 0,
-        "q": 0.05,
-        "alternative": "greater",
-        "detrend": True,
-        "lambda_grid": {"min": 10.0, "max": 1e8, "num": 20},
-        **doc,
-    }
-    _check_lambda_grid(resolved["lambda_grid"])
-    if resolved["alternative"] not in groupstats.ALTERNATIVES:
-        raise ValueError(f"config key 'alternative' must be one of {', '.join(groupstats.ALTERNATIVES)}, "
-                         f"got {resolved['alternative']!r}")
-    _check_q(resolved["q"], "config key 'q'")
-    if not isinstance(resolved["detrend"], bool):
-        raise ValueError(f"config key 'detrend' must be true or false, got {resolved['detrend']!r}")
-    seed = resolved["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"config key 'seed' must be an integer, got {seed!r}")
-    if "features" in resolved:
-        _check_features(resolved["features"])
-    if "synth" in resolved:
-        _synth_config(resolved)
-    return resolved
-
-
-def _check_q(q: object, name: str) -> None:
-    """The BH-FDR level must lie in (0, 1]; NaN fails the comparison."""
-    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 < q <= 1:
-        raise ValueError(f"{name} must be a number in (0, 1], got {q!r}")
-
-
-def _check_features(features: object) -> None:
-    def valid(f: object) -> bool:
-        if not isinstance(f, dict) or not set(f) <= {"name", "path", "sample_rate"}:
-            return False
-        return (isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
-                and matrixio.positive_rate(f.get("sample_rate", 1.0)))
-    if not isinstance(features, list) or not features or not all(map(valid, features)):
-        raise ValueError(f"config key 'features' must be a non-empty list of objects with string "
-                         f"name and path and an optional positive sample_rate, got {features!r}")
+    grid = matrixio.check_fields(cfg["lambda_grid"], _GRID, "config key 'lambda_grid.{}'")
+    if not 0 < grid["min"] < grid["max"]:
+        raise ValueError(f"config key 'lambda_grid' needs 0 < min < max, "
+                         f"got min={grid['min']!r}, max={grid['max']!r}")
+    features = cfg.get("features", [])
     names = [f["name"] for f in features]
     if len(set(names)) < len(names):
         raise ValueError(f"config key 'features' must have distinct names: a run's report keys "
@@ -422,58 +413,37 @@ def _check_features(features: object) -> None:
     if len(set(rates)) > 1:
         raise ValueError(f"config key 'features' must share one sample_rate: equal row counts at "
                          f"different rates cannot be aligned, got {rates!r}")
+    if "synth" in cfg:
+        _synth_config(cfg)
+    return cfg
 
 
 def _synth_config(cfg: dict) -> tuple[str, synthbench.SynthConfig]:
     """The preset and generator config of a run config's synth block."""
-    block = cfg["synth"]
-    if not isinstance(block, dict):
-        raise ValueError(f"config key 'synth' must be an object, got {block!r}")
-    params = {"seed": cfg["seed"], **block}
-    preset = params.pop("preset", "replica")
-    if preset not in synthbench.PRESETS:
-        raise ValueError(f"config key 'synth.preset' must be one of {', '.join(synthbench.PRESETS)}, "
-                         f"got {preset!r}")
-    unknown = set(params) - {f.name for f in fields(synthbench.SynthConfig)}
+    params = {"seed": cfg["seed"], **cfg["synth"]}
+    preset = _PRESET.check(params.pop("preset", _PRESET.default), "config key 'synth.preset'")
+    unknown = set(params) - set(synthbench.SYNTH_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys in 'synth': {sorted(unknown)}")
-    try:
+    try:  # TypeError: a non-number snr
         return preset, synthbench.SynthConfig(**params)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key 'synth': {exc}") from None
 
 
-def _check_lambda_grid(grid: object) -> None:
-    if not isinstance(grid, dict) or set(grid) != {"min", "max", "num"}:
-        raise ValueError(f"config key 'lambda_grid' must be an object with exactly the keys "
-                         f"min, max and num, got {grid!r}")
-    for key in ("min", "max"):
-        v = grid[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-            raise ValueError(f"config key 'lambda_grid.{key}' must be a finite number, got {v!r}")
-    if not 0 < grid["min"] < grid["max"]:
-        raise ValueError(f"config key 'lambda_grid' needs 0 < min < max, "
-                         f"got min={grid['min']!r}, max={grid['max']!r}")
-    num = grid["num"]
-    if isinstance(num, bool) or not isinstance(num, int) or num < 1:
-        raise ValueError(f"config key 'lambda_grid.num' must be an integer >= 1, got {num!r}")
-
-
 def _grid_from(cfg: dict) -> np.ndarray:
     g = cfg["lambda_grid"]
-    return np.logspace(np.log10(g["min"]), np.log10(g["max"]), g["num"])
+    return np.logspace(np.log10(float(g["min"])), np.log10(float(g["max"])), g["num"])
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, help="JSON run configuration")
 def run(config_path: str) -> None:
     """Run the full pipeline from a JSON config; writes reports and SVG bars."""
-    if not Path(config_path).exists():
-        _fail(EXIT_USAGE, f"input file not found: {config_path}")
+    doc = _read(config_path, lambda p: json.loads(Path(p).read_text(encoding="utf-8")), "config")
     try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
         cfg = _resolve_run_config(doc)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     out_dir = Path(cfg["out_dir"])
     made_out_dir = not out_dir.exists()

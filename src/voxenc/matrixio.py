@@ -1,4 +1,4 @@
-"""Binary (FMX1) and CSV matrix I/O plus dataset manifests.
+"""Binary (FMX1) and CSV matrix I/O, dataset manifests and the key checks of input documents.
 
 Container layout, all little-endian:
 
@@ -23,8 +23,11 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,18 +158,15 @@ def _read_csv(path: Path, text: io.TextIOWrapper) -> np.ndarray:
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
+    """Read a manifest, checking each key of ``MANIFEST`` (other keys are ignored)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    subjects = [SubjectRecord(s["id"], s["response"]) for s in doc.get("subjects", [])]
-    features = [FeatureRecord(f["name"], f["path"], f.get("sample_rate", 1.0))
-                for f in doc.get("features", [])]
-    blocks = [(int(a), int(b)) for a, b in doc.get("blocks", [])]
-    rois = {k: [int(i) for i in v] for k, v in doc.get("rois", {}).items()}
+        doc = check_fields(json.load(fh), MANIFEST, "manifest key '{}'")
     return DatasetManifest(
-        subjects=subjects,
-        features=features,
-        blocks=blocks,
-        rois=rois,
+        subjects=[SubjectRecord(s["id"], s["response"]) for s in doc["subjects"]],
+        features=[FeatureRecord(f["name"], f["path"], f.get("sample_rate", 1.0))
+                  for f in doc["features"]],
+        blocks=[tuple(b) for b in doc["blocks"]],
+        rois=dict(doc["rois"]),
         n_rows=doc.get("n_rows"),
         n_targets=doc.get("n_targets"),
     )
@@ -189,9 +189,74 @@ def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
         fh.write("\n")
 
 
+def is_int(v: object) -> bool:
+    """An integer; like the predicates below, it counts no bool as a number."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def finite(v: object) -> bool:
+    """A number within float range: NaN, inf and larger ints fail."""
+    return (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def fdr_level(q: object) -> bool:
+    return finite(q) and 0 < q <= 1
+
+
 def positive_rate(rate: object) -> bool:
-    """A sample rate must be a positive, finite int or float (bool excluded)."""
-    return type(rate) in (int, float) and 0 < rate < np.inf
+    return finite(rate) and rate > 0
+
+
+def nonempty_path(v: object) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+class Check(NamedTuple):
+    """A key's check: the test its value must pass, the text after "must be"
+    when it fails, and the value taken when the key is absent (None: none)."""
+
+    ok: Callable[[object], bool]
+    text: str
+    default: object = None
+
+    def check(self, value: object, label: str) -> object:
+        if not self.ok(value):
+            raise ValueError(f"{label} must be {self.text}, got {value!r}")
+        return value
+
+
+def check_fields(doc: object, table: dict[str, Check], label: str) -> dict:
+    """The value or default of each key of ``table``, checked in table order.
+
+    ``label.format(key)`` names a bad key in the message. Keys outside the
+    table are the caller's to refuse or ignore.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {doc!r}")
+    return {key: c.check(doc[key], label.format(key)) if key in doc else c.default
+            for key, c in table.items() if key in doc or c.default is not None}
+
+
+def _records(*keys: str) -> Callable[[object], bool]:
+    """A list of objects whose ``keys`` are non-empty strings."""
+    return lambda v: isinstance(v, list) and all(
+        isinstance(r, dict) and all(nonempty_path(r.get(k)) for k in keys) for r in v)
+
+
+#: A manifest's keys; response and feature paths are relative to its directory.
+MANIFEST = {
+    "subjects": Check(_records("id", "response"),
+                      "a list of objects with non-empty string id and response", []),
+    "features": Check(_records("name", "path"),
+                      "a list of objects with non-empty string name and path", []),
+    "blocks": Check(lambda v: isinstance(v, list) and all(
+        isinstance(b, list) and len(b) == 2 and all(map(is_int, b)) for b in v),
+        "a list of [start, end] integer pairs", []),
+    "rois": Check(lambda v: isinstance(v, dict) and all(
+        isinstance(ix, list) and all(map(is_int, ix)) for ix in v.values()),
+        "an object of integer index lists", {}),
+    **dict.fromkeys(("n_rows", "n_targets"), Check(lambda v: v is None or is_int(v), "null or an integer")),
+}
 
 
 def validate_manifest(manifest: DatasetManifest) -> list[str]:

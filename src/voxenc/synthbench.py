@@ -17,7 +17,19 @@ import numpy as np
 from .contrast import delta_vs_baseline
 from .encode import brain_score
 from .hemo import MIN_OVERSAMPLE_HZ, hrf_align
+from .matrixio import Check, check_fields, finite, is_int
 from .rng import CounterRng
+
+#: The checks of SynthConfig's fields, which are also the keys of a run config's synth block.
+SYNTH_FIELDS = {
+    **dict.fromkeys(("n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects",
+                     "n_blocks"), Check(lambda v: is_int(v) and v >= 1, "an integer >= 1")),
+    "seed": Check(is_int, "an integer"),
+    # bools are refused; another non-number fails the comparison with TypeError
+    "snr": Check(lambda v: v is None or not isinstance(v, bool) and v >= 0, "null or a number >= 0"),
+    "activation_rate": Check(finite, "a finite number"),
+    "tr_seconds": Check(finite, "a finite number"),
+}
 
 
 @dataclass
@@ -34,19 +46,9 @@ class SynthConfig:
     tr_seconds: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects",
-                     "n_blocks"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        # bools are refused; another non-number fails a comparison with TypeError
-        if self.snr is not None and (isinstance(self.snr, bool) or not self.snr >= 0):
-            raise ValueError(f"snr must be null or a number >= 0, got {self.snr!r}")
+        check_fields(vars(self), SYNTH_FIELDS, "{}")
         rate, tr = self.activation_rate, self.tr_seconds
-        if isinstance(rate, bool) or isinstance(tr, bool) or not (
-                MIN_OVERSAMPLE_HZ <= rate < np.inf and 0 < tr < np.inf and rate > 1.0 / tr):
+        if not (MIN_OVERSAMPLE_HZ <= rate and 0 < tr and rate > 1.0 / tr):
             raise ValueError(f"need a finite activation_rate >= {MIN_OVERSAMPLE_HZ:g} Hz above the "
                              f"finite scan rate 1/tr_seconds > 0, got activation_rate={rate!r}, "
                              f"tr_seconds={tr!r}")

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import voxenc
-from voxenc import groupstats, matrixio, report, synthbench
+from voxenc import cli, groupstats, matrixio, report, synthbench
 from voxenc.cli import main
 from voxenc.encode import brain_score
 
@@ -307,6 +307,65 @@ def test_group_stats_bad_rois_exit_2(runner, tmp_path, content, needle):
                                "--rois", str(rois), "--out", str(tmp_path / "stats.json")])
     _assert_input_error(res, needle, str(rois))
     assert not (tmp_path / "stats.json").exists()
+
+
+@pytest.mark.parametrize("shape, needle", [
+    ((6,), "must be a 2-D subjects x targets matrix, got shape (6,)"),
+    ((6, 3, 2), "must be a 2-D subjects x targets matrix, got shape (6, 3, 2)"),
+    ((3, 4), "need >= 5 subjects, got 3"),
+])
+def test_group_stats_bad_in_exit_2(runner, tmp_path, shape, needle):
+    matrixio.write_matrix(tmp_path / "group.fmx", np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+    res = runner.invoke(main, ["group-stats", "--in", str(tmp_path / "group.fmx"),
+                               "--out", str(tmp_path / "stats.json")])
+    _assert_input_error(res, needle)
+    assert not (tmp_path / "stats.json").exists()
+
+
+_SCORE_ARGS = ["--features", "X", "--response", "Y", "--manifest", "M", "--out", "out/o.fmx"]
+
+
+@pytest.mark.parametrize("args, needle", [
+    *(pytest.param(["score", *(a.replace(key, "DIR") for a in _SCORE_ARGS)], "cannot read DIR",
+                   id=f"score_{key}_dir") for key in "XYM"),
+    (["group-stats", "--in", "DIR", "--out", "out/s.json"], "cannot read DIR"),
+    (["group-stats", "--in", "G", "--rois", "DIR", "--out", "out/s.json"], "cannot read DIR"),
+    (["contrast", "--a", "DIR", "--b", "G", "--out", "out/c.fmx"], "cannot read DIR"),
+    (["hrf-convolve", "--in", "DIR", "--n-scans", "5", "--out", "out/h.fmx"], "cannot read DIR"),
+    (["ctc-eval", "--logprobs", "DIR", "--targets", "T"], "cannot read DIR"),
+    (["ctc-eval", "--logprobs", "LP", "--targets", "DIR"], "cannot read DIR"),
+    (["ctc-eval", "--logprobs", "LP", "--targets", "LATIN1"], "malformed targets file LATIN1"),
+    (["run", "--config", "DIR"], "cannot read DIR"),
+    (["featurize", "--wav", "DIR", "--out", "out/f.fmx"], "cannot read WAV file DIR"),
+    (["score", *_SCORE_ARGS[:-1], "nodir/o.fmx"], "directory nodir does not exist"),
+    (["score", *_SCORE_ARGS, "--report", "nodir/r.json"], "directory nodir does not exist"),
+    (["score", *_SCORE_ARGS[:-1], "DIR"], "DIR is a directory"),
+    (["featurize", "--wav", "AUDIO", "--out", "nodir/f.fmx"], "directory nodir does not exist"),
+    (["hrf-convolve", "--in", "G", "--n-scans", "1", "--out", "nodir/h.fmx"],
+     "directory nodir does not exist"),
+    (["contrast", "--a", "G", "--b", "G", "--out", "nodir/c.fmx"], "directory nodir does not exist"),
+    (["group-stats", "--in", "G", "--out", "nodir/s.json"], "directory nodir does not exist"),
+])
+def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "out").mkdir()
+    matrixio.write_matrix(tmp_path / "G", np.arange(1.0, 19.0).reshape(6, 3))
+    matrixio.write_matrix(tmp_path / "LP", np.log(np.full((4, 3), 1 / 3)))
+    (tmp_path / "T").write_text("1 2")
+    (tmp_path / "LATIN1").write_bytes("1 2 \xe9".encode("latin-1"))
+    _write_pcm16(tmp_path / "AUDIO", np.zeros(1600, dtype="<i2"))
+    paths = {"X": score_inputs / "features.fmx", "Y": score_inputs / "sub000.fmx",
+             "M": score_inputs / "manifest.json",
+             **{name: tmp_path / name
+                for name in ("DIR", "G", "LP", "T", "LATIN1", "AUDIO", "out", "nodir")}}
+
+    def fill(word):  # a placeholder, alone or before "/", becomes its path
+        head, slash, tail = word.partition("/")
+        return f"{paths[head]}{slash}{tail}" if head in paths else word
+
+    res = runner.invoke(main, [fill(a) for a in args])
+    _assert_input_error(res, " ".join(map(fill, needle.split(" "))))
+    assert list((tmp_path / "out").iterdir()) == [] and not (tmp_path / "nodir").exists()
 
 
 def test_ctc_eval_cmd(runner, tmp_path):
@@ -690,13 +749,35 @@ class TestRun:
 _NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
                          st.lists(st.integers(), max_size=2))
 _BAD_RATE = st.one_of(_NOT_A_NUMBER, st.floats(max_value=0), st.just(float("nan")),
-                      st.just(float("inf")))
+                      st.just(float("inf")), st.integers(min_value=2**1024))  # past float range
 _GRID = {"min": 10.0, "max": 1e8, "num": 20}
 _SYNTH_INTS = ["n_time_activation", "n_scans", "n_features", "n_targets", "n_subjects", "n_blocks"]
 _SYNTH_KEYS = {"preset", *(f.name for f in fields(synthbench.SynthConfig))}
+_BAD_PATH = st.one_of(st.just(""), st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.lists(st.text(max_size=3), max_size=2))
+
+#: Values of a lambda_grid key that are wrong by construction.
+_BAD_GRID_VALUES = {
+    "min": _BAD_RATE,
+    "max": _BAD_RATE,
+    "num": st.one_of(_NOT_A_NUMBER, st.integers(max_value=0), st.floats()),
+}
+
+#: Values of a synth block key that are wrong by construction.
+_BAD_SYNTH_VALUES = {
+    "preset": st.one_of(_NOT_A_NUMBER, st.integers()).filter(lambda p: p not in synthbench.PRESETS),
+    **dict.fromkeys(_SYNTH_INTS, st.one_of(_NOT_A_NUMBER, st.floats(), st.integers(max_value=0))),
+    "seed": st.one_of(_NOT_A_NUMBER, st.floats()),
+    "snr": st.one_of(st.booleans(), st.text(max_size=5), st.floats(max_value=0, exclude_max=True),
+                     st.just(float("nan"))),
+    "activation_rate": st.one_of(_BAD_RATE, st.floats(0, 10, exclude_max=True)),
+    "tr_seconds": st.one_of(_BAD_RATE, st.floats(0, 1 / 50)),  # scans at or above 50 Hz
+}
 
 #: Config values that are wrong by construction, per run config key.
 _BAD_RUN_VALUES = {
+    "out_dir": _BAD_PATH,
+    "manifest": _BAD_PATH,
     "seed": st.one_of(_NOT_A_NUMBER, st.floats()),
     "q": st.one_of(_NOT_A_NUMBER, st.floats().filter(lambda q: not 0 < q <= 1),
                    st.integers().filter(lambda q: q != 1)),
@@ -707,9 +788,8 @@ _BAD_RUN_VALUES = {
         _NOT_A_NUMBER,
         st.dictionaries(st.sampled_from(["min", "max", "num", "step"]), st.integers(1, 100)).filter(
             lambda g: set(g) != set(_GRID)),
-        st.tuples(st.sampled_from(["min", "max"]), _BAD_RATE).map(lambda kv: {**_GRID, kv[0]: kv[1]}),
-        st.one_of(_NOT_A_NUMBER, st.integers(max_value=0), st.floats()).map(
-            lambda num: {**_GRID, "num": num}),
+        st.sampled_from(sorted(_BAD_GRID_VALUES)).flatmap(
+            lambda k: _BAD_GRID_VALUES[k].map(lambda v: {**_GRID, k: v})),
         st.tuples(st.floats(1, 1e8), st.floats(1, 1e8)).map(  # min >= max
             lambda v: {**_GRID, "min": max(v), "max": min(v)}),
     ),
@@ -729,18 +809,8 @@ _BAD_RUN_VALUES = {
     "synth": st.one_of(
         _NOT_A_NUMBER,
         st.text(min_size=1, max_size=8).filter(lambda k: k not in _SYNTH_KEYS).map(lambda k: {k: 1}),
-        st.one_of(_NOT_A_NUMBER, st.integers()).filter(lambda p: p not in synthbench.PRESETS).map(
-            lambda p: {"preset": p}),
-        st.tuples(st.sampled_from(_SYNTH_INTS),
-                  st.one_of(_NOT_A_NUMBER, st.floats(), st.integers(max_value=0))).map(
-            lambda kv: {kv[0]: kv[1]}),
-        st.one_of(_NOT_A_NUMBER, st.floats()).map(lambda v: {"seed": v}),
-        st.one_of(st.booleans(), st.text(max_size=5), st.floats(max_value=0, exclude_max=True),
-                  st.just(float("nan"))).map(lambda v: {"snr": v}),
-        st.tuples(st.sampled_from(["activation_rate", "tr_seconds"]), _BAD_RATE).map(
-            lambda kv: {kv[0]: kv[1]}),
-        st.floats(0, 10, exclude_max=True).map(lambda v: {"activation_rate": v}),
-        st.floats(0, 1 / 50).map(lambda v: {"tr_seconds": v}),  # scans at or above 50 Hz
+        st.sampled_from(sorted(_BAD_SYNTH_VALUES)).flatmap(
+            lambda k: _BAD_SYNTH_VALUES[k].map(lambda v: {k: v})),
     ),
 }
 
@@ -750,15 +820,88 @@ _BAD_RUN_VALUES = {
 def test_run_bad_config_value_exit_2(key, data):
     value = data.draw(_BAD_RUN_VALUES[key], label=key)
     synth = {"preset": "replica", "n_subjects": 5, "n_targets": 5}
-    cfg = {"seed": 4, "synth": synth,
-           key: {**synth, **value} if key == "synth" and isinstance(value, dict) else value}
     with tempfile.TemporaryDirectory() as tmp:
-        cfg["out_dir"] = os.path.join(tmp, "run_out")
+        out_dir = os.path.join(tmp, "run_out")
+        cfg = {"out_dir": out_dir, "seed": 4, "synth": synth,
+               key: {**synth, **value} if key == "synth" and isinstance(value, dict) else value}
         path = os.path.join(tmp, "config.json")
         Path(path).write_text(json.dumps(cfg))
         res = CliRunner().invoke(main, ["run", "--config", path])
         _assert_input_error(res)
-        assert not os.path.exists(cfg["out_dir"])
+        assert not os.path.exists(out_dir)
+
+
+_NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5))
+_BAD_NAME = st.one_of(st.none(), st.booleans(), st.integers(), st.just(""),
+                      st.lists(st.text(max_size=3), max_size=2))
+_NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3))
+
+
+def _bad_records(*keys):
+    """Lists of objects each missing one of ``keys`` or holding a bad value there."""
+    good = {k: f"{k}.fmx" for k in keys}
+    record = st.one_of(
+        _NOT_A_LIST,
+        st.sampled_from(keys).map(lambda k: {o: v for o, v in good.items() if o != k}),
+        st.tuples(st.sampled_from(keys), _BAD_NAME).map(lambda kv: {**good, kv[0]: kv[1]}))
+    return st.one_of(_NOT_A_LIST, st.lists(record, min_size=1, max_size=2))
+
+
+#: Manifest values that are wrong by construction, per manifest key.
+_BAD_MANIFEST_VALUES = {
+    "subjects": _bad_records("id", "response"),
+    "features": _bad_records("name", "path"),
+    "blocks": st.one_of(_NOT_A_LIST, st.lists(st.one_of(
+        _NOT_A_LIST,
+        st.lists(st.integers(0, 60), max_size=4).filter(lambda b: len(b) != 2),
+        st.tuples(st.integers(0, 60), _NOT_AN_INT).map(list),
+        st.tuples(_NOT_AN_INT, st.integers(0, 60)).map(list)), min_size=1, max_size=2)),
+    "rois": st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+                      st.lists(st.integers(), max_size=2),
+                      st.dictionaries(st.text(max_size=3), st.one_of(_NOT_A_LIST, st.lists(
+                          _NOT_AN_INT, min_size=1, max_size=2)), min_size=1, max_size=2)),
+    "n_rows": st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers())),
+    "n_targets": st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers())),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(sorted(_BAD_MANIFEST_VALUES)), data=st.data())
+def test_bad_manifest_value_exit_2(score_inputs, key, data):
+    doc = json.loads((score_inputs / "manifest.json").read_text())
+    for record, field in [(s, "response") for s in doc["subjects"]] + [(f, "path") for f in doc["features"]]:
+        record[field] = str(score_inputs / record[field])
+    doc[key] = data.draw(_BAD_MANIFEST_VALUES[key], label=key)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, config = os.path.join(tmp, "manifest.json"), os.path.join(tmp, "config.json")
+        Path(manifest).write_text(json.dumps(doc))
+        Path(config).write_text(json.dumps({"out_dir": os.path.join(tmp, "run_out"), "manifest": manifest}))
+        res = CliRunner().invoke(main, ["score", "--features", str(score_inputs / "features.fmx"),
+                                        "--response", str(score_inputs / "sub000.fmx"),
+                                        "--manifest", manifest, "--out", os.path.join(tmp, "o.fmx")])
+        _assert_input_error(res, manifest, f"manifest key '{key}'")
+        res = CliRunner().invoke(main, ["run", "--config", config])
+        _assert_input_error(res, manifest, f"manifest key '{key}'")
+        assert sorted(os.listdir(tmp)) == ["config.json", "manifest.json"]
+
+
+def test_lambda_grid_of_large_ints():
+    grid = cli._grid_from({"lambda_grid": {"min": 10**30, "max": 10**31, "num": 3}})
+    assert grid.tolist() == np.logspace(30.0, 31.0, 3).tolist()
+
+
+def test_every_checked_key_has_a_bad_value_strategy():
+    assert set(_BAD_RUN_VALUES) == set(cli._RUN)
+    assert set(_BAD_GRID_VALUES) == set(cli._GRID)
+    assert set(_BAD_SYNTH_VALUES) == {"preset", *synthbench.SYNTH_FIELDS} == _SYNTH_KEYS
+    assert set(_BAD_MANIFEST_VALUES) == set(matrixio.MANIFEST)
+
+
+def test_readme_names_every_checked_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    keys = {*cli._RUN, *cli._GRID, "preset", *synthbench.SYNTH_FIELDS, *matrixio.MANIFEST}
+    assert sorted(k for k in keys if f"`{k}`" not in cli_section) == []
 
 
 def test_report_schema_validation():
