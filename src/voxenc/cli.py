@@ -63,6 +63,20 @@ def _out_path(ctx: click.Context, param: click.Parameter, value: str | None) -> 
     return value
 
 
+def _dir_fault(path: Path) -> str | None:
+    """Why ``path`` cannot be made a directory, or None: what exists at or above it is not one."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    return None if existing is None or existing.is_dir() else f"{existing} is not a directory"
+
+
+def _out_dir(ctx: click.Context, param: click.Parameter, value: str) -> str:
+    """Refuse an output directory path that cannot be made before any work is done."""
+    fault = _dir_fault(Path(value))
+    if fault is not None:
+        raise click.BadParameter(fault)
+    return value
+
+
 def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
     """``out``, or exit 1 before anything is written if the computation overflowed."""
     if not np.isfinite(out).all():
@@ -318,7 +332,7 @@ def ctc_eval(logprobs_path: str, targets_path: str) -> None:
 @main.command()
 @click.option("--preset", type=click.Choice(synthbench.PRESETS), required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", "out_dir", required=True)
+@click.option("--out", "out_dir", required=True, callback=_out_dir)
 @click.option("--n-subjects", default=None, type=int)
 @click.option("--n-targets", default=None, type=int)
 @click.option("--n-scans", default=None, type=int)
@@ -375,11 +389,11 @@ _RUN = {
     "detrend": matrixio.Check(lambda d: isinstance(d, bool), "true or false", True),
     "seed": matrixio.Check(matrixio.is_int, "an integer", 0),
     "features": matrixio.Check(
-        lambda fs: isinstance(fs, list) and fs != [] and all(
-            isinstance(f, dict) and set(f) <= {"name", "path", "sample_rate"}
-            and isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
-            and matrixio.positive_rate(f.get("sample_rate", 1.0)) for f in fs),
-        "a non-empty list of objects with string name and path and an optional positive sample_rate"),
+        lambda fs: isinstance(fs, list) and fs != [],
+        "a non-empty list of objects with string name and path and an optional positive sample_rate",
+        each=lambda f: isinstance(f, dict) and set(f) <= {"name", "path", "sample_rate"}
+        and isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
+        and matrixio.positive_rate(f.get("sample_rate", 1.0))),
     "synth": matrixio.Check(lambda b: isinstance(b, dict), "an object"),
 }
 _GRID = {
@@ -446,6 +460,9 @@ def run(config_path: str) -> None:
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     out_dir = Path(cfg["out_dir"])
+    fault = _dir_fault(out_dir)
+    if fault is not None:
+        _fail(EXIT_USAGE, f"config key 'out_dir': {fault}")
     made_out_dir = not out_dir.exists()
     written: list[Path] = []
     try:

@@ -190,13 +190,21 @@ def mix_to_mono(signal: np.ndarray) -> np.ndarray:
 def _mix_block(frames: np.ndarray, out: np.ndarray, full_scale: float) -> None:
     """Write the channel average of ``frames`` divided by ``full_scale`` into ``out``.
 
-    1-D frames are one channel. Channels are summed in float64 and the sum is
-    divided once by channels x ``full_scale``.
+    1-D frames are one channel. Channels are summed, integers in int64 and
+    floats in float64, and the sum is divided once by channels x
+    ``full_scale``. An integer sum is exact below 2**53 and has no signed
+    zero, so it gives the bits of the float64 sum.
     """
     if frames.ndim == 1:
         np.divide(frames, full_scale, out=out, dtype=np.float64)
         return
     n_channels = frames.shape[1]
+    if frames.dtype.kind == "i":
+        total = frames[:, 0].astype(np.int64)
+        for channel in frames.T[1:]:
+            total += channel
+        np.divide(total, n_channels * full_scale, out=out)
+        return
     if n_channels >= 8:
         np.sum(frames, axis=1, dtype=np.float64, out=out)
     else:

@@ -213,15 +213,25 @@ def nonempty_path(v: object) -> bool:
 
 class Check(NamedTuple):
     """A key's check: the test its value must pass, the text after "must be"
-    when it fails, and the value taken when the key is absent (None: none)."""
+    when it fails, and the value taken when the key is absent (None: none).
+
+    A list-valued key also has ``each``, the test of every item. A failing
+    item is named by its index and shown alone, so one bad record of a
+    long list gives a short message.
+    """
 
     ok: Callable[[object], bool]
     text: str
     default: object = None
+    each: Callable[[object], bool] | None = None
 
     def check(self, value: object, label: str) -> object:
         if not self.ok(value):
             raise ValueError(f"{label} must be {self.text}, got {value!r}")
+        if self.each is not None:
+            bad = next((i for i, item in enumerate(value) if not self.each(item)), None)
+            if bad is not None:
+                raise ValueError(f"{label} must be {self.text}, got item {bad}: {value[bad]!r}")
         return value
 
 
@@ -237,21 +247,23 @@ def check_fields(doc: object, table: dict[str, Check], label: str) -> dict:
             for key, c in table.items() if key in doc or c.default is not None}
 
 
-def _records(*keys: str) -> Callable[[object], bool]:
-    """A list of objects whose ``keys`` are non-empty strings."""
-    return lambda v: isinstance(v, list) and all(
-        isinstance(r, dict) and all(nonempty_path(r.get(k)) for k in keys) for r in v)
+def _is_list(v: object) -> bool:
+    return isinstance(v, list)
+
+
+def _record(*keys: str) -> Callable[[object], bool]:
+    """An object whose ``keys`` are non-empty strings."""
+    return lambda r: isinstance(r, dict) and all(nonempty_path(r.get(k)) for k in keys)
 
 
 #: A manifest's keys; response and feature paths are relative to its directory.
 MANIFEST = {
-    "subjects": Check(_records("id", "response"),
-                      "a list of objects with non-empty string id and response", []),
-    "features": Check(_records("name", "path"),
-                      "a list of objects with non-empty string name and path", []),
-    "blocks": Check(lambda v: isinstance(v, list) and all(
-        isinstance(b, list) and len(b) == 2 and all(map(is_int, b)) for b in v),
-        "a list of [start, end] integer pairs", []),
+    "subjects": Check(_is_list, "a list of objects with non-empty string 'id' and 'response'", [],
+                      _record("id", "response")),
+    "features": Check(_is_list, "a list of objects with non-empty string 'name' and 'path'", [],
+                      _record("name", "path")),
+    "blocks": Check(_is_list, "a list of [start, end] integer pairs", [],
+                    lambda b: isinstance(b, list) and len(b) == 2 and all(map(is_int, b))),
     "rois": Check(lambda v: isinstance(v, dict) and all(
         isinstance(ix, list) and all(map(is_int, ix)) for ix in v.values()),
         "an object of integer index lists", {}),

@@ -81,6 +81,26 @@ def test_synth_bad_size_exit_2(runner, tmp_path, option, value, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_output_dir_not_a_directory_exit_2(runner, tmp_path, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "sub" if below else afile
+    if command == "synth":
+        args = ["synth", "--preset", "linear", "--out", str(out)]
+        needle = f"Invalid value for '--out': {afile} is not a directory"
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": str(out), "synth": {"n_subjects": 5}}))
+        args = ["run", "--config", str(config)]
+        needle = f"config key 'out_dir': {afile} is not a directory"
+    res = runner.invoke(main, args)
+    _assert_input_error(res, needle)
+    assert afile.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"] + (["config.json"] if command == "run" else [])
+
+
 def test_score_and_contrast_roundtrip(runner, tmp_path):
     out = _synth_dir(runner, tmp_path, "linear")
     scores = tmp_path / "scores.fmx"
@@ -237,11 +257,16 @@ def test_score_truncated_input_exit_2(score_inputs, name, data):
         assert not os.path.exists(out)
 
 
+#: Packages that ``import voxenc.cli`` must not load: each adds to every command's start-up.
+#: hrf_align's threads use ``threading``, which the interpreter has already loaded.
+_NOT_LOADED_AT_IMPORT = ("scipy", "concurrent.futures")
+
+
 def test_import_loads_no_scipy():
     src = str(Path(voxenc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, voxenc.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    code = (f"import sys, voxenc.cli; names = {_NOT_LOADED_AT_IMPORT!r}; "
+            "print(sorted(m for m in sys.modules if any(m == n or m.startswith(n + '.') for n in names)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -1,14 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
 
 from voxenc import hemo
-from voxenc.hemo import _column_range, _normalized, glover_hrf, hrf_align, scan_index
+from voxenc.hemo import _normalize_rows, glover_hrf, hrf_align, scan_index
 
 
 def _unit_range(data):
     """The per-column [0, 1] map that ``hrf_align`` applies block by block."""
-    data = np.asarray(data, dtype=float)
-    return _normalized(data, *_column_range(data))
+    rows = np.array(data, dtype=float).T.copy()
+    _normalize_rows(rows)
+    return rows.T
+
+
+def _worker_counts(monkeypatch):
+    """Yield 1, 2 and 3, with ``hrf_align`` running its column blocks on that many threads."""
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(hemo, "_worker_count", lambda *_: n_workers)
+        yield n_workers
 
 
 class TestMinMaxNormalize:
@@ -29,6 +39,8 @@ class TestMinMaxNormalize:
         rng = np.random.default_rng(4)
         data = rng.normal(size=(50, 7))
         data[:, [0, 3, 6]] = [[-2.5, 0.0, 7.0]]  # constant, including an all-zero column
+        data[:, 1] = np.abs(data[:, 1])
+        data[::3, 1] = [-0.0, 0.0] * 8 + [-0.0]  # minimum zero, of both signs
         lo = data.min(axis=0)
         span = data.max(axis=0) - lo
         live = span > 0
@@ -38,9 +50,10 @@ class TestMinMaxNormalize:
         assert out.tobytes() == want.tobytes()  # bitwise, signs of zeros included
 
     def test_input_untouched(self):
-        data = np.array([[1.0, 3.0], [2.0, 3.0]])
-        _unit_range(data)
-        assert data.tolist() == [[1.0, 3.0], [2.0, 3.0]]
+        data = np.random.default_rng(5).normal(size=(2000, 2 * hemo._COLUMN_BLOCK + 1))
+        before = data.copy()
+        hrf_align(data, 50.0, n_scans=10)
+        assert data.tobytes() == before.tobytes()
 
     def test_columns_independent(self):
         data = np.array([[0.0, 100.0], [1.0, 300.0], [2.0, 200.0]])
@@ -142,7 +155,7 @@ class TestConvolveDownsample:
     @pytest.mark.parametrize("n_cols", sorted({1, hemo._COLUMN_BLOCK - 1, hemo._COLUMN_BLOCK,
                                                hemo._COLUMN_BLOCK + 1, 2 * hemo._COLUMN_BLOCK + 2,
                                                63, 64, 65, 130}))
-    def test_column_blocks_match_whole_array_fft(self, n_cols):
+    def test_column_blocks_match_whole_array_fft(self, n_cols, monkeypatch):
         rng = np.random.default_rng(n_cols)
         data = rng.normal(size=(2000, n_cols))
         k = glover_hrf(50.0)
@@ -152,7 +165,8 @@ class TestConvolveDownsample:
         spec_h = np.fft.rfft(k, n=n_fft)
         conv = np.fft.irfft(spec_x * spec_h[:, None], n=n_fft, axis=0)[:conv_len]
         want = conv[np.arange(10) * 100]
-        assert _convolve(data).tobytes() == want.tobytes()
+        for n_workers in _worker_counts(monkeypatch):
+            assert _convolve(data).tobytes() == want.tobytes(), n_workers
 
 
 def test_hrf_align_shapes():
@@ -162,10 +176,44 @@ def test_hrf_align_shapes():
     assert out.shape == (60, 5)
 
 
-@pytest.mark.parametrize("n_cols", [1, hemo._COLUMN_BLOCK + 3])
-def test_hrf_align_normalizes_per_block_like_whole_array(n_cols):
+@pytest.mark.parametrize("n_cols", [1, hemo._COLUMN_BLOCK + 3, 130])
+def test_hrf_align_normalizes_per_block_like_whole_array(n_cols, monkeypatch):
     rng = np.random.default_rng(n_cols)
     data = rng.normal(size=(6000, n_cols))
     data[:, 0] = 2.5  # a constant column maps to zeros
     want = _convolve(_unit_range(data), n_scans=60)
-    assert hemo.hrf_align(data, 50.0, n_scans=60).tobytes() == want.tobytes()
+    for n_workers in _worker_counts(monkeypatch):  # 130 columns: blocks finish out of order
+        assert hemo.hrf_align(data, 50.0, n_scans=60).tobytes() == want.tobytes(), n_workers
+
+
+def test_hrf_align_leaves_no_thread_alive(monkeypatch):
+    monkeypatch.setattr(hemo, "_worker_count", lambda *_: 2)  # also where the process has one CPU
+    before = threading.active_count()
+    hrf_align(np.random.default_rng(6).normal(size=(2000, 40)), 50.0, n_scans=10)
+    assert threading.active_count() == before
+
+
+def test_block_error_stops_every_thread():
+    done = []
+
+    def make_task():
+        def task(item):
+            if item == 3:
+                raise ValueError("block 3 failed")
+            done.append(item)
+        return task
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="block 3 failed"):
+        hemo._run_tasks(make_task, range(1000), 3)
+    assert threading.active_count() == before
+    assert len(done) < 999  # no thread took another block after the error
+
+
+def test_worker_count_keeps_blocks_in_flight_within_share(monkeypatch):
+    monkeypatch.setattr(hemo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert hemo._worker_count(1, 10, 10**9) == 1  # one block runs inline
+    assert hemo._worker_count(3, 10, 10**9) == 3
+    assert hemo._worker_count(100, 10, 10**9) == 4
+    assert hemo._worker_count(100, 10**6, 3 * 10**6) == 1  # one block may exceed the share
+    assert hemo._worker_count(100, 10**6, 6 * 10**6) == 2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,3 +232,33 @@ def test_manifest_json_roundtrip(tmp_path):
     write_manifest(path, m)
     back = read_manifest(path)
     assert back == m
+
+
+@pytest.mark.parametrize("key, bad, shown", [
+    ("subjects", {"id": "sub057", "response": ""}, "{'id': 'sub057', 'response': ''}"),
+    ("features", {"name": "layer57"}, "{'name': 'layer57'}"),
+    ("blocks", [570, "580"], "[570, '580']"),
+])
+def test_manifest_list_error_names_only_the_bad_item(tmp_path, key, bad, shown):
+    """One bad record of a 102-subject manifest gives one short line, not all 102 records."""
+    doc = {
+        "subjects": [{"id": f"sub{i:03d}", "response": f"sub{i:03d}.fmx"} for i in range(102)],
+        "features": [{"name": f"layer{i}", "path": f"layer{i}.fmx"} for i in range(102)],
+        "blocks": [[10 * i, 10 * i + 10] for i in range(102)],
+    }
+    doc[key][57] = bad
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    text = matrixio.MANIFEST[key].text
+    assert str(err.value) == f"manifest key '{key}' must be {text}, got item 57: {shown}"
+
+
+@pytest.mark.parametrize("value", [5, "sub000.fmx", None])
+def test_manifest_non_list_error_shows_the_value(tmp_path, value):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subjects": value}))
+    with pytest.raises(ValueError, match="^manifest key 'subjects' must be a list of objects with "
+                                         f"non-empty string 'id' and 'response', got {value!r}$"):
+        read_manifest(path)
