@@ -88,7 +88,7 @@ def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
 class _Dataset:
     """A checked manifest with its feature files' column-stack X."""
 
-    manifest: matrixio.DatasetManifest
+    manifest: dict  # as matrixio.read_manifest returns it
     X: np.ndarray
     ends: list[int]  # feature file i holds the columns of X up to ends[i]
     rows: dict[str, int]  # feature file -> row count
@@ -107,11 +107,14 @@ def _load_2d(path: str | Path, kind: str, shape: str) -> np.ndarray:
     return mat
 
 
-def _read_response(path: str | Path, rows: dict[str, int]) -> np.ndarray:
-    """A 2-D response with as many rows as the feature files in ``rows``."""
+def _read_response(path: str | Path, rows: dict[str, int], rois: dict[str, list[int]]) -> np.ndarray:
+    """A 2-D response as tall as the feature files in ``rows``, with a target for every ROI index."""
     y = _load_2d(path, "response", "scans x targets")
     if y.shape[0] != next(iter(rows.values())):
         _fail(EXIT_USAGE, _row_mismatch({**rows, str(path): y.shape[0]}))
+    faults = matrixio.roi_faults(rois, y.shape[1])
+    if faults:
+        _fail(EXIT_USAGE, f"response file {path} has {y.shape[1]} targets: " + "; ".join(faults))
     return y
 
 
@@ -120,22 +123,23 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, de
     """Read and check a manifest, column-stack its 2-D feature matrices and read ``response_path``.
 
     ``feature_paths`` default to the manifest's own, relative to its directory.
-    ``score``'s one response is row-checked against the features before the
-    blocks are, and returned detrended if asked (None without a path). Every
+    ``score``'s one response is checked against the features and the ROIs
+    before the blocks are, and returned detrended if asked (None without a path). Every
     problem exits 2 with a message naming the file, before anything is written.
     """
     manifest_path = Path(manifest_path)
     manifest = _read(manifest_path, matrixio.read_manifest, "manifest")
     problems = matrixio.validate_manifest(manifest)
-    if len(manifest.blocks) < 3:
-        problems.append(f"need >= 3 blocks for leave-one-block-out, got {len(manifest.blocks)}")
+    blocks = manifest["blocks"]
+    if len(blocks) < 3:
+        problems.append(f"need >= 3 blocks for leave-one-block-out, got {len(blocks)}")
     if detrend:
         problems += [f"block ({a}, {b}) has {b - a} rows; need >= 3 to detrend"
-                     for a, b in manifest.blocks if 0 < b - a < 3]
+                     for a, b in blocks if 0 < b - a < 3]
     if problems:
         _fail(EXIT_USAGE, f"manifest {manifest_path}: " + "; ".join(problems))
     if feature_paths is None:
-        feature_paths = [str(manifest_path.parent / f.path) for f in manifest.features]
+        feature_paths = [str(manifest_path.parent / f["path"]) for f in manifest["features"]]
     if not feature_paths:
         _fail(EXIT_USAGE, f"manifest {manifest_path} lists no feature files")
     features = [_load_2d(path, "feature", "scans x features") for path in feature_paths]
@@ -145,8 +149,8 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, de
     ends = np.cumsum([mat.shape[1] for mat in features]).tolist()
     X = features[0] if len(features) == 1 else np.hstack(features)
     del features  # the column-stack is the one copy kept
-    y = None if response_path is None else _read_response(response_path, rows)
-    end = manifest.blocks[-1][1]
+    y = None if response_path is None else _read_response(response_path, rows, manifest["rois"])
+    end = blocks[-1][1]
     if X.shape[0] != end:
         _fail(EXIT_USAGE, f"the blocks of {manifest_path} end at {end}, but the feature files "
                           f"have {X.shape[0]} rows: {', '.join(feature_paths)}")
@@ -162,7 +166,7 @@ def _detrended(data: _Dataset, y: np.ndarray) -> np.ndarray:
     """
     if data.detrend:
         y = np.asarray(y, dtype=np.float64)
-        detrend_blocks(y, data.manifest.blocks)
+        detrend_blocks(y, data.manifest["blocks"])
     return y
 
 
@@ -242,7 +246,7 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
     """Cross-validated ridge brain scores per target."""
     data, Y = _load_dataset(manifest_path, features.split(","), detrend, response_path)
     try:
-        sm, = brain_score(data.X, Y, data.manifest.blocks, [slice(None)])
+        sm, = brain_score(data.X, Y, data.manifest["blocks"], [slice(None)])
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
     matrixio.write_matrix(out_path, sm.r_mean)
@@ -250,8 +254,8 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
         report.write_report(
             report_path,
             {
-                "stages": {"score": {"n_folds": len(data.manifest.blocks), "n_targets": sm.n_targets}},
-                "scores": report.summarize_scores(sm.r_mean, data.manifest.rois or None),
+                "stages": {"score": {"n_folds": len(data.manifest["blocks"]), "n_targets": sm.n_targets}},
+                "scores": report.summarize_scores(sm.r_mean, data.manifest["rois"] or None),
                 "contrasts": {},
             },
         )
@@ -285,7 +289,7 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     values = _load_2d(in_path, "input", "subjects x targets")
-    rois = _read(rois_path, matrixio.read_manifest, "manifest").rois if rois_path else None
+    rois = _read(rois_path, matrixio.read_manifest, "manifest")["rois"] if rois_path else None
     try:  # every error group_test raises here describes the input
         stats = groupstats.group_test(values, alternative, q)
     except ValueError as exc:
@@ -305,9 +309,7 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
             doc["roi_means"] = {name: groupstats.roi_mean(mean_vals, idx) for name, idx in rois.items()}
         except ValueError as exc:
             _fail(EXIT_USAGE, f"ROI manifest {rois_path}: {exc}")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matrixio.write_json(out_path, doc)
     click.echo(f"{doc['n_significant']}/{doc['n_targets']} targets significant at q={q}")
 
 
@@ -359,21 +361,20 @@ def _write_synth_dataset(out: Path, cohort: synthbench.Cohort) -> None:
     for name, x in zip(cohort.names, cohort.features):
         path = "features.fmx" if name == "synth" else f"features{name.removeprefix('model')}.fmx"
         matrixio.write_matrix(out / path, x)
-        features.append(matrixio.FeatureRecord(name, path, 1.0 / cfg.tr_seconds))
+        features.append({"name": name, "path": path, "sample_rate": 1.0 / cfg.tr_seconds})
     subjects = []
     for i, (y, _) in enumerate(cohort.subjects()):
         sub = f"sub{i:03d}"
         matrixio.write_matrix(out / f"{sub}.fmx", y)
-        subjects.append(matrixio.SubjectRecord(sub, f"{sub}.fmx"))
-    manifest = matrixio.DatasetManifest(
-        subjects=subjects,
-        features=features,
-        blocks=synthbench.even_blocks(cfg.n_scans, cfg.n_blocks),
-        rois={"all": list(range(cfg.n_targets))},
-        n_rows=cfg.n_scans,
-        n_targets=cfg.n_targets,
-    )
-    matrixio.write_manifest(out / "manifest.json", manifest)
+        subjects.append({"id": sub, "response": f"{sub}.fmx"})
+    matrixio.write_json(out / "manifest.json", {
+        "subjects": subjects,
+        "features": features,
+        "blocks": synthbench.even_blocks(cfg.n_scans, cfg.n_blocks),
+        "rois": {"all": list(range(cfg.n_targets))},
+        "n_rows": cfg.n_scans,
+        "n_targets": cfg.n_targets,
+    })
 
 
 #: The run config's keys, each with its check and any default; other keys are refused.
@@ -391,9 +392,9 @@ _RUN = {
     "features": matrixio.Check(
         lambda fs: isinstance(fs, list) and fs != [],
         "a non-empty list of objects with string name and path and an optional positive sample_rate",
-        each=lambda f: isinstance(f, dict) and set(f) <= {"name", "path", "sample_rate"}
-        and isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
-        and matrixio.positive_rate(f.get("sample_rate", 1.0))),
+        each=matrixio.Check(lambda f: isinstance(f, dict) and set(f) <= {"name", "path", "sample_rate"}
+                            and isinstance(f.get("name"), str) and isinstance(f.get("path"), str)
+                            and matrixio.positive_rate(f.get("sample_rate", 1.0)))),
     "synth": matrixio.Check(lambda b: isinstance(b, dict), "an object"),
 }
 _GRID = {
@@ -494,21 +495,23 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
 
     features = cfg.get("features")
     data, _ = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
-    names = [f["name"] for f in features] if features else [f.name for f in data.manifest.features]
-    if not data.manifest.subjects:
+    manifest = data.manifest
+    names = [f["name"] for f in (features or manifest["features"])]
+    if not manifest["subjects"]:
         _fail(EXIT_USAGE, f"manifest {manifest_path} lists no subjects")
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = out_dir / "resolved_config.json"
-    snapshot.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    matrixio.write_json(snapshot, cfg)
     written.append(snapshot)
 
     # score every concatenation level, a column prefix of X, for every subject
     t0 = time.perf_counter()
     prefixes = [slice(end) for end in data.ends]
     per_subject = []
-    for sub in data.manifest.subjects:
-        y = _detrended(data, _read_response(manifest_path.parent / sub.response_path, data.rows))
-        per_subject.append([sm.r_mean for sm in brain_score(data.X, y, data.manifest.blocks, prefixes, grid)])
+    for sub in manifest["subjects"]:
+        y = _detrended(data, _read_response(manifest_path.parent / sub["response"], data.rows,
+                                            manifest["rois"]))
+        per_subject.append([sm.r_mean for sm in brain_score(data.X, y, manifest["blocks"], prefixes, grid)])
     per_subject_scores = np.array(per_subject)  # subjects x levels x targets
     timings["score"] = time.perf_counter() - t0
     n_levels = len(names)
@@ -526,7 +529,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         level_deltas = [float(deltas[:, L - 1].mean()) for L in range(1, n_levels)]
         for L, delta in enumerate(level_deltas, start=1):
             contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {"mean_delta_r": delta, "per_level_index": L}
-        if len(data.manifest.subjects) >= 5:
+        if len(manifest["subjects"]) >= 5:
             top_delta = contrast_mod.delta_vs_baseline(level_scores[-1], level_scores[0])
             stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
             group_block = {
@@ -554,7 +557,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         "stages": {"timings_seconds": timings},
         "scores": {
             "per_level_mean_r": dict(zip(names, mean_scores_per_level)),
-            **report.summarize_scores(subject_mean, data.manifest.rois or None),
+            **report.summarize_scores(subject_mean, manifest["rois"] or None),
         },
         "contrasts": contrasts,
         "group": group_block,

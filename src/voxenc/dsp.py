@@ -168,25 +168,6 @@ def mel_filterbank(signal: np.ndarray, n_mels: int = 80, variant: str = "slaney"
                        mel_filter_matrix(MEL_N_FFT, n_mels, variant))
 
 
-def mix_to_mono(signal: np.ndarray) -> np.ndarray:
-    """Float64 mono signal: the average of the channels.
-
-    A 1-D signal is one channel. A 2-D samples x channels signal is summed
-    ``_MIX_BLOCK`` frames at a time straight into the float64 output, which
-    is then divided by the channel count; the only full-length array made is
-    the output, and its bits equal ``signal.mean(axis=1, dtype=float64)``.
-    """
-    sig = np.asarray(signal)
-    if sig.ndim == 1:
-        return sig.astype(np.float64, copy=False)
-    if sig.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D signal, got ndim={sig.ndim}")
-    mono = np.empty(sig.shape[0])
-    for start in range(0, mono.size, _MIX_BLOCK):
-        _mix_block(sig[start : start + _MIX_BLOCK], mono[start : start + _MIX_BLOCK], 1.0)
-    return mono
-
-
 def _mix_block(frames: np.ndarray, out: np.ndarray, full_scale: float) -> None:
     """Write the channel average of ``frames`` divided by ``full_scale`` into ``out``.
 
@@ -307,13 +288,16 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
 
 
 def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
-    """Average channels and polyphase-resample down to 16 kHz.
+    """Polyphase-resample a 1-D mono signal, such as ``read_wav`` returns, down to 16 kHz.
 
-    Output length is ceil(len * 16000 / rate). Upsampling is refused.
+    Output length is ceil(len * 16000 / rate). Upsampling is refused, and so
+    is a signal that is not 1-D.
     """
     if rate < SAMPLE_RATE:
         raise ValueError(f"upsampling from {rate} Hz is not supported")
-    sig = mix_to_mono(signal)
+    sig = np.asarray(signal).astype(np.float64, copy=False)
+    if sig.ndim != 1:
+        raise ValueError(f"expected a 1-D mono signal, got shape {sig.shape}")
     if rate == SAMPLE_RATE:
         return sig
     rate_i = int(round(rate))

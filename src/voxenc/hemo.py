@@ -182,7 +182,7 @@ def hrf_align(
     zero-padded, so early scans see only the kernel's rising edge.
     """
     kernel = glover_hrf(rate)
-    data = np.asarray(data, dtype=np.float64)  # copies only another dtype, e.g. float32
+    data = np.asarray(data)  # another dtype, e.g. float32, is cast block by block by np.copyto
     n_rows, n_cols = data.shape
     scan_idx = scan_index(n_rows, rate, n_scans, tr_seconds)
     # FFT convolution, causal "full" mode, _COLUMN_BLOCK columns at a time

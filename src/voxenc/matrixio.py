@@ -1,4 +1,4 @@
-"""Binary (FMX1) and CSV matrix I/O, dataset manifests and the key checks of input documents.
+"""Binary (FMX1) and CSV matrix I/O, JSON files and the key checks of input documents.
 
 Container layout, all little-endian:
 
@@ -9,7 +9,12 @@ Container layout, all little-endian:
     rest        row-major payload
 
 The format carries no metadata; sampling rates, block structure and ROI
-definitions live in the JSON manifest.
+definitions live in the JSON manifest. ``read_manifest`` returns the
+manifest's checked JSON object: keys outside ``MANIFEST`` are dropped,
+absent keys take their defaults, and each ROI is a non-empty list of
+non-negative integer indices; ``score`` and ``run`` also check that the
+indices are below the response's target count. ``write_json`` writes every
+JSON file the CLI makes.
 
 Each array exists once: ``read_matrix`` checks the payload length against
 the file size, reads the payload straight into the returned array and
@@ -20,12 +25,12 @@ before the check, which costs one copy.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import struct
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,35 +46,6 @@ _CHECK_BLOCK = 1 << 16
 
 class MatrixParseError(ValueError):
     """Malformed container or CSV; message names the byte offset or row."""
-
-
-@dataclass
-class SubjectRecord:
-    subject_id: str
-    response_path: str
-
-
-@dataclass
-class FeatureRecord:
-    name: str
-    path: str
-    sample_rate: float
-
-
-@dataclass
-class DatasetManifest:
-    """Binds stimuli features, per-subject responses, CV blocks and ROIs.
-
-    ``blocks`` are half-open ``(start_row, end_row)`` ranges at acquisition
-    rate; they must be ordered, disjoint, and jointly cover all scan rows.
-    """
-
-    subjects: list[SubjectRecord] = field(default_factory=list)
-    features: list[FeatureRecord] = field(default_factory=list)
-    blocks: list[tuple[int, int]] = field(default_factory=list)
-    rois: dict[str, list[int]] = field(default_factory=dict)
-    n_rows: int | None = None
-    n_targets: int | None = None
 
 
 def write_matrix(path: str | Path, data: np.ndarray) -> None:
@@ -157,33 +133,14 @@ def _read_csv(path: Path, text: io.TextIOWrapper) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def read_manifest(path: str | Path) -> DatasetManifest:
-    """Read a manifest, checking each key of ``MANIFEST`` (other keys are ignored)."""
+def read_manifest(path: str | Path) -> dict:
+    """The manifest's JSON object, each key of ``MANIFEST`` checked or defaulted; other keys are dropped."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = check_fields(json.load(fh), MANIFEST, "manifest key '{}'")
-    return DatasetManifest(
-        subjects=[SubjectRecord(s["id"], s["response"]) for s in doc["subjects"]],
-        features=[FeatureRecord(f["name"], f["path"], f.get("sample_rate", 1.0))
-                  for f in doc["features"]],
-        blocks=[tuple(b) for b in doc["blocks"]],
-        rois=dict(doc["rois"]),
-        n_rows=doc.get("n_rows"),
-        n_targets=doc.get("n_targets"),
-    )
+        return check_fields(json.load(fh), MANIFEST, "manifest key '{}'")
 
 
-def write_manifest(path: str | Path, manifest: DatasetManifest) -> None:
-    doc = {
-        "subjects": [{"id": s.subject_id, "response": s.response_path} for s in manifest.subjects],
-        "features": [{"name": f.name, "path": f.path, "sample_rate": f.sample_rate}
-                     for f in manifest.features],
-        "blocks": [list(b) for b in manifest.blocks],
-        "rois": manifest.rois,
-    }
-    if manifest.n_rows is not None:
-        doc["n_rows"] = manifest.n_rows
-    if manifest.n_targets is not None:
-        doc["n_targets"] = manifest.n_targets
+def write_json(path: str | Path, doc: object) -> None:
+    """Write ``doc`` as JSON with sorted keys, a two-space indent and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -215,35 +172,46 @@ class Check(NamedTuple):
     """A key's check: the test its value must pass, the text after "must be"
     when it fails, and the value taken when the key is absent (None: none).
 
-    A list-valued key also has ``each``, the test of every item. A failing
-    item is named by its index and shown alone, so one bad record of a
-    long list gives a short message.
+    A list- or object-valued key may also have ``each``, the check of every
+    item (an object's items are its values). The message shows only the first
+    failing item, after its list index or object key, down to the innermost
+    one, so one bad record of a long list or one bad index of a long ROI gives
+    a short message. An item's ``text`` is not shown.
     """
 
     ok: Callable[[object], bool]
-    text: str
+    text: str = ""
     default: object = None
-    each: Callable[[object], bool] | None = None
+    each: Check | None = None
 
     def check(self, value: object, label: str) -> object:
-        if not self.ok(value):
-            raise ValueError(f"{label} must be {self.text}, got {value!r}")
-        if self.each is not None:
-            bad = next((i for i, item in enumerate(value) if not self.each(item)), None)
-            if bad is not None:
-                raise ValueError(f"{label} must be {self.text}, got item {bad}: {value[bad]!r}")
+        fault = self.fault(value)
+        if fault is not None:
+            raise ValueError(f"{label} must be {self.text}, got {fault}")
         return value
+
+    def fault(self, value: object) -> str | None:
+        """None if ``value`` passes, else what the message shows after "got"."""
+        if not self.ok(value):
+            return repr(value)
+        if self.each is not None:
+            for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+                fault = self.each.fault(item)
+                if fault is not None:
+                    return f"{key!r}: {fault}" if isinstance(value, dict) else f"item {key}: {fault}"
+        return None
 
 
 def check_fields(doc: object, table: dict[str, Check], label: str) -> dict:
     """The value or default of each key of ``table``, checked in table order.
 
     ``label.format(key)`` names a bad key in the message. Keys outside the
-    table are the caller's to refuse or ignore.
+    table are the caller's to refuse or ignore. A default is copied, so the
+    caller may change what it gets.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {doc!r}")
-    return {key: c.check(doc[key], label.format(key)) if key in doc else c.default
+    return {key: c.check(doc[key], label.format(key)) if key in doc else copy.deepcopy(c.default)
             for key, c in table.items() if key in doc or c.default is not None}
 
 
@@ -259,26 +227,32 @@ def _record(*keys: str) -> Callable[[object], bool]:
 #: A manifest's keys; response and feature paths are relative to its directory.
 MANIFEST = {
     "subjects": Check(_is_list, "a list of objects with non-empty string 'id' and 'response'", [],
-                      _record("id", "response")),
+                      Check(_record("id", "response"))),
     "features": Check(_is_list, "a list of objects with non-empty string 'name' and 'path'", [],
-                      _record("name", "path")),
+                      Check(_record("name", "path"))),
     "blocks": Check(_is_list, "a list of [start, end] integer pairs", [],
-                    lambda b: isinstance(b, list) and len(b) == 2 and all(map(is_int, b))),
-    "rois": Check(lambda v: isinstance(v, dict) and all(
-        isinstance(ix, list) and all(map(is_int, ix)) for ix in v.values()),
-        "an object of integer index lists", {}),
+                    Check(lambda b: isinstance(b, list) and len(b) == 2 and all(map(is_int, b)))),
+    "rois": Check(lambda v: isinstance(v, dict),
+                  "an object of non-empty lists of non-negative integer indices", {},
+                  Check(lambda ix: isinstance(ix, list) and ix != [], each=Check(lambda i: is_int(i) and i >= 0))),
     **dict.fromkeys(("n_rows", "n_targets"), Check(lambda v: v is None or is_int(v), "null or an integer")),
 }
 
 
-def validate_manifest(manifest: DatasetManifest) -> list[str]:
-    """Check manifest invariants; returns one message per violation.
+def roi_faults(rois: dict[str, list[int]], n_targets: int) -> list[str]:
+    """One message per ROI holding an index at or past ``n_targets``, naming the first."""
+    return [f"roi {name!r}: index {next(i for i in idx if i >= n_targets)} outside [0, {n_targets})"
+            for name, idx in rois.items() if max(idx) >= n_targets]
+
+
+def validate_manifest(manifest: dict) -> list[str]:
+    """Check the invariants of a manifest that ``read_manifest`` returned; one message per violation.
 
     Violations are data, not failures: an empty list means the manifest is
     usable for scoring.
     """
     violations: list[str] = []
-    blocks = manifest.blocks
+    blocks = manifest["blocks"]
     for i, (a, b) in enumerate(blocks):
         if b <= a:
             violations.append(f"block {i}: empty or inverted range ({a}, {b})")
@@ -286,27 +260,26 @@ def validate_manifest(manifest: DatasetManifest) -> list[str]:
         if blocks[i][0] < blocks[i - 1][1]:
             violations.append(
                 f"blocks {i - 1} and {i} overlap or are out of order: "
-                f"{blocks[i - 1]} vs {blocks[i]}"
+                f"{tuple(blocks[i - 1])} vs {tuple(blocks[i])}"
             )
         elif blocks[i][0] > blocks[i - 1][1]:
             violations.append(f"gap between block {i - 1} end {blocks[i - 1][1]} and block {i} start {blocks[i][0]}")
     if blocks and blocks[0][0] != 0:
         violations.append(f"block 0 starts at {blocks[0][0]}, expected 0")
-    if manifest.n_rows is not None and blocks and blocks[-1][1] != manifest.n_rows:
-        violations.append(f"blocks end at {blocks[-1][1]} but manifest declares {manifest.n_rows} rows")
-    rates = [(f.name, f.sample_rate) for f in manifest.features if positive_rate(f.sample_rate)]
-    violations += [f"feature {f.name!r}: sample_rate {f.sample_rate!r} is not a positive finite number"
-                   for f in manifest.features if not positive_rate(f.sample_rate)]
-    names = [f.name for f in manifest.features]
+    n_rows = manifest.get("n_rows")
+    if n_rows is not None and blocks and blocks[-1][1] != n_rows:
+        violations.append(f"blocks end at {blocks[-1][1]} but manifest declares {n_rows} rows")
+    features = [(f["name"], f.get("sample_rate", 1.0)) for f in manifest["features"]]
+    rates = [(name, rate) for name, rate in features if positive_rate(rate)]
+    violations += [f"feature {name!r}: sample_rate {rate!r} is not a positive finite number"
+                   for name, rate in features if not positive_rate(rate)]
+    names = [name for name, _ in features]
     violations += [f"feature name {n!r} is used {names.count(n)} times; a run's report keys its levels by name"
                    for i, n in enumerate(names) if names.count(n) > 1 and names.index(n) == i]
     if len({rate for _, rate in rates}) > 1:
         listed = ", ".join(f"{name!r} at {rate:g} Hz" for name, rate in rates)
         violations.append(f"feature sample rates differ ({listed}); equal row counts at different "
                           "rates cannot be aligned")
-    if manifest.n_targets is not None:
-        for name, idx in manifest.rois.items():
-            bad = [i for i in idx if i < 0 or i >= manifest.n_targets]
-            if bad:
-                violations.append(f"roi {name!r}: index {bad[0]} outside [0, {manifest.n_targets})")
+    if manifest.get("n_targets") is not None:
+        violations += roi_faults(manifest["rois"], manifest["n_targets"])
     return violations

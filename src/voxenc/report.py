@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
+
+from .groupstats import roi_mean
+from .matrixio import write_json
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -28,9 +30,7 @@ def write_report(path: str | Path, doc: dict) -> None:
     problems = validate_report(doc)
     if problems:
         raise ValueError(f"report {path}: " + "; ".join(problems))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def bar_chart_svg(
@@ -79,5 +79,5 @@ def summarize_scores(r_mean: np.ndarray, rois: dict[str, list[int]] | None = Non
         "n_targets": int(len(r_mean)),
     }
     if rois:
-        out["roi_mean_r"] = {name: float(np.mean(r_mean[idx])) for name, idx in rois.items()}
+        out["roi_mean_r"] = {name: roi_mean(r_mean, idx) for name, idx in rois.items()}
     return out

@@ -36,7 +36,7 @@ def test_synth_writes_dataset(runner, tmp_path):
     manifest = matrixio.read_manifest(out / "manifest.json")
     assert matrixio.validate_manifest(manifest) == []
     feats = matrixio.read_matrix(out / "features.fmx")
-    y = matrixio.read_matrix(out / manifest.subjects[0].response_path)
+    y = matrixio.read_matrix(out / manifest["subjects"][0]["response"])
     assert feats.shape[0] == y.shape[0]
 
 
@@ -50,13 +50,13 @@ def test_synth_files_equal_cohort(runner, tmp_path, preset):
     cfg = synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7)
     cohort = synthbench.build_cohort(preset, cfg)
     manifest = matrixio.read_manifest(out / "manifest.json")
-    assert [f.name for f in manifest.features] == cohort.names
-    for record, feats in zip(manifest.features, cohort.features):
-        assert _same_bits(matrixio.read_matrix(out / record.path), feats)
+    assert [f["name"] for f in manifest["features"]] == cohort.names
+    for record, feats in zip(manifest["features"], cohort.features):
+        assert _same_bits(matrixio.read_matrix(out / record["path"]), feats)
     responses = [y for y, _ in cohort.subjects()]
-    assert len(manifest.subjects) == len(responses) == 3
-    for record, y in zip(manifest.subjects, responses):
-        assert _same_bits(matrixio.read_matrix(out / record.response_path), y)
+    assert len(manifest["subjects"]) == len(responses) == 3
+    for record, y in zip(manifest["subjects"], responses):
+        assert _same_bits(matrixio.read_matrix(out / record["response"]), y)
 
 
 def test_null_files_score_like_gen_null_cohort(runner, tmp_path):
@@ -64,8 +64,8 @@ def test_null_files_score_like_gen_null_cohort(runner, tmp_path):
     expected = synthbench.gen_null_cohort(synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7))
     manifest = matrixio.read_manifest(out / "manifest.json")
     X = matrixio.read_matrix(out / "features.fmx")
-    for i, record in enumerate(manifest.subjects):
-        r = brain_score(X, matrixio.read_matrix(out / record.response_path), manifest.blocks,
+    for i, record in enumerate(manifest["subjects"]):
+        r = brain_score(X, matrixio.read_matrix(out / record["response"]), manifest["blocks"],
                         [slice(None)])[0].r_mean
         assert _same_bits(r, expected[i])
 
@@ -222,6 +222,51 @@ def test_score_bad_feature_rates_exit_2(runner, tmp_path, rates, needle):
                                "--out", str(tmp_path / "o.fmx"), "--report", str(tmp_path / "r.json")])
     _assert_input_error(res, f"manifest {manifest}", needle)
     assert not (tmp_path / "o.fmx").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "run"])
+@pytest.mark.parametrize("index, needle", [
+    pytest.param(999, "sub000.fmx has 7 targets: roi 'all': index 999 outside [0, 7)", id="past_targets"),
+    pytest.param(-1, "manifest key 'rois' must be an object of non-empty lists of non-negative integer "
+                     "indices, got 'all': item 7: -1", id="negative"),
+])
+def test_roi_index_outside_targets_exit_2(runner, tmp_path, command, index, needle):
+    """A ROI index past the response's targets, in a manifest without n_targets, or below 0."""
+    out = _synth_dir(runner, tmp_path, "linear", ["--n-targets", "7"])
+    doc = json.loads((out / "manifest.json").read_text())
+    del doc["n_targets"]
+    doc["rois"]["all"].append(index)
+    manifest = out / "bad_rois.json"
+    manifest.write_text(json.dumps(doc))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(tmp_path / "run_out"), "manifest": str(manifest)}))
+    args = {"score": ["score", "--features", str(out / "features.fmx"), "--response", str(out / "sub000.fmx"),
+                      "--manifest", str(manifest), "--out", str(tmp_path / "o.fmx"),
+                      "--report", str(tmp_path / "r.json")],
+            "run": ["run", "--config", str(config)]}[command]
+    res = runner.invoke(main, args)
+    _assert_input_error(res, needle)
+    assert not any((tmp_path / name).exists() for name in ("o.fmx", "r.json", "run_out"))
+
+
+def test_json_files_sorted_indented_with_final_newline(runner, tmp_path):
+    """synth, run, score --report and group-stats write JSON through one writer."""
+    data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
+    run_out = tmp_path / "run_out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(run_out), "manifest": str(data / "manifest.json")}))
+    for args in (["run", "--config", str(config)],
+                 ["score", "--features", f"{data / 'features_a.fmx'},{data / 'features_b.fmx'}",
+                  "--response", str(data / "sub000.fmx"), "--manifest", str(data / "manifest.json"),
+                  "--out", str(tmp_path / "scores.fmx"), "--report", str(tmp_path / "score_report.json")],
+                 ["group-stats", "--in", str(run_out / "group_delta.fmx"), "--rois", str(data / "manifest.json"),
+                  "--out", str(tmp_path / "stats.json")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    for path in (data / "manifest.json", run_out / "resolved_config.json", run_out / "report.json",
+                 tmp_path / "score_report.json", tmp_path / "stats.json"):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
 
 @pytest.fixture(scope="module")

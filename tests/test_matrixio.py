@@ -8,12 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from voxenc import matrixio
 from voxenc.matrixio import (
-    DatasetManifest,
     MatrixParseError,
     read_manifest,
     read_matrix,
     validate_manifest,
-    write_manifest,
+    write_json,
     write_matrix,
 )
 
@@ -163,73 +162,79 @@ def test_dimension_overflow(tmp_path):
         read_matrix(path)
 
 
+def _manifest(**keys):
+    """A manifest as ``read_manifest`` returns it: every defaulted key, plus ``keys``."""
+    return {"subjects": [], "features": [], "blocks": [], "rois": {}, **keys}
+
+
+def _feature(name, path, rate):
+    return {"name": name, "path": path, "sample_rate": rate}
+
+
 def test_manifest_12_blocks_of_5_valid():
-    m = DatasetManifest(blocks=[(5 * i, 5 * (i + 1)) for i in range(12)], n_rows=60)
+    m = _manifest(blocks=[[5 * i, 5 * (i + 1)] for i in range(12)], n_rows=60)
     assert validate_manifest(m) == []
 
 
 def test_manifest_overlap():
-    m = DatasetManifest(blocks=[(0, 5), (4, 9)], n_rows=9)
+    m = _manifest(blocks=[[0, 5], [4, 9]], n_rows=9)
     violations = validate_manifest(m)
     assert len([v for v in violations if "overlap" in v]) == 1
 
 
 def test_manifest_roi_out_of_range():
-    m = DatasetManifest(blocks=[(0, 5)], n_rows=5, n_targets=100, rois={"a1": [1, 999]})
+    m = _manifest(blocks=[[0, 5]], n_rows=5, n_targets=100, rois={"a1": [1, 999]})
     violations = validate_manifest(m)
     assert any("999" in v for v in violations)
 
 
 def test_manifest_gap():
-    m = DatasetManifest(blocks=[(0, 5), (6, 10)], n_rows=10)
+    m = _manifest(blocks=[[0, 5], [6, 10]], n_rows=10)
     assert any("gap" in v for v in validate_manifest(m))
 
 
 @pytest.mark.parametrize("rate", [0, -0.5, float("nan"), float("inf"), "0.5", True, None])
 def test_manifest_bad_sample_rate(rate):
-    m = DatasetManifest(features=[matrixio.FeatureRecord("mel", "mel.fmx", rate)],
-                        blocks=[(0, 5)], n_rows=5)
+    m = _manifest(features=[_feature("mel", "mel.fmx", rate)], blocks=[[0, 5]], n_rows=5)
     assert validate_manifest(m) == [
         f"feature 'mel': sample_rate {rate!r} is not a positive finite number"]
 
 
 def test_manifest_feature_rates_must_agree():
-    feats = [matrixio.FeatureRecord("a", "a.fmx", 0.5), matrixio.FeatureRecord("b", "b.fmx", 1.0),
-             matrixio.FeatureRecord("c", "c.fmx", 0.5)]
-    m = DatasetManifest(features=feats, blocks=[(0, 5)], n_rows=5)
+    feats = [_feature("a", "a.fmx", 0.5), _feature("b", "b.fmx", 1.0), _feature("c", "c.fmx", 0.5)]
+    m = _manifest(features=feats, blocks=[[0, 5]], n_rows=5)
     assert validate_manifest(m) == [
         "feature sample rates differ ('a' at 0.5 Hz, 'b' at 1 Hz, 'c' at 0.5 Hz); "
         "equal row counts at different rates cannot be aligned"]
-    feats[1].sample_rate = 0.5
+    feats[1]["sample_rate"] = 0.5
     assert validate_manifest(m) == []
     for f, rate in zip(feats, [2, 2.0, 2]):  # an int and a float of one value agree
-        f.sample_rate = rate
+        f["sample_rate"] = rate
     assert validate_manifest(m) == []
 
 
 def test_manifest_feature_names_must_differ():
-    feats = [matrixio.FeatureRecord(name, f"{i}.fmx", 0.5)
-             for i, name in enumerate(["m", "a", "m", ["x"], "m", ["x"]])]
-    m = DatasetManifest(features=feats, blocks=[(0, 5)], n_rows=5)
+    feats = [_feature(name, f"{i}.fmx", 0.5) for i, name in enumerate(["m", "a", "m", ["x"], "m", ["x"]])]
+    m = _manifest(features=feats, blocks=[[0, 5]], n_rows=5)
     assert validate_manifest(m) == [
         "feature name 'm' is used 3 times; a run's report keys its levels by name",
         "feature name ['x'] is used 2 times; a run's report keys its levels by name"]
     for f, name in zip(feats, "mabcde"):
-        f.name = name
+        f["name"] = name
     assert validate_manifest(m) == []
 
 
 def test_manifest_json_roundtrip(tmp_path):
-    m = DatasetManifest(
-        subjects=[matrixio.SubjectRecord("s1", "s1.fmx")],
-        features=[matrixio.FeatureRecord("mel", "mel.fmx", 100.0)],
-        blocks=[(0, 5), (5, 10)],
+    m = _manifest(
+        subjects=[{"id": "s1", "response": "s1.fmx"}],
+        features=[_feature("mel", "mel.fmx", 100.0)],
+        blocks=[[0, 5], [5, 10]],
         rois={"a1": [0, 1]},
         n_rows=10,
         n_targets=4,
     )
     path = tmp_path / "m.json"
-    write_manifest(path, m)
+    write_json(path, m)
     back = read_manifest(path)
     assert back == m
 
@@ -262,3 +267,24 @@ def test_manifest_non_list_error_shows_the_value(tmp_path, value):
     with pytest.raises(ValueError, match="^manifest key 'subjects' must be a list of objects with "
                                          f"non-empty string 'id' and 'response', got {value!r}$"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("rois, shown", [
+    ({"all": [*range(20000), "x"]}, "'all': item 20000: 'x'"),
+    ({"a1": [0, 1], "all": 5}, "'all': 5"),
+])
+def test_manifest_roi_error_names_the_roi_and_shows_only_the_bad_entry(tmp_path, rois, shown):
+    """One bad index of a 20000-index ROI gives one short line, not the whole index list."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"rois": rois}))
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"manifest key 'rois' must be {matrixio.MANIFEST['rois'].text}, got {shown}"
+    assert len(str(err.value)) < 200
+
+
+def test_manifest_absent_keys_take_fresh_defaults(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"other": 1}')
+    read_manifest(path)["subjects"].append({"id": "s1", "response": "s1.fmx"})
+    assert read_manifest(path) == {"subjects": [], "features": [], "blocks": [], "rois": {}}
