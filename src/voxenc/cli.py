@@ -20,7 +20,7 @@ import numpy as np
 from . import contrast as contrast_mod
 from . import ctc as ctc_mod
 from . import dsp, groupstats, hemo, matrixio, report, synthbench
-from .encode import brain_score, detrend_blocks
+from .encode import detrend_blocks, score_subjects
 
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
@@ -110,6 +110,8 @@ def _load_2d(path: str | Path, kind: str, shape: str) -> np.ndarray:
 def _read_response(path: str | Path, rows: dict[str, int], rois: dict[str, list[int]]) -> np.ndarray:
     """A 2-D response as tall as the feature files in ``rows``, with a target for every ROI index."""
     y = _load_2d(path, "response", "scans x targets")
+    if y.shape[1] == 0:
+        _fail(EXIT_USAGE, f"response file {path} has no targets: shape {y.shape}")
     if y.shape[0] != next(iter(rows.values())):
         _fail(EXIT_USAGE, _row_mismatch({**rows, str(path): y.shape[0]}))
     faults = matrixio.roi_faults(rois, y.shape[1])
@@ -143,6 +145,9 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, de
     if not feature_paths:
         _fail(EXIT_USAGE, f"manifest {manifest_path} lists no feature files")
     features = [_load_2d(path, "feature", "scans x features") for path in feature_paths]
+    for path, mat in zip(feature_paths, features):
+        if mat.shape[1] == 0:
+            _fail(EXIT_USAGE, f"feature file {path} has no columns: shape {mat.shape}")
     rows = {path: mat.shape[0] for path, mat in zip(feature_paths, features)}
     if len(set(rows.values())) > 1:
         _fail(EXIT_USAGE, _row_mismatch(rows))
@@ -191,8 +196,8 @@ def featurize(wav_path: str, kind: str, out_path: str, n_mels: int, mel_variant:
             feats = dsp.power_spectrogram(audio)
         else:
             feats = dsp.mel_filterbank(audio, n_mels, mel_variant)
-    except ValueError as exc:
-        _fail(EXIT_COMPUTE, str(exc))
+    except ValueError as exc:  # the audio's rate, length or samples
+        _fail(EXIT_USAGE, f"WAV file {wav_path}: {exc}")
     matrixio.write_matrix(out_path, _finite_output(feats, f"{kind} of {wav_path}"))
     click.echo(f"wrote {feats.shape[0]}x{feats.shape[1]} {kind} to {out_path}")
 
@@ -246,20 +251,20 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
     """Cross-validated ridge brain scores per target."""
     data, Y = _load_dataset(manifest_path, features.split(","), detrend, response_path)
     try:
-        sm, = brain_score(data.X, Y, data.manifest["blocks"], [slice(None)])
+        r_mean = score_subjects(data.X, [Y], 1, data.manifest["blocks"], [slice(None)])[0, 0]
     except ValueError as exc:
         _fail(EXIT_COMPUTE, str(exc))
-    matrixio.write_matrix(out_path, sm.r_mean)
+    matrixio.write_matrix(out_path, r_mean)
     if report_path:
         report.write_report(
             report_path,
             {
-                "stages": {"score": {"n_folds": len(data.manifest["blocks"]), "n_targets": sm.n_targets}},
-                "scores": report.summarize_scores(sm.r_mean, data.manifest["rois"] or None),
+                "stages": {"score": {"n_folds": len(data.manifest["blocks"]), "n_targets": r_mean.size}},
+                "scores": report.summarize_scores(r_mean, data.manifest["rois"] or None),
                 "contrasts": {},
             },
         )
-    click.echo(f"mean R = {sm.r_mean.mean():.4f} over {sm.n_targets} targets")
+    click.echo(f"mean R = {r_mean.mean():.4f} over {r_mean.size} targets")
 
 
 @main.command("contrast")
@@ -504,19 +509,16 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     matrixio.write_json(snapshot, cfg)
     written.append(snapshot)
 
-    # score every concatenation level, a column prefix of X, for every subject
+    # levels x subjects x targets: every concatenation level, a column prefix of X, for
+    # every subject, whose response is read and detrended as it is scored
     t0 = time.perf_counter()
-    prefixes = [slice(end) for end in data.ends]
-    per_subject = []
-    for sub in manifest["subjects"]:
-        y = _detrended(data, _read_response(manifest_path.parent / sub["response"], data.rows,
-                                            manifest["rois"]))
-        per_subject.append([sm.r_mean for sm in brain_score(data.X, y, manifest["blocks"], prefixes, grid)])
-    per_subject_scores = np.array(per_subject)  # subjects x levels x targets
+    responses = (_detrended(data, _read_response(manifest_path.parent / sub["response"], data.rows,
+                                                 manifest["rois"]))
+                 for sub in manifest["subjects"])
+    scores = score_subjects(data.X, responses, len(manifest["subjects"]), manifest["blocks"],
+                            [slice(end) for end in data.ends], grid)
     timings["score"] = time.perf_counter() - t0
     n_levels = len(names)
-    # each level's subjects x targets, contiguous: a strided view sums in another order
-    level_scores = [np.ascontiguousarray(per_subject_scores[:, L]) for L in range(n_levels)]
 
     # contrasts: per-level deltas relative to the previous level
     t0 = time.perf_counter()
@@ -524,13 +526,13 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     level_deltas: list[float] = []
     group_block = {}
     if n_levels >= 2:
-        # subjects x (levels-1) x targets
-        deltas = np.array([contrast_mod.delta_layerwise(s) for s in per_subject_scores])
+        # subjects x (levels-1) x targets: a contiguous level delta would sum in another order
+        deltas = np.stack(contrast_mod.delta_layerwise(scores), axis=1)
         level_deltas = [float(deltas[:, L - 1].mean()) for L in range(1, n_levels)]
         for L, delta in enumerate(level_deltas, start=1):
             contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {"mean_delta_r": delta, "per_level_index": L}
         if len(manifest["subjects"]) >= 5:
-            top_delta = contrast_mod.delta_vs_baseline(level_scores[-1], level_scores[0])
+            top_delta = contrast_mod.delta_vs_baseline(scores[-1], scores[0])
             stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
             group_block = {
                 "contrast": f"{names[-1]}_vs_{names[0]}",
@@ -542,7 +544,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
             written.append(out_dir / "group_delta.fmx")
     timings["contrast"] = time.perf_counter() - t0
 
-    mean_scores_per_level = [float(level.mean()) for level in level_scores]
+    mean_scores_per_level = [float(level.mean()) for level in scores]
     charts = {"scores_per_level.svg": report.bar_chart_svg(
         names, mean_scores_per_level, title="mean brain score per concatenation level")}
     if n_levels >= 2:
@@ -552,7 +554,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         (out_dir / chart).write_text(svg, encoding="utf-8")
         written.append(out_dir / chart)
 
-    subject_mean = level_scores[-1].mean(axis=0)
+    subject_mean = scores[-1].mean(axis=0)
     doc = {
         "stages": {"timings_seconds": timings},
         "scores": {

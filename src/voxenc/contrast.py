@@ -3,8 +3,9 @@
 Contrasts take per-target mean score arrays (``encode.ScoreMap.r_mean``),
 which is all the pipeline keeps of each fit, and return arrays. Level L is
 the column prefix of the first L + 1 feature matrices in the one
-column-stack the CLI builds, and ``encode.brain_score`` scores every level in
-one fold loop.
+column-stack the CLI builds, and ``encode.score_subjects`` scores every level
+of every subject into one levels x subjects x targets array, whose level
+blocks ``delta_layerwise`` takes as they are.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ def delta_vs_baseline(scores_full: np.ndarray, scores_baseline: np.ndarray) -> n
     return scores_full - scores_baseline
 
 
-def delta_layerwise(scores: list[np.ndarray]) -> list[np.ndarray]:
+def delta_layerwise(scores: list[np.ndarray] | np.ndarray) -> list[np.ndarray]:
     """Successive-level contrasts: one delta per level L >= 1.
 
-    Differences telescope: summing them recovers top level minus level 0.
+    ``scores`` is a list of per-level scores or an array whose first axis is
+    the level. Differences telescope: summing them recovers top level minus
+    level 0.
     """
     if len(scores) < 2:
         raise ValueError("need scores for at least levels 0 and 1")

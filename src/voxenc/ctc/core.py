@@ -23,8 +23,9 @@ class CtcInstance:
     def __post_init__(self) -> None:
         given = np.asarray(self.log_probs)
         self.log_probs = given.astype(np.float64, copy=False)
-        if self.log_probs.ndim != 2:
-            raise ValueError("log_probs must be T x n_classes")
+        if self.log_probs.ndim != 2 or self.log_probs.shape[1] == 0:
+            raise ValueError(f"log_probs must be T x n_classes with a blank class, "
+                             f"got shape {self.log_probs.shape}")
         # a row normalised in the input's precision sums to 1 within about
         # n_classes rounding steps of that precision: 1e-9 for float64 input
         eps = float(np.finfo(given.dtype).eps) if given.dtype.kind == "f" else 0.0
@@ -82,10 +83,13 @@ def forward_log_likelihood(log_probs: np.ndarray, extended: np.ndarray) -> float
 def ctc_log_likelihood(inst: CtcInstance) -> float:
     """Log of the summed probability over all valid alignments.
 
-    Returns -inf when the target cannot fit in the available frames.
+    Returns -inf when the target cannot fit in the available frames, and 0
+    for no frames and no targets: the one empty path has probability 1.
     """
     if min_frames(inst.targets) > inst.log_probs.shape[0]:
         return -np.inf
+    if inst.log_probs.shape[0] == 0:
+        return 0.0
     return forward_log_likelihood(inst.log_probs, _extend_with_blanks(inst.targets))
 
 

@@ -110,8 +110,9 @@ and confirm in float64 only the lambdas a target could still pick:
 Stages pass plain numpy arrays: ``detrend_blocks`` overwrites the caller's
 float64 response in place, and ``brain_score``, the one fold loop, takes one
 X, column sets of it and one Y and returns a ``ScoreMap``, the only
-container, per set. Finiteness is checked once here, in ``ridge_solve``; the
-CLI's inputs were already checked when read.
+container, per set; ``score_subjects``, the one subject loop, fills one
+sets x subjects x targets array with it. Finiteness is checked once here, in
+``ridge_solve``; the CLI's inputs were already checked when read.
 
 Everything runs in the calling thread; the only parallelism is the BLAS
 library's. Results are bit-identical across reruns at a fixed BLAS thread
@@ -121,6 +122,7 @@ a product differently (OpenBLAS at 1 thread versus 2 or more).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,10 +157,6 @@ class ScoreMap:
     r_mean: np.ndarray  # targets
     r_per_fold: np.ndarray  # folds x targets
     undefined: np.ndarray  # targets, bool
-
-    @property
-    def n_targets(self) -> int:
-        return self.r_mean.shape[0]
 
 
 def detrend_blocks(y: np.ndarray, blocks: list[tuple[int, int]]) -> None:
@@ -234,8 +232,8 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError(f"ridge_solve needs X (n, p) and Y (n,) or (n, targets); "
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0] or X.shape[1] == 0:
+        raise ValueError(f"ridge_solve needs X (n, p) with p >= 1 and Y (n,) or (n, targets); "
                          f"got {X.shape} and {Y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("non-finite inputs to ridge_solve")
@@ -598,3 +596,19 @@ def brain_score(
         del Ytr
     return [ScoreMap(r_mean=r.mean(axis=0), r_per_fold=r, undefined=fl)
             for r, fl in zip(r_per_fold, flagged)]
+
+
+def score_subjects(X: np.ndarray, responses: Iterable[np.ndarray], n_subjects: int,
+                   blocks: list[tuple[int, int]], sets: list[slice],
+                   grid: np.ndarray | None = None) -> np.ndarray:
+    """Sets x subjects x targets mean scores of X's column ``sets``, one ``brain_score`` per response.
+
+    ``responses`` yields the ``n_subjects`` >= 1 responses one at a time, so a
+    caller reading them from files holds one at once.
+    """
+    scores = None
+    for i, Y in zip(range(n_subjects), responses, strict=True):
+        if scores is None:
+            scores = np.empty((len(sets), n_subjects, Y.shape[1]))
+        scores[:, i] = [sm.r_mean for sm in brain_score(X, Y, blocks, sets, grid)]
+    return scores

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import delta_vs_baseline
-from .encode import brain_score
+from .encode import score_subjects
 from .hemo import MIN_OVERSAMPLE_HZ, hrf_align
 from .matrixio import Check, check_fields, finite, is_int
 from .rng import CounterRng
@@ -120,14 +119,14 @@ class Cohort:
                 yield _mix_response(self.features[-1], cfg, CounterRng(cfg.seed, stream=stream))
 
     def scores(self, grid: np.ndarray | None = None) -> np.ndarray:
-        """Subjects x names x targets mean scores: each subject's response against
+        """Names x subjects x targets mean scores: each subject's response against
         the column-stack of the features, one disjoint column set per name."""
         X = np.hstack(self.features)
         edges = np.cumsum([0] + [x.shape[1] for x in self.features])
         sets = [slice(a, b) for a, b in zip(edges, edges[1:])]
         blocks = even_blocks(self.cfg.n_scans, self.cfg.n_blocks)
-        return np.array([[sm.r_mean for sm in brain_score(X, y, blocks, sets, grid)]
-                         for y, _ in self.subjects()])
+        return score_subjects(X, (y for y, _ in self.subjects()), self.cfg.n_subjects, blocks,
+                              sets, grid)
 
 
 def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
@@ -142,18 +141,3 @@ def build_cohort(preset: str, cfg: SynthConfig) -> Cohort:
     ]
     return Cohort(preset, cfg, names, features)
 
-
-def gen_null_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
-    """Subjects x targets score matrix under the null (responses are noise)."""
-    return build_cohort("null", cfg).scores(grid)[:, 0]
-
-
-def gen_replica_cohort(cfg: SynthConfig, grid: np.ndarray | None = None) -> np.ndarray:
-    """Subjects x targets delta-R (B minus A) of a two-model comparison with a known winner.
-
-    Feature set B carries the signal that generates every subject's
-    response; feature set A is an independent distractor of the same size.
-    The resulting delta-R should be positive across subjects.
-    """
-    scores = build_cohort("replica", cfg).scores(grid)
-    return delta_vs_baseline(scores[:, 1], scores[:, 0])

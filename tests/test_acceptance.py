@@ -16,12 +16,7 @@ from voxenc.ctc import CtcInstance, ctc_log_likelihood
 from voxenc.encode import DEFAULT_LAMBDA_GRID, brain_score
 from voxenc.groupstats import fdr_bh, group_test, wilcoxon_signed_rank
 from voxenc.hemo import glover_hrf, hrf_align
-from voxenc.synthbench import (
-    SynthConfig,
-    even_blocks,
-    gen_null_cohort,
-    gen_replica_cohort,
-)
+from voxenc.synthbench import SynthConfig, build_cohort, even_blocks
 
 from oracles import ctc_brute_force, loo_residuals, ridge_closed_form
 from support import gen_linear_dataset
@@ -126,7 +121,7 @@ def test_criterion_5_null_calibration():
         cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=10,
                           n_targets=n_targets, n_subjects=n_subjects, snr=0.0,
                           seed=5000 + rep)
-        scores = gen_null_cohort(cfg)
+        scores = build_cohort("null", cfg).scores()[0]
         means[rep] = scores.mean()
         stats = group_test(scores, "greater", 0.05)
         fractions[rep] = stats.significant.mean()
@@ -184,7 +179,8 @@ def test_criterion_8_telescoping_contrasts():
 def test_criterion_9_paper_replica():
     cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8,
                       n_targets=100, n_subjects=20, snr=1.0, seed=109)
-    delta = gen_replica_cohort(cfg)
+    scores = build_cohort("replica", cfg).scores()
+    delta = scores[1] - scores[0]  # model B carries the signal, model A is a distractor
     stats = group_test(delta, "greater", 0.05)
     frac_sig = stats.significant.mean()
     assert delta.mean() > 0

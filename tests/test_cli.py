@@ -59,9 +59,10 @@ def test_synth_files_equal_cohort(runner, tmp_path, preset):
         assert _same_bits(matrixio.read_matrix(out / record["response"]), y)
 
 
-def test_null_files_score_like_gen_null_cohort(runner, tmp_path):
+def test_null_files_score_like_in_memory_cohort(runner, tmp_path):
     out = _synth_dir(runner, tmp_path, "null", ["--n-subjects", "3", "--n-targets", "7"])
-    expected = synthbench.gen_null_cohort(synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7))
+    cfg = synthbench.SynthConfig(seed=3, n_subjects=3, n_targets=7)
+    expected = synthbench.build_cohort("null", cfg).scores()[0]
     manifest = matrixio.read_manifest(out / "manifest.json")
     X = matrixio.read_matrix(out / "features.fmx")
     for i, record in enumerate(manifest["subjects"]):
@@ -183,6 +184,22 @@ def test_score_feature_shape_errors_exit_2(runner, tmp_path):
     matrixio.write_matrix(flat, feats[:, 0])
     res = runner.invoke(main, ["score", "--features", f"{out / 'features.fmx'},{flat}", *args])
     _assert_input_error(res, str(flat), "(60,)")
+
+
+@pytest.mark.parametrize("which, needle", [
+    ("features", "feature file {} has no columns"),
+    ("response", "response file {} has no targets"),
+])
+def test_score_empty_matrix_exit_2(runner, tmp_path, which, needle):
+    out = _synth_dir(runner, tmp_path, "linear")
+    empty = tmp_path / "empty.fmx"
+    matrixio.write_matrix(empty, np.empty((60, 0)))
+    files = {"features": str(out / "features.fmx"), "response": str(out / "sub000.fmx"), which: str(empty)}
+    res = runner.invoke(main, ["score", "--features", files["features"], "--response", files["response"],
+                               "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "o.fmx"),
+                               "--report", str(tmp_path / "o.json")])
+    _assert_input_error(res, needle.format(empty))
+    assert not (tmp_path / "o.fmx").exists() and not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("blocks, needle", [
@@ -459,6 +476,15 @@ def test_ctc_eval_empty_targets(runner, tmp_path):
     assert ll == pytest.approx(lp[:, 0].sum(), rel=1e-9)
 
 
+def test_ctc_eval_no_frames_no_targets(runner, tmp_path):
+    matrixio.write_matrix(tmp_path / "lp.fmx", np.empty((0, 3)))
+    (tmp_path / "targets.txt").write_text("")
+    res = runner.invoke(main, ["ctc-eval", "--logprobs", str(tmp_path / "lp.fmx"),
+                               "--targets", str(tmp_path / "targets.txt")])
+    assert res.exit_code == 0, res.output
+    assert "log_likelihood = 0\n" in res.output
+
+
 def test_ctc_eval_float32_logprobs(runner, tmp_path):
     rng = np.random.default_rng(2)
     logits = 3.0 * rng.normal(size=(60, 37))
@@ -592,6 +618,8 @@ def _stereo_wav_bytes(tmp_path):
     ("cut_in_data", "Reached EOF prematurely"),
     ("cut_in_frame", "cannot reshape"),
     ("cut_in_header", "truncated header"),
+    ("rate_8k", "upsampling from 8000 Hz is not supported"),
+    ("short", "signal of 319 samples shorter than one 320-sample window"),
 ])
 def test_featurize_bad_wav_exit_2(runner, tmp_path, case, needle):
     wav = tmp_path / f"{case}.wav"
@@ -599,6 +627,10 @@ def test_featurize_bad_wav_exit_2(runner, tmp_path, case, needle):
         wav.write_text("hello, this is not audio\n")
     elif case == "pcm8":
         _write_pcm16(wav, np.arange(4000, dtype=np.uint8), sampwidth=1)
+    elif case == "rate_8k":
+        _write_pcm16(wav, np.zeros(16000, dtype="<i2"), rate=8000)
+    elif case == "short":  # shorter than the spectrogram's 20 ms window
+        _write_pcm16(wav, np.zeros(319, dtype="<i2"))
     else:
         data = _stereo_wav_bytes(tmp_path)
         # 87 whole frames, 87.5 frames, or cut inside the fmt chunk
@@ -756,7 +788,8 @@ class TestRun:
 
     @pytest.mark.parametrize("case", ["malformed", "overlap", "two_blocks", "short_block",
                                       "no_features", "no_subjects", "feature_rows", "flat_response",
-                                      "feature_rates", "feature_names", "blocks_end"])
+                                      "feature_rates", "feature_names", "blocks_end",
+                                      "feature_columns", "response_targets"])
     def test_bad_manifest_run_input_exit_2(self, runner, tmp_path, case):
         data = _synth_dir(runner, tmp_path, "replica", ["--n-subjects", "6", "--n-targets", "15"])
         doc = json.loads((data / "manifest.json").read_text())
@@ -800,6 +833,14 @@ class TestRun:
             del doc["n_rows"]
             needles = [f"the blocks of {manifest} end at 58", "feature files have 60 rows",
                        str(data / "features_a.fmx"), str(data / "features_b.fmx")]
+        elif case == "feature_columns":
+            matrixio.write_matrix(data / "none.fmx", np.empty((60, 0)))
+            doc["features"][1]["path"] = "none.fmx"
+            needles = [f"feature file {data / 'none.fmx'} has no columns"]
+        elif case == "response_targets":  # found mid-run, after out_dir exists
+            matrixio.write_matrix(data / "none.fmx", np.empty((60, 0)))
+            doc["subjects"][3]["response"] = "none.fmx"
+            needles = [f"response file {data / 'none.fmx'} has no targets"]
         else:  # the fourth subject's response is 1-D: found mid-run, after out_dir exists
             matrixio.write_matrix(data / "flat.fmx", matrixio.read_matrix(data / "sub003.fmx")[:, 0])
             doc["subjects"][3]["response"] = "flat.fmx"

@@ -50,6 +50,12 @@ class TestLogLikelihood:
         inst = CtcInstance(np.log(p), [1, 1])  # needs 3 frames: a, blank, a
         assert ctc_log_likelihood(inst) == -np.inf
 
+    @pytest.mark.parametrize("targets", [[], [1]])
+    def test_no_frames_match_brute_force(self, targets):
+        # no frames: the empty target's one empty path has probability 1, any other target none
+        inst = CtcInstance(np.empty((0, 3)), targets)
+        assert ctc_log_likelihood(inst) == ctc_brute_force(inst) == (0.0 if not targets else -np.inf)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -127,6 +133,11 @@ class TestLogLikelihood:
     def test_float32_log_probs_stored_as_float64(self):
         inst = CtcInstance(np.log(np.full((2, 3), 1 / 3, dtype=np.float32)), [1])
         assert inst.log_probs.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 0), (3, 0)])
+    def test_log_probs_need_two_axes_and_a_blank(self, shape):
+        with pytest.raises(ValueError, match="T x n_classes with a blank class"):
+            CtcInstance(np.zeros(shape), [])
 
     def test_target_label_range(self):
         p = np.full((2, 3), 1 / 3)

@@ -230,6 +230,10 @@ class TestRidgeSolve:
         with pytest.raises(ValueError, match="ridge_solve needs"):
             ridge_solve(np.ones((5, 2)), np.ones((4, 1)))
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="p >= 1"):
+            ridge_solve(np.ones((5, 0)), np.ones((5, 1)))
+
     @pytest.mark.parametrize("grid,message", [
         ([np.nan, 10.0], "value nan at index 0"),
         ([10.0, -5.0], "value -5.0 at index 1"),

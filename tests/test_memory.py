@@ -1,9 +1,10 @@
-"""Peak-memory gates for the streaming stages and for ``run``'s levels.
+"""Peak-memory gates for the streaming stages and for ``run``'s levels and scores.
 
-Each command runs in a fresh process that imports everything it needs, notes
-its peak RSS, runs the command and notes the peak again. The growth must stay
-under a fixed multiple of the input's size in bytes. Measured on the code
-that makes each large array once (2-vCPU x86-64):
+Each command but the last runs in a fresh process that imports everything
+it needs, notes its peak RSS, runs the command and notes the peak again. The
+growth must stay under a fixed multiple of the input's size in bytes. The
+last, ``test_run_score_memory``, traces ``run``'s allocations in this process.
+Measured on the code that makes each large array once (2-vCPU x86-64):
 
 - ``hrf-convolve``: 1.28x, the input read straight into its array plus
   block-sized normalised columns and spectra. A float32 input grows by 1.54x
@@ -26,14 +27,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import voxenc
-from voxenc import matrixio
+from voxenc import encode, matrixio
+from voxenc.cli import main
 from voxenc.synthbench import even_blocks
 
 #: Levels of the manifest run in test_run_levels_memory.
@@ -42,6 +46,10 @@ HRF_MAX_GROWTH = 1.6
 HRF_FLOAT32_MAX_GROWTH = 2.0
 FEATURIZE_MAX_GROWTH = 3.4
 FEATURIZE_6CH_MAX_GROWTH = 1.3
+#: Subjects, levels and targets of test_run_score_memory, and its bound on the
+#: traced peak as a multiple of the levels x subjects x targets score array.
+SCORE_SUBJECTS, SCORE_LEVELS, SCORE_TARGETS = 20, 12, 20000
+SCORE_MAX_PEAK = 3.5
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/status").exists(),
                                 reason="needs VmHWM from /proc/self/status")
@@ -143,3 +151,48 @@ def test_run_levels_memory(tmp_path):
                                       "manifest": str(tmp_path / "manifest.json"), **extra}))
         growth[name] = _rss_growth_bytes(["run", "--config", str(config)])
     assert growth["levels"] - growth["one"] <= X.nbytes, growth
+
+
+def test_run_score_memory(tmp_path, monkeypatch):
+    """``run`` keeps its levels x subjects x targets scores in one array.
+
+    ``brain_score`` is stubbed to return seeded scores, so what is measured
+    is the bookkeeping around it: the traced peak of a 20-subject, 12-level,
+    20000-target run over the 38.4 MB score array. Measured (2-vCPU x86-64):
+    4.87x when ``run`` held per-subject score lists, their array copy,
+    per-level copies and two copies of the deltas; 2.83x with the one array
+    plus the level deltas, once as a list and once stacked.
+    """
+    n_rows, blocks = 9, even_blocks(9, 3)
+    rng = np.random.default_rng(3)
+    features = []
+    for level in range(SCORE_LEVELS):
+        path = f"level{level:02d}.fmx"
+        matrixio.write_matrix(tmp_path / path, rng.normal(size=(n_rows, 1)))
+        features.append({"name": f"level{level:02d}", "path": path, "sample_rate": 0.5})
+    matrixio.write_matrix(tmp_path / "sub.fmx", rng.normal(size=(n_rows, SCORE_TARGETS)))
+    matrixio.write_json(tmp_path / "manifest.json", {
+        "subjects": [{"id": f"sub{i:02d}", "response": "sub.fmx"} for i in range(SCORE_SUBJECTS)],
+        "features": features, "blocks": blocks, "rois": {}, "n_rows": n_rows,
+        "n_targets": SCORE_TARGETS})
+    (tmp_path / "run.json").write_text(json.dumps({"out_dir": str(tmp_path / "out"),
+                                                   "manifest": str(tmp_path / "manifest.json")}))
+    calls = iter(range(SCORE_SUBJECTS))
+
+    def seeded_scores(X, Y, blocks, sets, grid=None):
+        r = np.random.default_rng(next(calls)).uniform(-0.2, 0.4, size=(len(sets), Y.shape[1]))
+        return [encode.ScoreMap(r_mean=row, r_per_fold=row[None], undefined=row < 0) for row in r]
+
+    original = encode.brain_score
+    for name, module in list(sys.modules.items()):  # every module that bound brain_score
+        if name.startswith("voxenc") and getattr(module, "brain_score", None) is original:
+            monkeypatch.setattr(module, "brain_score", seeded_scores)
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "run.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    score_bytes = SCORE_SUBJECTS * SCORE_LEVELS * SCORE_TARGETS * 8
+    assert peak < SCORE_MAX_PEAK * score_bytes, peak / score_bytes

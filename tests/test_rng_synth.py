@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from voxenc.rng import CounterRng
-from voxenc.synthbench import (
-    SynthConfig,
-    even_blocks,
-    gen_null_cohort,
-    gen_replica_cohort,
-)
+from voxenc.synthbench import SynthConfig, build_cohort, even_blocks
 
 from support import gen_linear_dataset
 
@@ -100,21 +95,21 @@ class TestCohorts:
     def test_null_cohort_shape_and_determinism(self):
         cfg = SynthConfig(n_time_activation=6100, n_scans=60, n_features=6, n_targets=30,
                           n_subjects=6, snr=0.0, seed=11)
-        a = gen_null_cohort(cfg)
-        b = gen_null_cohort(cfg)
-        assert a.shape == (6, 30)
+        a = build_cohort("null", cfg).scores()
+        b = build_cohort("null", cfg).scores()
+        assert a.shape == (1, 6, 30)
         assert np.array_equal(a, b)
 
     def test_null_cohort_mean_near_zero(self):
         cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8, n_targets=100,
                           n_subjects=10, snr=0.0, seed=12)
-        g = gen_null_cohort(cfg)
+        g = build_cohort("null", cfg).scores()
         assert abs(g.mean()) < 0.03
 
     def test_replica_positive_delta(self):
         cfg = SynthConfig(n_time_activation=12200, n_scans=120, n_features=8, n_targets=20,
                           n_subjects=5, snr=1.0, seed=13)
-        delta = gen_replica_cohort(cfg)
-        assert isinstance(delta, np.ndarray)
-        assert delta.shape == (5, 20)
+        scores = build_cohort("replica", cfg).scores()
+        assert scores.shape == (2, 5, 20)
+        delta = scores[1] - scores[0]
         assert delta.mean() > 0.1
