@@ -324,12 +324,12 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
 def ctc_eval(logprobs_path: str, targets_path: str) -> None:
     """Print CTC log-likelihood and the greedy decode."""
     lp = _load(logprobs_path)
-    text = _read(targets_path, lambda p: Path(p).read_text(encoding="utf-8"), "targets file")
+    targets = _read(targets_path, lambda p: [int(t) for t in Path(p).read_text(encoding="utf-8").split()],
+                    "targets file")
     try:
-        targets = [int(t) for t in text.split()]
         inst = ctc_mod.CtcInstance(lp, targets)
     except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+        _fail(EXIT_USAGE, f"log-probs {logprobs_path} with targets {targets_path}: {exc}")
     ll = ctc_mod.ctc_log_likelihood(inst)
     decoded = ctc_mod.ctc_greedy_decode(lp)
     click.echo(f"log_likelihood = {ll:.10g}")
@@ -526,9 +526,11 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     level_deltas: list[float] = []
     group_block = {}
     if n_levels >= 2:
-        # subjects x (levels-1) x targets: a contiguous level delta would sum in another order
-        deltas = np.stack(contrast_mod.delta_layerwise(scores), axis=1)
+        # subjects x (levels-1) x targets: a contiguous level delta would sum in another
+        # order; freed before the group test's working set is taken
+        deltas = contrast_mod.delta_layerwise(scores)
         level_deltas = [float(deltas[:, L - 1].mean()) for L in range(1, n_levels)]
+        del deltas
         for L, delta in enumerate(level_deltas, start=1):
             contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {"mean_delta_r": delta, "per_level_index": L}
         if len(manifest["subjects"]) >= 5:

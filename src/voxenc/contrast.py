@@ -20,13 +20,22 @@ def delta_vs_baseline(scores_full: np.ndarray, scores_baseline: np.ndarray) -> n
     return scores_full - scores_baseline
 
 
-def delta_layerwise(scores: list[np.ndarray] | np.ndarray) -> list[np.ndarray]:
-    """Successive-level contrasts: one delta per level L >= 1.
+def delta_layerwise(scores: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Successive-level contrasts in one array: level L - level L - 1 for each L >= 1.
 
-    ``scores`` is a list of per-level scores or an array whose first axis is
-    the level. Differences telescope: summing them recovers top level minus
-    level 0.
+    ``scores`` holds one equal-shaped score array per level, as a list or along
+    the first axis of an array. The level axis of the result comes just before
+    the target axis: (levels - 1) x targets for per-level target arrays,
+    subjects x (levels - 1) x targets for levels x subjects x targets. The
+    differences telescope: summing them over levels recovers the top level
+    minus level 0.
     """
     if len(scores) < 2:
         raise ValueError("need scores for at least levels 0 and 1")
-    return [delta_vs_baseline(scores[L], scores[L - 1]) for L in range(1, len(scores))]
+    shape = np.shape(scores[0])
+    deltas = np.empty((*shape[:-1], len(scores) - 1, shape[-1]))
+    for L in range(1, len(scores)):
+        if np.shape(scores[L]) != shape:
+            raise ValueError(f"target mismatch: {np.shape(scores[L])} vs {shape}")
+        np.subtract(scores[L], scores[L - 1], out=deltas[..., L - 1, :])
+    return deltas

@@ -52,7 +52,29 @@ and confirm in float64 only the lambdas a target could still pick:
 
 - Float32 pass. ``_float32_screen`` runs the exact kernel's arithmetic per
   lambda in float32 (U, D, W, C and Y rounded to float32; shrink, SGEMM,
-  subtract, square, weighted sum), giving S32.
+  subtract, square, weighted sum), giving S32, on the pairs the bracket
+  leaves. Each pass over targets holds them as float32 rows, so a lambda's
+  targets are gathered as whole rows.
+- Bracket. Taking the computed U, D and c as exact, r satisfies
+      ||r||^2 = ||y||^2 - ||c||^2 + ||(1 - D) c||^2 + 2 dc^T D c + c^T D E D c
+  with E = U^T U - I and dc = c - U^T y, and min W ||r||^2 <= T <= max W ||r||^2
+  per lambda. The first three terms cost one (grid x k) by (k x targets) GEMM
+  on squares per chunk. The bracket counts the rest and its own rounding:
+  U's orthonormality defect epsilon >= ||E||_2, the Frobenius norm of the
+  computed U^T U - I plus that Gram product's bound gamma_n ||U||_F^2, once
+  per fold (``_gram_defect``), so |c^T D E D c| <= epsilon ||c||^2; the GEMM
+  error of c, ||dc|| <= gamma_n ||U||_F ||y|| with ||U||_F^2 <= k (1 + epsilon);
+  and gamma_{n+k+16} (||y||^2 + 3 ||c||^2) for the sums of squares, the
+  cancellation in ||y||^2 - ||c||^2 and evaluating the bracket (16 roundings),
+  plus tiny per operation for underflow. Its floor, min W times the lower end
+  minus the float64 kernel's bound below at rho = sqrt(max W times the upper
+  end), lies below the kernel's value, not only below T. Each target first
+  takes S32 at its anchor, the lambda minimising the bracket's midpoint, and a
+  lambda whose floor lies above the anchor's S32 + b cannot hold the
+  kernel's minimum and leaves the pass. A target whose upper end is not
+  finite keeps every lambda; below float64's normal range the tiny terms
+  take the floor below 0. On wide seeds 3 and 50-53 the bracket left
+  29.6-31.7 % of (target, lambda) pairs for the pass.
 - Bound. Let r = y - U D c be the exact residual, T = W . r^2 the exact
   value, R the computed residual, delta_i = |R_i - r_i| and |x|_W^2 =
   W . x^2. With u the unit roundoff of the arithmetic (2^-24 or 2^-53),
@@ -96,11 +118,12 @@ and confirm in float64 only the lambdas a target could still pick:
   x86-64, OpenBLAS at 2 threads) the crossover lay between k^2 = 3n and 8n.
   The replica shape (n = 110, k = 8 or 16) is screened; the wide one
   (n = 733, k = 500) takes the float32 pass, whose SGEMMs run at twice the
-  rate of the kernel's DGEMMs. On that shape (wide seed 3) the pass left
-  6.5 % of (target, lambda) pairs for the confirm on columns (the
-  pure-noise quarter of targets, about 5.6 candidates each) and nothing for
-  the confirm on the chunk; a chunk took about 0.14 s against 0.21 s for the
-  kernel over every lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at 2 threads).
+  rate of the kernel's DGEMMs. On that shape (wide seed 3) the bracket left
+  31.7 % of (target, lambda) pairs for the pass, the pass left 6.5 % for the
+  confirm on columns (23 % of targets, about 5.5 candidates each) and
+  nothing for the confirm on the chunk; a chunk took about 0.11 s against
+  0.23 s for the kernel over every lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at
+  2 threads).
 - Memory. Targets go in chunks of ``_CHUNK``. The screen's and the float32
   pass's buffers hold no more floats than the exact kernel's for a full
   chunk, (k + n + grid) x ``_CHUNK`` float64s: targets go through in
@@ -214,8 +237,9 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     ``_exact_loo_mse`` computes it, is smallest (ties go to the larger
     lambda), and that lambda is refit on the full training set.
 
-    Tall designs (``_screen_pays``) screen every lambda at once, others take
-    one float32 pass; either way a rounding-error bound leaves each target
+    Tall designs (``_screen_pays``) screen every lambda at once, others rule
+    lambdas out with a norm bracket and take one float32 pass on the rest;
+    either way a rounding-error bound leaves each target
     the lambdas it could still pick, and ``_exact_loo_mse`` runs only for
     those. Both routes choose the lambdas the kernel over every lambda
     would (module docstring). ``grid`` must be a non-empty 1-D array of
@@ -243,6 +267,7 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     UtY = U.T @ Y
     n_targets = Y.shape[1]
     screen = _screen_pays(*U.shape)
+    defect = None if screen else _gram_defect(U)
     chosen_idx = np.empty(n_targets, dtype=np.intp)
     for a in range(0, n_targets, _CHUNK):
         chunk = slice(a, min(a + _CHUNK, n_targets))
@@ -250,12 +275,14 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
         if screen:
             cand = _screen(U, D, W, Yc, UtYc)
         else:
-            bound = _LooErrorBound(U, D, W, Yc, UtYc)
+            bound = _LooErrorBound(U, D, W, Yc, UtYc, defect)
             cand = _float32_screen(U, D, W, Yc, UtYc, bound)
             _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound)
         chosen_idx[chunk] = _confirm_on_chunk(U, D, W, Yc, UtYc, cand)
 
-    weights = np.empty((X.shape[1], n_targets))
+    # each column of U^T Y is read by one lambda group only, so with p == k its
+    # weights can overwrite it: the refit then takes no p x targets array of its own
+    weights = UtY if X.shape[1] == U.shape[1] else np.empty((X.shape[1], n_targets))
     for gi in range(len(grid)):
         cols = np.flatnonzero(chosen_idx == gi)
         if cols.size == 0:
@@ -307,10 +334,14 @@ def _screen_pays(n: int, k: int) -> bool:
     return k * k < 4 * n
 
 
+def _gamma(j: int, u: float = _UNIT_ROUNDOFF) -> float:
+    """gamma_j = j u / (1 - j u), the relative error of j roundings (module docstring)."""
+    return j * u / (1.0 - j * u)
+
+
 def _bound_gamma(n: int, k: int) -> float:
     """gamma_j = j u / (1 - j u) for the screen's rounding-error bound (module docstring)."""
-    j = (n + 8 * k + 8) + 2 * k + (2 * n + 2 * k + 7) + (n + 2 * k + 16)
-    return j * _UNIT_ROUNDOFF / (1.0 - j * _UNIT_ROUNDOFF)
+    return _gamma((n + 8 * k + 8) + 2 * k + (2 * n + 2 * k + 7) + (n + 2 * k + 16))
 
 
 #: b / (2 gamma_N) must lie in this range at every lambda, or the target keeps
@@ -418,35 +449,85 @@ def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
 _ROUNDINGS = {np.float32: (13, 10, 10), np.float64: (10, 9, 9)}
 
 
+def _gram_defect(U) -> float:
+    """epsilon >= ||U^T U - I||_2 for the computed U, from its Gram product (module docstring)."""
+    n, k = U.shape
+    tiny = float(np.finfo(np.float64).tiny)
+    G = U.T @ U
+    G[np.diag_indices(k)] -= 1.0
+    fro = float(np.sqrt(np.einsum("ij,ij->", G, G)))
+    fro_u = float(np.einsum("ik,ik->", U, U))  # ||U||_F^2 up to rounding
+    return ((fro + k * np.sqrt(tiny)) * (1.0 + _gamma(k * k + 8))
+            + _gamma(n + 8) * (fro_u * (1.0 + _gamma(n * k + 8)) + n * k * tiny)
+            + 3 * n * k * tiny)
+
+
 class _LooErrorBound:
     """Forward-error bound on LOO errors computed like ``_exact_loo_mse``, per lambda and target.
 
     Holds the chunk's norms, ||D c|| and sqrt(W . y^2) per lambda and target,
     sqrt(nu), sqrt(sum W) and max W per lambda and ||c|| per target (module
-    docstring); ``cols`` picks targets of the chunk.
+    docstring); ``cols`` picks targets of the chunk. It also holds the
+    bracket: ``floor``, a lower bound on the float64 kernel's value per lambda
+    and target, each target's ``anchor`` lambda, and ``live``, the pairs
+    ``_float32_screen`` has not ruled out. ``defect`` is ``_gram_defect(U)``,
+    which a caller with several chunks computes once.
     """
 
-    def __init__(self, U, D, W, Yc, UtYc):
+    def __init__(self, U, D, W, Yc, UtYc, defect=None):
         self.n, self.k = U.shape
+        g, m = W.shape[0], Yc.shape[1]
         self.root_nu = np.sqrt(W @ np.einsum("ik,ik->i", U, U))[:, None]
         self.root_sum_w = np.sqrt(W.sum(axis=1))[:, None]
         self.max_w = W.max(axis=1)[:, None]
-        self.norm_c = np.sqrt(np.einsum("kj,kj->j", UtYc, UtYc))
-        self.norm_dc, self.norm_y = np.empty((2, W.shape[0], Yc.shape[1]))
-        D2 = np.square(D)
-        for a in range(0, Yc.shape[1], 128):  # squares of 128 targets at a time
+        c2 = np.einsum("kj,kj->j", UtYc, UtYc)
+        self.norm_c = np.sqrt(c2)
+        self.norm_dc, self.norm_y = np.empty((2, g, m))
+        r2, y2 = np.empty((g, m)), np.empty(m)
+        D2, K2 = np.square(D), np.square(1.0 - D)
+        for a in range(0, m, 128):  # squares of 128 targets at a time
             cols = slice(a, a + 128)
-            self.norm_dc[:, cols] = D2 @ np.square(UtYc[:, cols])
-            self.norm_y[:, cols] = W @ np.square(Yc[:, cols])
+            sq = np.square(UtYc[:, cols])
+            self.norm_dc[:, cols] = D2 @ sq
+            r2[:, cols] = K2 @ sq
+            sq = np.square(Yc[:, cols])
+            self.norm_y[:, cols] = W @ sq
+            y2[cols] = sq.sum(axis=0)
         np.sqrt(self.norm_dc, out=self.norm_dc)
         np.sqrt(self.norm_y, out=self.norm_y)
+        self._bracket(W, y2, c2, r2, _gram_defect(U) if defect is None else defect)
+        self.live = np.ones((g, m), dtype=bool)
+
+    def _bracket(self, W, y2, c2, r2, defect):
+        """Set ``floor`` and ``anchor`` from the norm bracket (module docstring).
+
+        ``r2`` holds the computed ||(1 - D) c||^2 and is overwritten.
+        """
+        n, k = self.n, self.k
+        tiny = float(np.finfo(np.float64).tiny)
+        g = _gamma(n + k + 16)
+        Y2 = y2 * (1.0 + 2.0 * g) + 3 * n * tiny  # >= ||y||^2
+        C2 = c2 * (1.0 + 2.0 * g) + 3 * k * tiny  # >= ||c||^2
+        err = (g * (Y2 + 3.0 * C2) + defect * C2 + 10 * (n + k) * tiny
+               + 2.0 * np.sqrt(C2) * (_gamma(n) * np.sqrt(k * (1.0 + defect) * Y2)
+                                      + 3 * n * np.sqrt(k) * tiny))
+        r2 += y2 - c2
+        lo = np.maximum(r2 - err, 0.0)
+        lo *= W.min(axis=1)[:, None]
+        r2 += err
+        r2 *= self.max_w  # hi, the bracket's upper end
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.floor = lo - self.error(np.float64, np.sqrt(r2))
+            self.floor[:, ~np.isfinite(r2).all(axis=0)] = -np.inf
+        lo += r2
+        self.anchor = np.argmin(lo, axis=0)
 
     def _terms(self, dtype, cols):
         """(e, a, gamma of the weighted sum) for values computed in ``dtype``."""
         u, tiny = float(np.finfo(dtype).eps) / 2, float(np.finfo(dtype).tiny)
         j_dc, j_y, j_sum = (self.k + _ROUNDINGS[dtype][0], _ROUNDINGS[dtype][1],
                             self.n + _ROUNDINGS[dtype][2])
-        g_dc, g_y, g_sum = (j * u / (1.0 - j * u) for j in (j_dc, j_y, j_sum))
+        g_dc, g_y, g_sum = (_gamma(j, u) for j in (j_dc, j_y, j_sum))
         slack = tiny * (4.0 * np.sqrt(self.k) * self.norm_c[cols] + 5 * self.k + 5)
         e = (g_dc * self.root_nu * self.norm_dc[:, cols] + g_y * self.norm_y[:, cols]
              + self.root_sum_w * slack)
@@ -468,42 +549,64 @@ def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
 
     S32 is ``_exact_loo_mse``'s per-lambda arithmetic in float32 and b bounds
     |S32 - exact| plus |exact - the float64 kernel's value| (module
-    docstring); a lambda stays a candidate where S32 - b <= min(S32 + b). A
-    target whose S32 or b is not finite keeps every lambda. Targets go through
-    in passes sized so that the buffers hold no more floats than
-    ``_exact_loo_mse`` takes for a full chunk, (k + n + grid) x ``_CHUNK``
-    float64s.
+    docstring). Each target first takes S32 at its anchor lambda; a lambda
+    whose ``bound.floor`` lies above the anchor's S32 + b cannot win and
+    leaves ``bound.live``, and S32 is computed only for the live pairs. A
+    live lambda stays a candidate where S32 - b <= min(S32 + b) over the
+    target's live lambdas; a target with a live S32 or b that is not finite
+    keeps every lambda. Targets go through in passes sized so that the
+    buffers hold no more floats than ``_exact_loo_mse`` takes for a full
+    chunk, (k + n + grid) x ``_CHUNK`` float64s; each pass holds its targets
+    as float32 rows, so gathering a lambda's targets copies whole rows.
     """
     n, k = U.shape
     g, m = W.shape[0], Yc.shape[1]
     budget32 = 2 * (k + n + g) * _CHUNK - n * k - 9 * g * m  # float32 slots left
-    width = max(1, min(m, budget32 // (2 * (k + n))))
-    passes = -(-m // width)
-    width = -(-m // passes)
+    width = max(1, min(m, budget32 // (3 * n + k)))
+    width = -(-m // -(-m // width))  # passes of equal width, the last one shorter by < passes
     U32, D32, W32 = U.astype(np.float32), D.astype(np.float32), W.astype(np.float32)
-    C32, shrunk = np.empty((k, width), np.float32), np.empty((k, width), np.float32)
-    Y32, resid = np.empty((n, width), np.float32), np.empty((n, width), np.float32)
-    S32 = np.empty((g, m), np.float32)
+    C32 = np.empty((width, k), np.float32)
+    Y32, Yg, resid = np.empty((3, width, n), np.float32)
+    S32 = np.zeros((g, m), np.float32)
+    live = bound.live
+
+    def values(at, a):  # S32 at the pairs ``at`` (grid x pass width) of the pass from target a
+        for gi in np.flatnonzero(at.any(axis=1)):
+            rows = np.flatnonzero(at[gi])
+            Yr, R = Yg[:rows.size], resid[:rows.size]
+            sh = Yg.reshape(-1)[:rows.size * k].reshape(-1, k)  # Yg's space until Yr is taken
+            np.take(C32, rows, axis=0, out=sh, mode="clip")
+            sh *= D32[gi]
+            np.matmul(sh, U32.T, out=R)
+            np.take(Y32, rows, axis=0, out=Yr, mode="clip")
+            np.subtract(Yr, R, out=R)
+            np.square(R, out=R)
+            S32[gi, a + rows] = R @ W32[gi]
+
     # values beyond float32's range turn into inf or nan; their targets keep every lambda
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(passes):
-            a = min(i * width, m - width)
-            cols = slice(a, a + width)
-            C32[...] = UtYc[:, cols]
-            Y32[...] = Yc[:, cols]
-            for gi in range(g):
-                np.multiply(D32[gi, :, None], C32, out=shrunk)
-                np.matmul(U32, shrunk, out=resid)
-                np.subtract(Y32, resid, out=resid)
-                np.square(resid, out=resid)
-                np.matmul(W32[gi], resid, out=S32[gi, cols])
+        for a in range(0, m, width):
+            cols = slice(a, min(a + width, m))
+            w = cols.stop - a
+            np.copyto(Y32[:w], Yc[:, cols].T)
+            np.copyto(C32[:w], UtYc[:, cols].T)
+            anchored = np.zeros((g, w), dtype=bool)
+            anchored[bound.anchor[cols], np.arange(w)] = True
+            values(anchored, a)
+            S = S32[:, cols].astype(np.float64)
+            rho = bound.rho(S, np.float32, cols)
+            upper = (S + bound.error(np.float32, rho, cols) + bound.error(np.float64, rho, cols))[
+                bound.anchor[cols], np.arange(w)]
+            live[:, cols] = ~(bound.floor[:, cols] > upper)  # a nan on either side drops nothing
+            values(live[:, cols] & ~anchored, a)
         # the buffers live until return: small arrays made after them then
-        # leave whole the space they free, which the refit's weights reuse
+        # leave whole the space they free, which the refit's weights reuse (p > k)
         S = S32.astype(np.float64)
         rho = bound.rho(S, np.float32)
         b = bound.error(np.float32, rho) + bound.error(np.float64, rho)
-        cand = S - b <= (S + b).min(axis=0)
-        cand[:, ~np.isfinite(S + b).all(axis=0)] = True
+        hi = np.where(live, S + b, np.inf)
+        cand = live & (S - b <= hi.min(axis=0))
+        cand[:, ~(np.isfinite(hi) | ~live).all(axis=0)] = True
     return cand
 
 

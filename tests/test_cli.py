@@ -432,6 +432,12 @@ _SCORE_ARGS = ["--features", "X", "--response", "Y", "--manifest", "M", "--out",
      "directory nodir does not exist"),
     (["contrast", "--a", "G", "--b", "G", "--out", "nodir/c.fmx"], "directory nodir does not exist"),
     (["group-stats", "--in", "G", "--out", "nodir/s.json"], "directory nodir does not exist"),
+    (["ctc-eval", "--logprobs", "LP", "--targets", "NOTINT"],
+     "malformed targets file NOTINT: ValueError: invalid literal for int() with base 10: 'x'"),
+    (["ctc-eval", "--logprobs", "LP", "--targets", "LABEL3"],
+     "log-probs LP with targets LABEL3: target label 3 outside [1, 3)"),
+    (["ctc-eval", "--logprobs", "G", "--targets", "T"],
+     "log-probs G with targets T: frame 5: probabilities sum to"),
 ])
 def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
     (tmp_path / "DIR").mkdir()
@@ -440,15 +446,18 @@ def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
     matrixio.write_matrix(tmp_path / "LP", np.log(np.full((4, 3), 1 / 3)))
     (tmp_path / "T").write_text("1 2")
     (tmp_path / "LATIN1").write_bytes("1 2 \xe9".encode("latin-1"))
+    (tmp_path / "NOTINT").write_text("1 x 3")
+    (tmp_path / "LABEL3").write_text("1 3")
     _write_pcm16(tmp_path / "AUDIO", np.zeros(1600, dtype="<i2"))
     paths = {"X": score_inputs / "features.fmx", "Y": score_inputs / "sub000.fmx",
              "M": score_inputs / "manifest.json",
              **{name: tmp_path / name
-                for name in ("DIR", "G", "LP", "T", "LATIN1", "AUDIO", "out", "nodir")}}
+                for name in ("DIR", "G", "LP", "T", "LATIN1", "NOTINT", "LABEL3", "AUDIO", "out",
+                             "nodir")}}
 
-    def fill(word):  # a placeholder, alone or before "/", becomes its path
-        head, slash, tail = word.partition("/")
-        return f"{paths[head]}{slash}{tail}" if head in paths else word
+    def fill(word):  # a placeholder, alone or before "/" or ":", becomes its path
+        head, sep, tail = word.partition(":" if word.endswith(":") else "/")
+        return f"{paths[head]}{sep}{tail}" if head in paths else word
 
     res = runner.invoke(main, [fill(a) for a in args])
     _assert_input_error(res, " ".join(map(fill, needle.split(" "))))

@@ -32,6 +32,18 @@ class TestDeltas:
         direct = scores[-1] - scores[0]
         assert np.abs(total - direct).max() < 1e-12
 
+    def test_levels_of_subject_arrays(self):
+        # levels x subjects x targets in, subjects x (levels - 1) x targets out, each
+        # level delta a strided view with the bits of a plain subtraction
+        scores = np.random.default_rng(1).uniform(-1, 1, size=(4, 3, 7))
+        deltas = delta_layerwise(scores)
+        assert deltas.shape == (3, 3, 7)
+        assert np.array_equal(deltas, np.stack([scores[L] - scores[L - 1] for L in range(1, 4)], axis=1))
+
+    def test_level_mismatch(self):
+        with pytest.raises(ValueError, match="target mismatch"):
+            delta_layerwise([np.zeros(3), np.zeros(3), np.zeros(4)])
+
     def test_missing_level(self):
         with pytest.raises(ValueError):
             delta_layerwise([np.array([0.1])])

@@ -16,6 +16,7 @@ from voxenc.encode import (
     _confirm_on_columns,
     _exact_loo_mse,
     _float32_screen,
+    _gram_defect,
     _last_argmin,
     _LooErrorBound,
     _pearson_columns,
@@ -492,6 +493,109 @@ class TestFloat32Selection:
         finally:
             tracemalloc.stop()
         assert peak <= 19_570_632
+
+
+def _assert_bracket(X, Y, grid=DEFAULT_LAMBDA_GRID):
+    """The bracket's floor never exceeds the float64 kernel's value, and the float32 pass
+    keeps live, and a candidate, the lambda the kernel over every lambda picks.
+
+    Returns the share of (target, lambda) pairs the bracket left live.
+    """
+    U, _, _, D, W = _svd_path(X, grid)
+    UtY = U.T @ Y
+    every = np.arange(len(grid))
+    live = 0
+    for a in range(0, Y.shape[1], _CHUNK):
+        Yc, UtYc = Y[:, a:a + _CHUNK], UtY[:, a:a + _CHUNK]
+        bound = _LooErrorBound(U, D, W, Yc, UtYc)
+        exact = _exact_loo_mse(U, D, W, Yc, UtYc, every)
+        assert np.all(bound.floor <= exact)
+        cand = _float32_screen(U, D, W, Yc, UtYc, bound)
+        picked = (_last_argmin(exact), np.arange(Yc.shape[1]))
+        assert bound.live[picked].all() and cand[picked].all()
+        assert not (cand & ~bound.live).any()
+        live += np.count_nonzero(bound.live)
+    return live / (len(grid) * Y.shape[1])
+
+
+class TestBracket:
+    """Before the float32 pass the wide route rules out lambdas by a norm bracket:
+    its floor lies below the float64 kernel's value, so no lambda that could win is lost."""
+
+    _design = staticmethod(TestFloat32Selection._design)
+    _targets = staticmethod(TestFloat32Selection._targets)
+
+    def test_wide_fold_rules_out_half_the_pairs(self):
+        # a later change must not quietly turn the pruning off
+        X, rng = self._design()
+        assert _assert_bracket(X, self._targets(X, rng, 600)) <= 0.5
+
+    # down to lambda = 1e-8 the residual of a target in span(U) shrinks to
+    # rounding level, below the cancellation in ||y||^2 - ||c||^2
+    _GRIDS = [DEFAULT_LAMBDA_GRID, np.logspace(-8.0, 8.0, 20)]
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_p_greater_than_n(self, grid):
+        # k = n: U is square and every target lies in its span
+        X, rng = self._design(n=150, p=260, seed=11)
+        _assert_bracket(X, self._targets(X, rng, 300), grid)
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_targets_in_span_of_features(self, grid):
+        X, rng = self._design(n=120, p=80, seed=12)
+        _assert_bracket(X, X @ rng.normal(size=(80, 60)), grid)
+
+    def test_all_zero_targets(self):
+        X, rng = self._design(n=120, p=80, seed=13)
+        Y = self._targets(X, rng, 60)
+        Y[:, ::3] = 0.0
+        _assert_bracket(X, Y)
+        assert _assert_bracket(X, np.zeros((120, 4))) == 1.0
+
+    @pytest.mark.parametrize("scale", [1e30, 1e-30])
+    def test_targets_at_extreme_scales(self, scale):
+        X, rng = self._design(n=120, p=80, seed=14)
+        Y = self._targets(X, rng, 40)
+        Y[:, :10] *= scale
+        _assert_bracket(X, Y)
+        _assert_bracket(X, Y * scale)
+
+    def test_duplicate_grid_values(self):
+        X, rng = self._design(n=120, p=80, seed=15)
+        _assert_bracket(X, self._targets(X, rng, 300), np.repeat(DEFAULT_LAMBDA_GRID[::2], 2))
+
+    @pytest.mark.parametrize("spacing", [1e-9, 1e-14])
+    def test_near_tie_grid(self, spacing):
+        X, rng = self._design(n=120, p=80, seed=16)
+        _assert_bracket(X, self._targets(X, rng, 300), 100.0 * (1.0 + spacing * np.arange(20)))
+
+    def test_columns_off_orthonormal(self):
+        # the norm identity assumes U^T U = I; with equal weights (min W = max W)
+        # only the defect term keeps the floor below a U orthonormal to about 1e-5
+        X, rng = self._design(n=120, p=80, seed=18)
+        U, _, _, D, W = _svd_path(X, DEFAULT_LAMBDA_GRID)
+        U += 1e-6 * rng.normal(size=U.shape)
+        W = np.full_like(W, 1.0 / 120)
+        Y = self._targets(X, rng, 100)
+        UtY = U.T @ Y
+        assert _gram_defect(U) >= np.linalg.norm(U.T @ U - np.eye(80), 2)
+        exact = _exact_loo_mse(U, D, W, Y, UtY, np.arange(len(DEFAULT_LAMBDA_GRID)))
+        assert np.all(_LooErrorBound(U, D, W, Y, UtY).floor <= exact)
+
+    def test_one_lambda_grid(self):
+        X, rng = self._design(n=120, p=80, seed=17)
+        Y = self._targets(X, rng, 50)
+        assert _assert_bracket(X, Y, np.array([1e3])) == 1.0
+        assert np.all(ridge_solve(X, Y, np.array([1e3])).chosen_lambda == 1e3)
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(6, 60), p=st.integers(1, 80), m=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.sampled_from([-30, -3, 0, 3, 30]))
+    def test_floor_below_kernel(self, n, p, m, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        X = standardize(rng.normal(size=(n, p)))[0]
+        Y = rng.normal(size=(n, m)) + X @ rng.normal(size=(p, m)) * rng.uniform(0, 1, m)
+        _assert_bracket(X, Y * 10.0 ** log_scale)
 
 
 def pearson(y_true, y_pred):
