@@ -50,6 +50,12 @@ _MIX_BLOCK = 1 << 17
 # Outputs per block in _resample_poly: 1 MB of float64 output, whose windows
 # span about 3 MB of 44.1 kHz input.
 _RESAMPLE_BLOCK = 1 << 17
+# The most taps _kaiser_lowpass builds (8 MB of float64; building it grows
+# the process by about 14 times that). A rate of 16000 down / up Hz in lowest
+# terms takes 20 max(up, down) + 1, so every rate up to 52,428 Hz passes, and
+# every multiple of 100 Hz up to 5.2 MHz, which covers the 44.1 and 48 kHz
+# families.
+_MAX_FILTER_TAPS = 1 << 20
 
 
 #: The front end's sample rate in Hz: audio is resampled to it before framing.
@@ -291,7 +297,9 @@ def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
     """Polyphase-resample a 1-D mono signal, such as ``read_wav`` returns, down to 16 kHz.
 
     Output length is ceil(len * 16000 / rate). Upsampling is refused, and so
-    is a signal that is not 1-D.
+    are a signal that is not 1-D and a rate whose filter would have more than
+    ``_MAX_FILTER_TAPS`` taps, such as a corrupt header's 4,278,206,080 Hz
+    (134M taps).
     """
     if rate < SAMPLE_RATE:
         raise ValueError(f"upsampling from {rate} Hz is not supported")
@@ -302,7 +310,12 @@ def resample_to_mono_16k(signal: np.ndarray, rate: float) -> np.ndarray:
         return sig
     rate_i = int(round(rate))
     g = math.gcd(SAMPLE_RATE, rate_i)
-    return _resample_poly(sig, SAMPLE_RATE // g, rate_i // g)
+    up, down = SAMPLE_RATE // g, rate_i // g
+    taps = 20 * max(up, down) + 1  # _kaiser_lowpass's length
+    if taps > _MAX_FILTER_TAPS:
+        raise ValueError(f"sample rate {rate} Hz needs a resampling filter of {taps:,} taps; "
+                         f"at most {_MAX_FILTER_TAPS:,} are built")
+    return _resample_poly(sig, up, down)
 
 
 class WavError(ValueError):

@@ -50,11 +50,19 @@ Tall designs (n >> p) screen every lambda first:
 Wide designs (p near or above n) certify the choice with one float32 pass
 and confirm in float64 only the lambdas a target could still pick:
 
-- Float32 pass. ``_float32_screen`` runs the exact kernel's arithmetic per
-  lambda in float32 (U, D, W, C and Y rounded to float32; shrink, SGEMM,
-  subtract, square, weighted sum), giving S32, on the pairs the bracket
-  leaves. Each pass over targets holds them as float32 rows, so a lambda's
-  targets are gathered as whole rows.
+- Float32 pass. ``_float32_screen`` runs the exact kernel's arithmetic in
+  float32 (U, D, W, C and Y rounded to float32; shrink, SGEMM, subtract,
+  square, weighted sum), giving S32, on the (lambda, target) pairs the
+  bracket leaves. Each pass over targets holds them as float32 rows, and
+  ``_PairValues`` takes a step's pairs in lambda order in blocks that fill
+  the pass's buffers: gather the coefficient rows, scale each lambda's run
+  by its row of D, one SGEMM with U^T for the whole block, gather the Y
+  rows, subtract and square, and one GEMV per lambda's run with its row of
+  W. Each pair still gets exactly the roundings the bound below counts, so
+  which block a pair lands in changes no choice. A GEMM call costs about
+  0.12 ms on top of its rows (SGEMM of 8 rows against the 733 x 500 U^T:
+  18 us a row; of 512 rows: 3.0 us), so one call per lambda, about 108
+  rows on average, spent a sixth of the pass on calls.
 - Bracket. Taking the computed U, D and c as exact, r satisfies
       ||r||^2 = ||y||^2 - ||c||^2 + ||(1 - D) c||^2 + 2 dc^T D c + c^T D E D c
   with E = U^T U - I and dc = c - U^T y, and min W ||r||^2 <= T <= max W ||r||^2
@@ -101,8 +109,10 @@ and confirm in float64 only the lambdas a target could still pick:
 - Confirm on columns. A GEMM's bits for a column depend on which other
   columns it is given: OpenBLAS 0.3.31's DGEMM of a 733 x 500 U with the
   first 1, 255, 257 or 500 of 1024 columns gave other bits than with all
-  1024 in hundreds to thousands of entries. So for each lambda,
-  ``_exact_loo_mse`` runs on just the columns of the targets that hold it,
+  1024 in hundreds to thousands of entries. So ``_PairValues`` runs the
+  exact kernel's arithmetic in float64 on just the candidate pairs of the
+  targets with several, blocks of pairs as in the float32 pass (each
+  target's Y and U^T Y columns are copied in once per pass, not per pair),
   and since both those bits and the whole chunk's lie within the float64
   bound b64 of T, a candidate survives where S - 2 b64 <= min(S + 2 b64)
   over the target's candidates (rho now from S). Only targets still tied at
@@ -118,17 +128,24 @@ and confirm in float64 only the lambdas a target could still pick:
   x86-64, OpenBLAS at 2 threads) the crossover lay between k^2 = 3n and 8n.
   The replica shape (n = 110, k = 8 or 16) is screened; the wide one
   (n = 733, k = 500) takes the float32 pass, whose SGEMMs run at twice the
-  rate of the kernel's DGEMMs. On that shape (wide seed 3) the bracket left
-  31.7 % of (target, lambda) pairs for the pass, the pass left 6.5 % for the
-  confirm on columns (23 % of targets, about 5.5 candidates each) and
-  nothing for the confirm on the chunk; a chunk took about 0.11 s against
-  0.23 s for the kernel over every lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at
-  2 threads).
-- Memory. Targets go in chunks of ``_CHUNK``. The screen's and the float32
-  pass's buffers hold no more floats than the exact kernel's for a full
-  chunk, (k + n + grid) x ``_CHUNK`` float64s: targets go through in
-  passes, the screen's lambdas in blocks if one stacked matrix would take
-  more than half of that, and the confirm on columns in batches.
+  rate of the kernel's DGEMMs. On that shape (wide seed 3, 12 folds) the
+  bracket left 31.7 % of (target, lambda) pairs for the pass, the pass left
+  6.5 % for the confirm on columns (23 % of targets, about 5.5 candidates
+  each) and nothing for the confirm on the chunk. The pass took 333 SGEMMs
+  of 468 rows on average (1440 of 108 with one per lambda) and the confirm
+  144 DGEMMs of 221 rows (384 of 83 columns): at best 0.86 s against 1.05 s
+  for the pass and 0.36 s against 0.63 s for the confirm. A chunk took
+  about 0.06 s, bound included, against 0.22 s for the kernel over every
+  lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at 2 threads).
+- Memory. Targets go in chunks of ``_CHUNK``. The screen's, the float32
+  pass's and the confirm's buffers hold no more floats than the exact
+  kernel's for a full chunk, (k + n + grid) x ``_CHUNK`` float64s: targets
+  go through in passes and the screen's lambdas in blocks if one stacked
+  matrix would take more than half of that. Each pair block fits in the
+  buffers of its pass's targets, so batching pairs takes no more memory
+  than one lambda's targets did. ``standardize`` overwrites the fresh row
+  copies ``brain_score`` gives it, so a fold holds one train-sized copy of
+  Y, not two.
 
 Stages pass plain numpy arrays: ``detrend_blocks`` overwrites the caller's
 float64 response in place, and ``brain_score``, the one fold loop, takes one
@@ -210,16 +227,18 @@ def standardize(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """Column-wise (v - mean)/std using train statistics only.
 
-    Zero-variance columns are mapped to zeros. Returns (train_std,
-    applied_std, mean, std).
+    Zero-variance columns are mapped to zeros. ``train``, a float64 array,
+    is overwritten with its standardized values, so a caller that needs it
+    afterwards passes a copy. Returns (train_std, applied_std, mean, std),
+    where train_std is ``train`` itself.
     """
     if train.shape[0] < 2:
         raise ValueError("need >= 2 training rows to standardize")
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     safe = np.where(std > 0, std, 1.0)
-    out_train = train - mean
-    out_train /= safe  # in place: no second train-sized temporary
+    out_train = np.subtract(train, mean, out=train)
+    out_train /= safe
     out_train[:, std == 0] = 0.0
     out_apply = None
     if apply_to is not None:
@@ -288,7 +307,9 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
         if cols.size == 0:
             continue
         shrink = s / (s**2 + grid[gi])
-        weights[:, cols] = Vt.T @ (shrink[:, None] * UtY[:, cols])
+        part = np.take(UtY, cols, axis=1)
+        part *= shrink[:, None]  # the product's bits, in the one temporary
+        weights[:, cols] = Vt.T @ part
     return RidgeFit(weights=weights, chosen_lambda=grid[chosen_idx])
 
 
@@ -544,6 +565,55 @@ class _LooErrorBound:
         return g_sum * np.square(rho + e) + a + e * (2.0 * rho + e)
 
 
+class _PairValues:
+    """``_exact_loo_mse``'s per-lambda arithmetic at chosen (lambda, target) pairs, in ``dtype``.
+
+    ``load`` copies a pass of up to ``width`` targets in as rows of Y and of
+    C = U^T Y. ``values`` takes the pairs of a grid x pass mask in lambda
+    order and runs them in blocks of ``width``: gather the coefficient rows,
+    scale each lambda's run by its row of D, one GEMM with U^T, gather the Y
+    rows, subtract and square, then one GEMV per lambda's run with its row
+    of W. Each pair gets the roundings the bound counts: the shrink, a k-term
+    dot product, the subtract, the square and an n-term weighted sum. The
+    buffers are the rows of C (width x k) and one 3 x width x n block; the
+    shrunk rows take the space the Y rows are gathered into.
+    """
+
+    def __init__(self, U, D, W, width, dtype):
+        n, k = U.shape
+        self.U, self.D, self.W = (a.astype(dtype, copy=False) for a in (U, D, W))
+        self.C = np.empty((width, k), dtype)
+        self.Y, self.gathered, self.R = np.empty((3, width, n), dtype)
+        self.sums = np.empty(width, dtype)
+
+    def load(self, Yc, UtYc) -> None:
+        """Copy the pass's targets, the columns of ``Yc`` and ``UtYc``, in as rows."""
+        w = Yc.shape[1]
+        np.copyto(self.Y[:w], Yc.T)
+        np.copyto(self.C[:w], UtYc.T)
+
+    def values(self, at, out) -> None:
+        """Set ``out`` (grid x pass width) to the value at every pair where ``at`` is True."""
+        width, k = self.C.shape
+        lams, targets = np.nonzero(at)  # in lambda order
+        for a in range(0, lams.size, width):
+            lam, t = lams[a:a + width], targets[a:a + width]
+            b = lam.size
+            runs = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), b]
+            shrunk = self.gathered.reshape(-1)[:b * k].reshape(b, k)
+            np.take(self.C, t, axis=0, out=shrunk, mode="clip")
+            for r0, r1 in zip(runs, runs[1:]):
+                shrunk[r0:r1] *= self.D[lam[r0]]
+            R = self.R[:b]
+            np.matmul(shrunk, self.U.T, out=R)
+            Yr = np.take(self.Y, t, axis=0, out=self.gathered[:b], mode="clip")
+            np.subtract(Yr, R, out=R)
+            np.square(R, out=R)
+            for r0, r1 in zip(runs, runs[1:]):
+                np.matmul(R[r0:r1], self.W[lam[r0]], out=self.sums[r0:r1])
+            out[lam, t] = self.sums[:b]
+
+
 def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
     """Candidate mask (grid x targets) from one float32 pass of the exact kernel's arithmetic.
 
@@ -556,49 +626,32 @@ def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
     target's live lambdas; a target with a live S32 or b that is not finite
     keeps every lambda. Targets go through in passes sized so that the
     buffers hold no more floats than ``_exact_loo_mse`` takes for a full
-    chunk, (k + n + grid) x ``_CHUNK`` float64s; each pass holds its targets
-    as float32 rows, so gathering a lambda's targets copies whole rows.
+    chunk, (k + n + grid) x ``_CHUNK`` float64s; ``_PairValues`` runs each
+    step's pairs in blocks of a pass's width.
     """
     n, k = U.shape
     g, m = W.shape[0], Yc.shape[1]
     budget32 = 2 * (k + n + g) * _CHUNK - n * k - 9 * g * m  # float32 slots left
     width = max(1, min(m, budget32 // (3 * n + k)))
     width = -(-m // -(-m // width))  # passes of equal width, the last one shorter by < passes
-    U32, D32, W32 = U.astype(np.float32), D.astype(np.float32), W.astype(np.float32)
-    C32 = np.empty((width, k), np.float32)
-    Y32, Yg, resid = np.empty((3, width, n), np.float32)
+    pairs = _PairValues(U, D, W, width, np.float32)
     S32 = np.zeros((g, m), np.float32)
     live = bound.live
-
-    def values(at, a):  # S32 at the pairs ``at`` (grid x pass width) of the pass from target a
-        for gi in np.flatnonzero(at.any(axis=1)):
-            rows = np.flatnonzero(at[gi])
-            Yr, R = Yg[:rows.size], resid[:rows.size]
-            sh = Yg.reshape(-1)[:rows.size * k].reshape(-1, k)  # Yg's space until Yr is taken
-            np.take(C32, rows, axis=0, out=sh, mode="clip")
-            sh *= D32[gi]
-            np.matmul(sh, U32.T, out=R)
-            np.take(Y32, rows, axis=0, out=Yr, mode="clip")
-            np.subtract(Yr, R, out=R)
-            np.square(R, out=R)
-            S32[gi, a + rows] = R @ W32[gi]
-
     # values beyond float32's range turn into inf or nan; their targets keep every lambda
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, m, width):
             cols = slice(a, min(a + width, m))
             w = cols.stop - a
-            np.copyto(Y32[:w], Yc[:, cols].T)
-            np.copyto(C32[:w], UtYc[:, cols].T)
+            pairs.load(Yc[:, cols], UtYc[:, cols])
             anchored = np.zeros((g, w), dtype=bool)
             anchored[bound.anchor[cols], np.arange(w)] = True
-            values(anchored, a)
+            pairs.values(anchored, S32[:, cols])
             S = S32[:, cols].astype(np.float64)
             rho = bound.rho(S, np.float32, cols)
             upper = (S + bound.error(np.float32, rho, cols) + bound.error(np.float64, rho, cols))[
                 bound.anchor[cols], np.arange(w)]
             live[:, cols] = ~(bound.floor[:, cols] > upper)  # a nan on either side drops nothing
-            values(live[:, cols] & ~anchored, a)
+            pairs.values(live[:, cols] & ~anchored, S32[:, cols])
         # the buffers live until return: small arrays made after them then
         # leave whole the space they free, which the refit's weights reuse (p > k)
         S = S32.astype(np.float64)
@@ -613,14 +666,14 @@ def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
 def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
     """Drop candidates by float64 values computed on column subsets, in place.
 
-    For each lambda, ``_exact_loo_mse`` runs on just the columns of the
-    nonzero targets with more than one candidate that hold it. Those bits may differ
-    from the whole chunk's, but both lie within the float64 bound of the
-    exact value, so a lambda stays a candidate where S - 2 b64 <=
-    min(S + 2 b64) over the target's candidates. A target with a value or
-    bound that is not finite keeps its candidates. Columns go in batches
-    whose copies and kernel buffers fit in (k + n + grid) x ``_CHUNK``
-    float64s.
+    ``_PairValues`` computes in float64 the value at every candidate pair of
+    the nonzero targets with more than one candidate, a block of pairs per
+    DGEMM. Those bits may differ from the whole chunk's, but both lie within
+    the float64 bound of the exact value, so a lambda stays a candidate where
+    S - 2 b64 <= min(S + 2 b64) over the target's candidates. A target with a
+    value or bound that is not finite keeps its candidates. The targets go
+    in passes whose row copies, the gathers that make them and the pair
+    buffers fit in (k + n + grid) x ``_CHUNK`` float64s beside S.
     """
     n, k = U.shape
     g = W.shape[0]
@@ -629,13 +682,14 @@ def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
         return
     sub = cand[:, multi]
     S = np.full(sub.shape, np.inf)
-    width = max(1, (k + n + g) * _CHUNK // (2 * (k + n) + 1))
-    for gi in np.flatnonzero(sub.any(axis=1)):
-        holders = np.flatnonzero(sub[gi])
-        for a in range(0, holders.size, width):
-            part = holders[a:a + width]
-            cols = multi[part]
-            S[gi, part] = _exact_loo_mse(U, D, W, Yc[:, cols], UtYc[:, cols], [gi])[0]
+    width = max(1, min(multi.size, ((k + n + g) * _CHUNK - g * multi.size) // (4 * n + 2 * k)))
+    width = -(-multi.size // -(-multi.size // width))
+    pairs = _PairValues(U, D, W, width, np.float64)
+    for a in range(0, multi.size, width):
+        cols = multi[a:a + width]
+        pairs.load(Yc[:, cols], UtYc[:, cols])
+        pairs.values(sub[:, a:a + width], S[:, a:a + width])
+    del pairs  # the bound's temporaries below take its space
     with np.errstate(over="ignore", invalid="ignore"):
         b2 = 2.0 * bound.error(np.float64, bound.rho(S, np.float64, multi), multi)
         hi = np.where(sub, S + b2, np.inf)

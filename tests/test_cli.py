@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import voxenc
@@ -662,6 +663,87 @@ def test_featurize_loads_no_scipy(tmp_path):
                          text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
     assert matrixio.read_matrix(tmp_path / "mel.fmx").shape == (98, 80)
+
+
+def _wav_bytes(pcm: bytes, rate: int = 16000, channels: int = 1, block_align: int = 2,
+               bits: int = 16, size: int | None = None) -> bytes:
+    """A RIFF WAV of the bytes ``pcm`` whose PCM fmt fields and data size are written as given."""
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block_align & 0xFFFFFFFF,
+                      block_align, bits)
+    size = len(pcm) if size is None else size
+    return (b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVEfmt " + struct.pack("<I", 16)
+            + fmt + b"data" + struct.pack("<I", size) + pcm)
+
+
+#: 4000 PCM16 samples of noise: mono, or 2000 frames of stereo.
+_FUZZ_PCM = (np.random.default_rng(4).uniform(-0.5, 0.5, 4000) * 32767).astype("<i2").tobytes()
+
+
+def _u16(*likely):
+    return st.sampled_from(likely) | st.integers(0, 0xFFFF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate=st.sampled_from([16000, 22050, 44100, 48000]), channels=_u16(1, 2, 6),
+       block_align=_u16(2, 4, 6, 8, 12), bits=_u16(8, 16, 24, 32),
+       size=st.sampled_from([len(_FUZZ_PCM)]) | st.integers(0, 2**32 - 1), data=st.data())
+def test_featurize_wav_header_fields_exit_0_or_2(rate, channels, block_align, bits, size, data):
+    """Any channel count, block align, bit depth and data size, cut at any byte: ``featurize``
+    either writes its features or exits 2 without a traceback and writes nothing. The rate
+    is one a real file has; ``test_featurize_any_wav_rate_exit_0_or_2`` takes any rate."""
+    wav = _wav_bytes(_FUZZ_PCM, rate, channels, block_align, bits, size)
+    wav = wav[: data.draw(st.integers(0, len(wav)), label="length")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "a.wav"), os.path.join(tmp, "a.fmx")
+        Path(path).write_bytes(wav)
+        res = CliRunner().invoke(main, ["featurize", "--wav", path, "--out", out])
+        if res.exit_code == 0:
+            assert os.path.exists(out)
+        else:
+            _assert_input_error(res, path)
+            assert not os.path.exists(out)
+
+
+#: featurize each WAV named on the command line under an address-space limit
+#: (argv[1] bytes) and print per file its exit code, the exception's type and
+#: whether a traceback was printed.
+_RATE_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from click.testing import CliRunner
+from voxenc.cli import main
+for path in sys.argv[2:]:
+    res = CliRunner().invoke(main, ["featurize", "--wav", path, "--out", path + ".fmx"])
+    print(res.exit_code, type(res.exception).__name__, "Traceback" in res.output)
+"""
+
+
+@settings(max_examples=6, deadline=None)
+@example(rates=[4_278_206_080, 44100])  # a 16 kHz header with 0xFF as the rate's top byte
+@given(rates=st.lists(st.integers(0, 2**32 - 1) | st.integers(16000, 120000), min_size=1,
+                      max_size=6))
+def test_featurize_any_wav_rate_exit_0_or_2(rates):
+    """Any rate in the header gives exit 0 or 2, in a child held to 1 GiB of address space.
+
+    Without a limit on the resampler's filter, 4,278,206,080 Hz asks for 134M
+    float64 taps: a MemoryError here, not a host that runs out of memory.
+    """
+    pytest.importorskip("resource")
+    src = str(Path(voxenc.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"r{i}.wav") for i in range(len(rates))]
+        for path, rate in zip(paths, rates):
+            Path(path).write_bytes(_wav_bytes(_FUZZ_PCM, rate))
+        child = subprocess.run([sys.executable, "-c", _RATE_CHILD, str(1 << 30), *paths], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr[-2000:]
+        for path, rate, line in zip(paths, rates, child.stdout.splitlines(), strict=True):
+            code, exc, traceback = line.split()
+            assert (code, exc, traceback) in (("0", "NoneType", "False"),
+                                              ("2", "SystemExit", "False")), (rate, line)
+            assert os.path.exists(path + ".fmx") == (code == "0"), rate
 
 
 class TestRun:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voxenc
+from voxenc import encode
 from voxenc.encode import (
-    _CHUNK,
     DEFAULT_LAMBDA_GRID,
     _confirm_on_columns,
     _exact_loo_mse,
@@ -19,6 +19,7 @@ from voxenc.encode import (
     _gram_defect,
     _last_argmin,
     _LooErrorBound,
+    _PairValues,
     _pearson_columns,
     _screen,
     _screen_pays,
@@ -176,7 +177,7 @@ class TestRidgeSolve:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 6))
         Y = rng.normal(size=(30, 4)) + X @ rng.normal(size=(6, 4))
-        Ys, _, _, _ = standardize(Y)
+        Ys, _, _, _ = standardize(Y.copy())  # standardize overwrites its train array
         l1 = ridge_solve(X, Ys).chosen_lambda
         Ys2, _, _, _ = standardize(7.5 * Y)
         l2 = ridge_solve(X, Ys2).chosen_lambda
@@ -193,7 +194,7 @@ class TestRidgeSolve:
 
     def test_selection_matches_oracle_multi_chunk(self):
         rng = np.random.default_rng(12)
-        n_targets = 2 * _CHUNK + 37
+        n_targets = 2 * encode._CHUNK + 37
         X = rng.normal(size=(60, 10))
         snr = rng.uniform(0.0, 2.0, n_targets)
         Y = rng.normal(size=(60, n_targets)) + (X @ rng.normal(size=(10, n_targets))) * snr
@@ -250,13 +251,17 @@ class TestRidgeSolve:
 
 
 def _exact_choice(X, Y, grid):
-    """Each target's grid index from the exact kernel run over every lambda, chunk by chunk."""
+    """Each target's grid index from the exact kernel run over every lambda, chunk by chunk.
+
+    The chunk size is read when called, so it follows a test that shrinks ``encode._CHUNK``.
+    """
     U, _, _, D, W = _svd_path(X, grid)
     UtY = U.T @ Y
     every = np.arange(len(grid))
+    chunk = encode._CHUNK
     return np.concatenate([
-        _last_argmin(_exact_loo_mse(U, D, W, Y[:, a:a + _CHUNK], UtY[:, a:a + _CHUNK], every))
-        for a in range(0, Y.shape[1], _CHUNK)])
+        _last_argmin(_exact_loo_mse(U, D, W, Y[:, a:a + chunk], UtY[:, a:a + chunk], every))
+        for a in range(0, Y.shape[1], chunk)])
 
 
 def _assert_screen_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
@@ -271,9 +276,10 @@ def _assert_screen_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
     U, _, _, D, W = _svd_path(X, grid)
     UtY = U.T @ Y
     unsettled = 0
-    for a in range(0, Y.shape[1], _CHUNK):
-        Yc = Y[:, a:a + _CHUNK]
-        cand = _screen(U, D, W, Yc, UtY[:, a:a + _CHUNK])
+    chunk = encode._CHUNK
+    for a in range(0, Y.shape[1], chunk):
+        Yc = Y[:, a:a + chunk]
+        cand = _screen(U, D, W, Yc, UtY[:, a:a + chunk])
         unsettled += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
     return unsettled
 
@@ -335,7 +341,7 @@ class TestScreenedSelection:
 
     def test_multi_chunk_target_count(self):
         X, rng = self._design(n=60, p=10, seed=5)
-        n_targets = 2 * _CHUNK + 37
+        n_targets = 2 * encode._CHUNK + 37
         Y = rng.normal(size=(60, n_targets)) + X @ rng.normal(size=(10, n_targets)) * rng.uniform(
             0, 2, n_targets)
         _assert_screen_exact(X, Y)
@@ -377,8 +383,9 @@ def _assert_float32_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
     U, _, _, D, W = _svd_path(X, grid)
     UtY = U.T @ Y
     after_float32 = after_columns = 0
-    for a in range(0, Y.shape[1], _CHUNK):
-        Yc, UtYc = Y[:, a:a + _CHUNK], UtY[:, a:a + _CHUNK]
+    chunk = encode._CHUNK
+    for a in range(0, Y.shape[1], chunk):
+        Yc, UtYc = Y[:, a:a + chunk], UtY[:, a:a + chunk]
         bound = _LooErrorBound(U, D, W, Yc, UtYc)
         cand = _float32_screen(U, D, W, Yc, UtYc, bound)
         after_float32 += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
@@ -461,7 +468,7 @@ class TestFloat32Selection:
 
     def test_multi_chunk_target_count(self):
         X, rng = self._design(n=90, p=60, seed=8)
-        _assert_float32_exact(X, self._targets(X, rng, 2 * _CHUNK + 37))
+        _assert_float32_exact(X, self._targets(X, rng, 2 * encode._CHUNK + 37))
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(6, 60), p=st.integers(1, 80), m=st.integers(1, 30),
@@ -480,7 +487,8 @@ class TestFloat32Selection:
         below 19,570,632 bytes: the previous selection, the exact kernel over
         every lambda, peaked there on the same inputs (numpy 2.4, x86-64). The
         float32 pass's buffers are sized to the exact kernel's (k + n + grid) x
-        _CHUNK floats; it measured about 17.4 MB.
+        _CHUNK floats; it measured 18,110,921 bytes with one GEMM per block of
+        (lambda, target) pairs and 18,108,953 with one per lambda.
         """
         X, rng = self._design()
         Y = rng.normal(size=(733, 1024)) + X @ rng.normal(size=(500, 1024)) * rng.uniform(0, 0.1, 1024)
@@ -505,8 +513,9 @@ def _assert_bracket(X, Y, grid=DEFAULT_LAMBDA_GRID):
     UtY = U.T @ Y
     every = np.arange(len(grid))
     live = 0
-    for a in range(0, Y.shape[1], _CHUNK):
-        Yc, UtYc = Y[:, a:a + _CHUNK], UtY[:, a:a + _CHUNK]
+    chunk = encode._CHUNK
+    for a in range(0, Y.shape[1], chunk):
+        Yc, UtYc = Y[:, a:a + chunk], UtY[:, a:a + chunk]
         bound = _LooErrorBound(U, D, W, Yc, UtYc)
         exact = _exact_loo_mse(U, D, W, Yc, UtYc, every)
         assert np.all(bound.floor <= exact)
@@ -596,6 +605,93 @@ class TestBracket:
         X = standardize(rng.normal(size=(n, p)))[0]
         Y = rng.normal(size=(n, m)) + X @ rng.normal(size=(p, m)) * rng.uniform(0, 1, m)
         _assert_bracket(X, Y * 10.0 ** log_scale)
+
+
+class TestSmallChunks:
+    """With ``_CHUNK`` = 8 the float32 pass runs one (lambda, target) pair per SGEMM and the
+    confirm on columns two or three per DGEMM, so every lambda's pairs are split across
+    blocks; the choices must still be the exact kernel's."""
+
+    _design = staticmethod(TestFloat32Selection._design)
+    _targets = staticmethod(TestFloat32Selection._targets)
+
+    @pytest.fixture(autouse=True)
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(encode, "_CHUNK", 8)
+        self.widths = set()
+        init = _PairValues.__init__
+
+        def spy(pairs, U, D, W, width, dtype):
+            self.widths.add((np.dtype(dtype).name, width))
+            init(pairs, U, D, W, width, dtype)
+
+        monkeypatch.setattr(_PairValues, "__init__", spy)
+
+    def test_wide_fold_solve(self):
+        X, rng = self._design()
+        after_float32, after_columns = _assert_float32_exact(X, self._targets(X, rng, 48))
+        assert after_float32 > 0 and after_columns == 0
+        assert {w for d, w in self.widths if d == "float32"} == {1}
+        assert 1 < max(w for d, w in self.widths if d == "float64") <= 3
+
+    def test_p_greater_than_n(self):
+        X, rng = self._design(n=150, p=260, seed=1)
+        _assert_float32_exact(X, self._targets(X, rng, 40))
+        _assert_bracket(X, self._targets(X, rng, 40))
+
+    def test_duplicate_grid_values(self):
+        X, rng = self._design(n=120, p=80, seed=2)
+        grid = np.repeat(DEFAULT_LAMBDA_GRID[::2], 2)
+        assert _assert_float32_exact(X, self._targets(X, rng, 20), grid) == (20, 20)
+
+    @pytest.mark.parametrize("spacing,settled_on_columns", [(1e-9, True), (1e-14, False)])
+    def test_near_tie_grid(self, spacing, settled_on_columns):
+        X, rng = self._design(n=120, p=80, seed=3)
+        Y = self._targets(X, rng, 20)
+        grid = 100.0 * (1.0 + spacing * np.arange(20))
+        after_float32, after_columns = _assert_float32_exact(X, Y, grid)
+        assert after_float32 == 20
+        assert (after_columns == 0) == settled_on_columns
+        _assert_bracket(X, Y, grid)
+
+    def test_all_zero_targets(self):
+        X, rng = self._design(n=120, p=80, seed=4)
+        Y = self._targets(X, rng, 30)
+        Y[:, ::3] = 0.0
+        _assert_float32_exact(X, Y)
+        assert _assert_bracket(X, np.zeros((120, 12))) == 1.0
+
+    @pytest.mark.parametrize("scale", [1e25, 1e-25])
+    def test_targets_beyond_float32_range(self, scale):
+        X, rng = self._design(n=120, p=80, seed=7)
+        Y = self._targets(X, rng, 24)
+        Y[:, ::2] *= scale
+        _assert_float32_exact(X, Y)
+        _assert_bracket(X, Y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 3, 40])
+    def test_pair_values_within_bound(self, dtype, width):
+        """``_PairValues`` writes just the asked pairs, each within b of the chunk's kernel value:
+        b = b32 + b64 in float32, as the float32 pass assumes, and 2 b64 in float64, as the
+        confirm on columns does."""
+        X, rng = self._design(n=120, p=80, seed=19)
+        Y = self._targets(X, rng, 40)
+        U, _, _, D, W = _svd_path(X, DEFAULT_LAMBDA_GRID)
+        UtY = U.T @ Y
+        bound = _LooErrorBound(U, D, W, Y, UtY)
+        kernel = _exact_loo_mse(U, D, W, Y, UtY, np.arange(len(DEFAULT_LAMBDA_GRID)))
+        at = rng.random(kernel.shape) < 0.5
+        S = np.full(kernel.shape, np.nan)
+        pairs = _PairValues(U, D, W, width, dtype)
+        for a in range(0, Y.shape[1], width):
+            pairs.load(Y[:, a:a + width], UtY[:, a:a + width])
+            pairs.values(at[:, a:a + width], S[:, a:a + width])
+        assert np.isnan(S[~at]).all() and not np.isnan(S[at]).any()
+        S = np.where(at, S, kernel)
+        rho = bound.rho(S, dtype)
+        b = bound.error(dtype, rho) + bound.error(np.float64, rho)
+        assert np.all(np.abs(S - kernel) <= b)
 
 
 def pearson(y_true, y_pred):
