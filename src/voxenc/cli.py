@@ -88,6 +88,7 @@ def _finite_output(out: np.ndarray, what: str) -> np.ndarray:
 class _Dataset:
     """A checked manifest with its feature files' column-stack X."""
 
+    path: Path  # the manifest's
     manifest: dict  # as matrixio.read_manifest returns it
     X: np.ndarray
     ends: list[int]  # feature file i holds the columns of X up to ends[i]
@@ -107,27 +108,41 @@ def _load_2d(path: str | Path, kind: str, shape: str) -> np.ndarray:
     return mat
 
 
-def _read_response(path: str | Path, rows: dict[str, int], rois: dict[str, list[int]]) -> np.ndarray:
-    """A 2-D response as tall as the feature files in ``rows``, with a target for every ROI index."""
+def _read_response(path: str | Path, data: _Dataset) -> np.ndarray:
+    """A 2-D response checked against ``data`` and detrended per block if ``data`` asks.
+
+    It must be as tall as the feature files and have a target for every ROI
+    index; then the blocks must end at the files' rows. A float64 response is
+    detrended in place, a float32 one in its float64 copy: either way only
+    the returned array outlives the call.
+    """
     y = _load_2d(path, "response", "scans x targets")
     if y.shape[1] == 0:
         _fail(EXIT_USAGE, f"response file {path} has no targets: shape {y.shape}")
-    if y.shape[0] != next(iter(rows.values())):
-        _fail(EXIT_USAGE, _row_mismatch({**rows, str(path): y.shape[0]}))
-    faults = matrixio.roi_faults(rois, y.shape[1])
+    n_rows = next(iter(data.rows.values()))
+    if y.shape[0] != n_rows:
+        _fail(EXIT_USAGE, _row_mismatch({**data.rows, str(path): y.shape[0]}))
+    faults = matrixio.roi_faults(data.manifest["rois"], y.shape[1])
     if faults:
         _fail(EXIT_USAGE, f"response file {path} has {y.shape[1]} targets: " + "; ".join(faults))
+    end = data.manifest["blocks"][-1][1]
+    if n_rows != end:
+        _fail(EXIT_USAGE, f"the blocks of {data.path} end at {end}, but the feature files "
+                          f"have {n_rows} rows: {', '.join(data.rows)}")
+    if data.detrend:
+        y = np.asarray(y, dtype=np.float64)
+        detrend_blocks(y, data.manifest["blocks"])
     return y
 
 
-def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, detrend: bool,
-                  response_path: str | None = None) -> tuple[_Dataset, np.ndarray | None]:
-    """Read and check a manifest, column-stack its 2-D feature matrices and read ``response_path``.
+def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, detrend: bool) -> _Dataset:
+    """Read and check a manifest and column-stack its 2-D feature matrices.
 
     ``feature_paths`` default to the manifest's own, relative to its directory.
-    ``score``'s one response is checked against the features and the ROIs
-    before the blocks are, and returned detrended if asked (None without a path). Every
-    problem exits 2 with a message naming the file, before anything is written.
+    Every problem exits 2 with a message naming the file, before anything is
+    written; that the blocks end at the files' rows is checked with each
+    response (``_read_response``), so a response whose rows disagree with the
+    features is named first.
     """
     manifest_path = Path(manifest_path)
     manifest = _read(manifest_path, matrixio.read_manifest, "manifest")
@@ -154,25 +169,7 @@ def _load_dataset(manifest_path: str | Path, feature_paths: list[str] | None, de
     ends = np.cumsum([mat.shape[1] for mat in features]).tolist()
     X = features[0] if len(features) == 1 else np.hstack(features)
     del features  # the column-stack is the one copy kept
-    y = None if response_path is None else _read_response(response_path, rows, manifest["rois"])
-    end = blocks[-1][1]
-    if X.shape[0] != end:
-        _fail(EXIT_USAGE, f"the blocks of {manifest_path} end at {end}, but the feature files "
-                          f"have {X.shape[0]} rows: {', '.join(feature_paths)}")
-    data = _Dataset(manifest, X, ends, rows, detrend)
-    return data, None if y is None else _detrended(data, y)
-
-
-def _detrended(data: _Dataset, y: np.ndarray) -> np.ndarray:
-    """``y`` detrended per block if ``data`` asks, else ``y`` as it is.
-
-    A float64 response is detrended in place; a float32 one is detrended in
-    its float64 copy. Either way only the returned array outlives the call.
-    """
-    if data.detrend:
-        y = np.asarray(y, dtype=np.float64)
-        detrend_blocks(y, data.manifest["blocks"])
-    return y
+    return _Dataset(manifest_path, manifest, X, ends, rows, detrend)
 
 
 @click.group()
@@ -249,7 +246,8 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
           report_path: str | None, detrend: bool) -> None:
     """Cross-validated ridge brain scores per target."""
-    data, Y = _load_dataset(manifest_path, features.split(","), detrend, response_path)
+    data = _load_dataset(manifest_path, features.split(","), detrend)
+    Y = _read_response(response_path, data)
     try:
         r_mean = score_subjects(data.X, [Y], 1, data.manifest["blocks"], [slice(None)])[0, 0]
     except ValueError as exc:
@@ -499,7 +497,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     timings["synth"] = time.perf_counter() - t0
 
     features = cfg.get("features")
-    data, _ = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
+    data = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
     manifest = data.manifest
     names = [f["name"] for f in (features or manifest["features"])]
     if not manifest["subjects"]:
@@ -512,8 +510,7 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     # levels x subjects x targets: every concatenation level, a column prefix of X, for
     # every subject, whose response is read and detrended as it is scored
     t0 = time.perf_counter()
-    responses = (_detrended(data, _read_response(manifest_path.parent / sub["response"], data.rows,
-                                                 manifest["rois"]))
+    responses = (_read_response(manifest_path.parent / sub["response"], data)
                  for sub in manifest["subjects"])
     scores = score_subjects(data.X, responses, len(manifest["subjects"]), manifest["blocks"],
                             [slice(end) for end in data.ends], grid)

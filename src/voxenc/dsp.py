@@ -50,11 +50,12 @@ _MIX_BLOCK = 1 << 17
 # Outputs per block in _resample_poly: 1 MB of float64 output, whose windows
 # span about 3 MB of 44.1 kHz input.
 _RESAMPLE_BLOCK = 1 << 17
-# The most taps _kaiser_lowpass builds (8 MB of float64; building it grows
-# the process by about 14 times that). A rate of 16000 down / up Hz in lowest
-# terms takes 20 max(up, down) + 1, so every rate up to 52,428 Hz passes, and
-# every multiple of 100 Hz up to 5.2 MHz, which covers the 44.1 and 48 kHz
-# families.
+# Taps per block as _kaiser_lowpass builds its filter: 128 KB of float64.
+_FILTER_BLOCK = 1 << 14
+# The most taps _kaiser_lowpass builds (8 MB of float64). A rate of 16000
+# down / up Hz in lowest terms takes 20 max(up, down) + 1, so every rate up
+# to 52,428 Hz passes, and every multiple of 100 Hz up to 5.2 MHz, which
+# covers the 44.1 and 48 kHz families.
 _MAX_FILTER_TAPS = 1 << 20
 
 
@@ -207,16 +208,26 @@ def _kaiser_lowpass(up: int, down: int) -> tuple[np.ndarray, int]:
     """resample_poly's default filter and its half length.
 
     ``firwin(2*half_len + 1, 1/max(up, down), window=("kaiser", 5.0)) * up``
-    with half_len = 10 * max(up, down), built with the same operations from
-    ``np.sinc`` and ``np.kaiser``.
+    with half_len = 10 * max(up, down), built with the elementwise operations
+    of ``cutoff * np.sinc(cutoff * m) * np.kaiser(n_taps, 5.0)`` in blocks of
+    ``_FILTER_BLOCK`` taps, so no full-length temporary is made, then scaled
+    by one ``np.sum`` over the whole filter.
     """
     max_rate = max(up, down)
     half_len = 10 * max_rate
     n_taps = 2 * half_len + 1
     cutoff = 1.0 / max_rate
-    m = np.arange(n_taps, dtype=np.float64) - half_len
-    h = cutoff * np.sinc(cutoff * m)
-    h *= np.kaiser(n_taps, 5.0)
+    alpha = (float(n_taps) - 1) / 2.0  # np.kaiser's
+    i0_beta = np.i0(5.0)
+    h = np.empty(n_taps)
+    for a in range(0, n_taps, _FILTER_BLOCK):
+        n = np.arange(a, min(a + _FILTER_BLOCK, n_taps), dtype=np.float64)
+        x = np.pi * (cutoff * (n - half_len))
+        x[x == 0] = np.finfo(np.float64).eps  # np.sinc's
+        part = h[a:a + n.size]
+        np.divide(np.sin(x), x, out=part)
+        part *= cutoff
+        part *= np.i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0_beta
     h /= np.sum(h)  # unit gain at DC
     h *= up
     return h, half_len

@@ -16,13 +16,21 @@ with W. ``ridge_solve`` never changes those values; it only avoids running
 the kernel where it cannot change a choice. It takes one of two routes by
 the shape of the design, and both end the same way:
 
-- Confirm on the chunk. Each route leaves each target candidate lambdas
-  that include every lambda where its exact value is smallest. A target
-  with one candidate takes it; an all-zero target has LOO error exactly 0
-  at every lambda and takes the largest. For the union of the remaining
-  targets' candidates ``_exact_loo_mse`` runs on the whole chunk, which gives
-  the same bits as the pass over every lambda, and each target takes its
-  last argmin over its own candidates.
+- Candidate rule. Every selection stage gives values S and widths b with
+  |S - the float64 kernel's value| <= b per lambda and target, and
+  ``_candidates`` keeps, among the lambdas still open, those where
+  S - b <= min(S + b) over them, so the lambda the exact values pick always
+  stays. A target whose S + b is not finite at some open lambda keeps them all.
+- Rounding model. With u the unit roundoff of the arithmetic (2^-24 or
+  2^-53), gamma_j = j u / (1 - j u) (``_gamma``) bounds the relative error
+  of j roundings in any order, with or without FMA (Higham, Accuracy and
+  Stability of Numerical Algorithms, ch. 3). Each bound counts its stage's
+  roundings plus those of evaluating itself and S +- b in float64.
+- Confirm on the chunk. A target with one candidate takes it; an all-zero
+  target has LOO error exactly 0 at every lambda and takes the largest. For
+  the union of the remaining targets' candidates ``_exact_loo_mse`` runs on
+  the whole chunk, which gives the same bits as the pass over every lambda,
+  and each target takes its last argmin over its own candidates.
 
 Tall designs (n >> p) screen every lambda first:
 
@@ -33,19 +41,15 @@ Tall designs (n >> p) screen every lambda first:
   [(W * U)^T | G diag(1 - D) / 2] against [Y_perp; C] and one of W against
   Y_perp^2 give every lambda's value S; no n x targets array is formed per
   lambda.
-- Bound. Let M = sqrt(W . Y_perp^2) + sqrt(nu) |c| with nu = sum_i W_i |U_i|^2,
-  u = 2^-53 and gamma_j = j u / (1 - j u), which bounds the relative error
-  of j roundings in any order, with or without FMA (Higham, Accuracy and
-  Stability of Numerical Algorithms, ch. 3). Bounding every sum of |U| |x|
-  row by row with Cauchy-Schwarz, |exact value - S| <= gamma_N M^2, where N
-  adds up the roundings: n + 8k + 8 in the exact kernel (its GEMM, subtract,
-  square and GEMV), 2k in forming Y_perp, 2n + 2k + 7 in the screen's
-  products and sums, and n + 2k + 16 in evaluating the bound and S +- b.
-  The code takes b = 2 gamma_N (W . Y_perp^2 + nu |c|^2), which is >= gamma_N M^2.
-  The bound assumes no square underflows or overflows; a target whose b
-  leaves 2 gamma_N [sqrt(tiny), sqrt(max) / 2] keeps every lambda. A lambda
-  stays a candidate for a target if S - b <= min(S + b), so the lambda the
-  exact values pick is always a candidate.
+- Bound. Let M = sqrt(W . Y_perp^2) + sqrt(nu) |c| with nu = sum_i W_i |U_i|^2
+  and u = 2^-53. Bounding every sum of |U| |x| row by row with
+  Cauchy-Schwarz, |exact value - S| <= gamma_N M^2 with
+  N = (n + 8k + 8) + 2k + (2n + 2k + 7) + (n + 2k + 16) = 4n + 14k + 31: the
+  exact kernel's roundings (its GEMM, subtract, square and GEMV), forming
+  Y_perp, the screen's products and sums, and evaluating the bound and S +- b.
+  The code takes b = 2 gamma_N (W . Y_perp^2 + nu |c|^2), which is
+  >= gamma_N M^2. The bound assumes no square underflows or overflows, so
+  a target whose b leaves 2 gamma_N [sqrt(tiny), sqrt(max) / 2] gets b = inf.
 
 Wide designs (p near or above n) certify the choice with one float32 pass
 and confirm in float64 only the lambdas a target could still pick:
@@ -61,8 +65,7 @@ and confirm in float64 only the lambdas a target could still pick:
   W. Each pair still gets exactly the roundings the bound below counts, so
   which block a pair lands in changes no choice. A GEMM call costs about
   0.12 ms on top of its rows (SGEMM of 8 rows against the 733 x 500 U^T:
-  18 us a row; of 512 rows: 3.0 us), so one call per lambda, about 108
-  rows on average, spent a sixth of the pass on calls.
+  18 us a row; of 512 rows: 3.0 us).
 - Bracket. Taking the computed U, D and c as exact, r satisfies
       ||r||^2 = ||y||^2 - ||c||^2 + ||(1 - D) c||^2 + 2 dc^T D c + c^T D E D c
   with E = U^T U - I and dc = c - U^T y, and min W ||r||^2 <= T <= max W ||r||^2
@@ -85,8 +88,7 @@ and confirm in float64 only the lambdas a target could still pick:
   29.6-31.7 % of (target, lambda) pairs for the pass.
 - Bound. Let r = y - U D c be the exact residual, T = W . r^2 the exact
   value, R the computed residual, delta_i = |R_i - r_i| and |x|_W^2 =
-  W . x^2. With u the unit roundoff of the arithmetic (2^-24 or 2^-53),
-  |U_ik| <= 1 and 0 <= D < 1, Higham's model gives per row
+  W . x^2. With |U_ik| <= 1 and 0 <= D < 1, Higham's model gives per row
       delta_i <= gamma_{k+5} |U_i| |D c| + gamma_2 |y_i|      (float32)
       delta_i <= gamma_{k+2} |U_i| |D c| + gamma_1 |y_i|      (float64)
   (the float32 count takes in rounding U, D, C and y to float32). By
@@ -100,12 +102,11 @@ and confirm in float64 only the lambdas a target could still pick:
   gamma_{n+2} W . R^2 in float32 (gamma_{n+1} in float64) and a; and
   rho = sqrt((S + a) / (1 - gamma_{n+2})) + e >= |r|_W. Together
       |S - T| <= gamma_{n+2} (rho + e)^2 + a + e (2 rho + e).
-  b is this bound for float32 plus the same bound for the float64 kernel,
-  with the same rho, so |S32 - the kernel's value| <= b. Every count
-  carries 8 more roundings, which cover evaluating the bound and S +- b in
-  float64. A lambda stays a candidate where S32 - b <= min(S32 + b). A
-  target whose S32 or b is not finite (values beyond float32's range)
-  keeps every lambda.
+  Every count carries 8 more roundings for evaluating it. The float32
+  pass's width b (``_LooErrorBound.width``) is this bound for float32 plus
+  the same bound for the float64 kernel, with the same rho, so
+  |S32 - the kernel's value| <= b; values beyond float32's range make S32 or
+  b not finite.
 - Confirm on columns. A GEMM's bits for a column depend on which other
   columns it is given: OpenBLAS 0.3.31's DGEMM of a 733 x 500 U with the
   first 1, 255, 257 or 500 of 1024 columns gave other bits than with all
@@ -114,10 +115,9 @@ and confirm in float64 only the lambdas a target could still pick:
   targets with several, blocks of pairs as in the float32 pass (each
   target's Y and U^T Y columns are copied in once per pass, not per pair),
   and since both those bits and the whole chunk's lie within the float64
-  bound b64 of T, a candidate survives where S - 2 b64 <= min(S + 2 b64)
-  over the target's candidates (rho now from S). Only targets still tied at
-  float64 rounding level, or with duplicate lambdas, reach the confirm on
-  the chunk.
+  bound b64 of T, the width is 2 b64 (rho now from S). Only targets still
+  tied at float64 rounding level, or with duplicate lambdas, reach the
+  confirm on the chunk.
 
 - Shape rule. Per lambda and target the screen and the exact kernel both
   do about n k multiply-adds (U times a k-vector, or the stacked rows
@@ -132,11 +132,9 @@ and confirm in float64 only the lambdas a target could still pick:
   bracket left 31.7 % of (target, lambda) pairs for the pass, the pass left
   6.5 % for the confirm on columns (23 % of targets, about 5.5 candidates
   each) and nothing for the confirm on the chunk. The pass took 333 SGEMMs
-  of 468 rows on average (1440 of 108 with one per lambda) and the confirm
-  144 DGEMMs of 221 rows (384 of 83 columns): at best 0.86 s against 1.05 s
-  for the pass and 0.36 s against 0.63 s for the confirm. A chunk took
-  about 0.06 s, bound included, against 0.22 s for the kernel over every
-  lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at 2 threads).
+  of 468 rows on average and the confirm 144 DGEMMs of 221 rows. A chunk
+  took about 0.06 s, bound included, against 0.22 s for the kernel over
+  every lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at 2 threads).
 - Memory. Targets go in chunks of ``_CHUNK``. The screen's, the float32
   pass's and the confirm's buffers hold no more floats than the exact
   kernel's for a full chunk, (k + n + grid) x ``_CHUNK`` float64s: targets
@@ -176,8 +174,8 @@ DEFAULT_LAMBDA_GRID = np.logspace(1.0, 8.0, 20)
 #: however many targets a solve has.
 _CHUNK = 1024
 
-#: u = 2^-53, the unit roundoff in the screen's bound.
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+#: float64's smallest normal number, which every float64 bound adds per operation for underflow.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -355,20 +353,29 @@ def _screen_pays(n: int, k: int) -> bool:
     return k * k < 4 * n
 
 
-def _gamma(j: int, u: float = _UNIT_ROUNDOFF) -> float:
-    """gamma_j = j u / (1 - j u), the relative error of j roundings (module docstring)."""
+def _gamma(j: int, dtype=np.float64) -> float:
+    """gamma_j = j u / (1 - j u), the relative error of j roundings in ``dtype`` (module docstring)."""
+    u = float(np.finfo(dtype).eps) / 2
     return j * u / (1.0 - j * u)
 
 
-def _bound_gamma(n: int, k: int) -> float:
-    """gamma_j = j u / (1 - j u) for the screen's rounding-error bound (module docstring)."""
-    return _gamma((n + 8 * k + 8) + 2 * k + (2 * n + 2 * k + 7) + (n + 2 * k + 16))
+#: b / (2 gamma_N) must lie in this range at every lambda, or the screen's b is
+#: infinite: outside it, squares inside the screen or the exact kernel could
+#: leave float64's normal range, where the bound does not hold.
+_Q_RANGE = (np.sqrt(_TINY), np.sqrt(np.finfo(np.float64).max) / 2)
 
 
-#: b / (2 gamma_N) must lie in this range at every lambda, or the target keeps
-#: every lambda: outside it, squares inside the screen or the exact kernel
-#: could leave float64's normal range, where the bound does not hold.
-_Q_RANGE = (np.sqrt(np.finfo(np.float64).tiny), np.sqrt(np.finfo(np.float64).max) / 2)
+def _candidates(S, b, among) -> np.ndarray:
+    """Candidate mask (grid x targets) by the module docstring's candidate rule, within ``among``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.add(S, b)
+        wild = ~(np.isfinite(hi) | ~among).all(axis=0)
+        hi[~among] = np.inf
+        best = hi.min(axis=0)
+        np.subtract(S, b, out=hi)
+        cand = among & (hi <= best)
+    cand[:, wild] = among[:, wild]
+    return cand
 
 
 def _stacked_rows(U, W, keep, rows) -> np.ndarray:
@@ -408,7 +415,7 @@ def _confirm_on_chunk(U, D, W, Yc, UtYc, cand) -> np.ndarray:
 
 
 def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
-    """Candidate mask (grid x targets): where S - b <= min over lambdas of S + b.
+    """Candidate mask (grid x targets) by ``_candidates`` over every lambda.
 
     S is the screened LOO error and b its bound (module docstring). Targets
     go through in passes of ``width`` and lambdas in blocks of ``blk``, sized
@@ -419,7 +426,7 @@ def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
     g, m = W.shape[0], Yc.shape[1]
     keep = 1.0 - D
     keep2 = 2.0 * keep
-    gamma2 = 2.0 * _bound_gamma(n, k)
+    gamma2 = 2.0 * _gamma(4 * n + 14 * k + 31)
     nu2 = gamma2 * (W @ np.einsum("ik,ik->i", U, U))  # 2 gamma nu per lambda
     budget = (k + n + g) * _CHUNK
     blk = max(1, min(g, budget // 2 // (k * (n + k))))
@@ -435,7 +442,8 @@ def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
     Z = np.empty((n + k, width))
     Yp, C = Z[:n], Z[n:]
     out = np.empty((blk * k, width))
-    S, B, T = (np.empty((g, width)) for _ in range(3))
+    S, B = np.empty((2, g, width))
+    every = np.ones((g, width), dtype=bool)
     for i in range(passes):
         a = min(i * width, m - width)
         cols = slice(a, a + width)
@@ -453,14 +461,10 @@ def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
         S += B
         # b = 2 gamma Q, Q = W . Y_perp^2 + nu |c|^2
         B *= gamma2
-        np.multiply.outer(nu2, np.einsum("kj,kj->j", C, C), out=T)
-        B += T
+        B += np.multiply.outer(nu2, np.einsum("kj,kj->j", C, C))
         tame = (B.min(axis=0) >= gamma2 * _Q_RANGE[0]) & (B.max(axis=0) <= gamma2 * _Q_RANGE[1])
-        np.add(S, B, out=T)
-        best = T.min(axis=0)
-        S -= B
-        np.less_equal(S, best, out=cand[:, cols])
-        cand[:, cols][:, ~tame] = True
+        B[:, ~tame] = np.inf
+        cand[:, cols] = _candidates(S, B, every)
     return cand
 
 
@@ -473,14 +477,13 @@ _ROUNDINGS = {np.float32: (13, 10, 10), np.float64: (10, 9, 9)}
 def _gram_defect(U) -> float:
     """epsilon >= ||U^T U - I||_2 for the computed U, from its Gram product (module docstring)."""
     n, k = U.shape
-    tiny = float(np.finfo(np.float64).tiny)
     G = U.T @ U
     G[np.diag_indices(k)] -= 1.0
     fro = float(np.sqrt(np.einsum("ij,ij->", G, G)))
     fro_u = float(np.einsum("ik,ik->", U, U))  # ||U||_F^2 up to rounding
-    return ((fro + k * np.sqrt(tiny)) * (1.0 + _gamma(k * k + 8))
-            + _gamma(n + 8) * (fro_u * (1.0 + _gamma(n * k + 8)) + n * k * tiny)
-            + 3 * n * k * tiny)
+    return ((fro + k * np.sqrt(_TINY)) * (1.0 + _gamma(k * k + 8))
+            + _gamma(n + 8) * (fro_u * (1.0 + _gamma(n * k + 8)) + n * k * _TINY)
+            + 3 * n * k * _TINY)
 
 
 class _LooErrorBound:
@@ -525,44 +528,47 @@ class _LooErrorBound:
         ``r2`` holds the computed ||(1 - D) c||^2 and is overwritten.
         """
         n, k = self.n, self.k
-        tiny = float(np.finfo(np.float64).tiny)
         g = _gamma(n + k + 16)
-        Y2 = y2 * (1.0 + 2.0 * g) + 3 * n * tiny  # >= ||y||^2
-        C2 = c2 * (1.0 + 2.0 * g) + 3 * k * tiny  # >= ||c||^2
-        err = (g * (Y2 + 3.0 * C2) + defect * C2 + 10 * (n + k) * tiny
+        Y2 = y2 * (1.0 + 2.0 * g) + 3 * n * _TINY  # >= ||y||^2
+        C2 = c2 * (1.0 + 2.0 * g) + 3 * k * _TINY  # >= ||c||^2
+        err = (g * (Y2 + 3.0 * C2) + defect * C2 + 10 * (n + k) * _TINY
                + 2.0 * np.sqrt(C2) * (_gamma(n) * np.sqrt(k * (1.0 + defect) * Y2)
-                                      + 3 * n * np.sqrt(k) * tiny))
+                                      + 3 * n * np.sqrt(k) * _TINY))
         r2 += y2 - c2
         lo = np.maximum(r2 - err, 0.0)
         lo *= W.min(axis=1)[:, None]
         r2 += err
         r2 *= self.max_w  # hi, the bracket's upper end
         with np.errstate(over="ignore", invalid="ignore"):
-            self.floor = lo - self.error(np.float64, np.sqrt(r2))
+            self.floor = lo - _error(self._terms(np.float64), np.sqrt(r2))
             self.floor[:, ~np.isfinite(r2).all(axis=0)] = -np.inf
         lo += r2
         self.anchor = np.argmin(lo, axis=0)
 
-    def _terms(self, dtype, cols):
+    def _terms(self, dtype, cols=slice(None)):
         """(e, a, gamma of the weighted sum) for values computed in ``dtype``."""
-        u, tiny = float(np.finfo(dtype).eps) / 2, float(np.finfo(dtype).tiny)
+        tiny = float(np.finfo(dtype).tiny)
         j_dc, j_y, j_sum = (self.k + _ROUNDINGS[dtype][0], _ROUNDINGS[dtype][1],
                             self.n + _ROUNDINGS[dtype][2])
-        g_dc, g_y, g_sum = (_gamma(j, u) for j in (j_dc, j_y, j_sum))
+        g_dc, g_y, g_sum = (_gamma(j, dtype) for j in (j_dc, j_y, j_sum))
         slack = tiny * (4.0 * np.sqrt(self.k) * self.norm_c[cols] + 5 * self.k + 5)
         e = (g_dc * self.root_nu * self.norm_dc[:, cols] + g_y * self.norm_y[:, cols]
              + self.root_sum_w * slack)
         return e, 3.0 * tiny * self.n * (1.0 + self.max_w), g_sum
 
-    def rho(self, S, dtype, cols=slice(None)):
-        """An upper bound on the exact residual's W-norm from values S computed in ``dtype``."""
-        e, a, g_sum = self._terms(dtype, cols)
-        return np.sqrt((S + a) / (1.0 - g_sum)) + e
+    def width(self, S, dtype, cols=slice(None)):
+        """b >= |S - the float64 kernel's value| for S computed in ``dtype``: the bound
+        for ``dtype`` plus the float64 kernel's, both at rho from S (module docstring)."""
+        terms = e, a, g_sum = self._terms(dtype, cols)
+        rho = np.sqrt((S + a) / (1.0 - g_sum)) + e
+        b = _error(terms, rho)
+        return b + (b if dtype is np.float64 else _error(self._terms(np.float64, cols), rho))
 
-    def error(self, dtype, rho, cols=slice(None)):
-        """Bound on |value computed in ``dtype`` - exact value|, given ``rho``."""
-        e, a, g_sum = self._terms(dtype, cols)
-        return g_sum * np.square(rho + e) + a + e * (2.0 * rho + e)
+
+def _error(terms, rho):
+    """Bound on |computed value - exact value| from ``_LooErrorBound._terms`` and ``rho``."""
+    e, a, g_sum = terms
+    return g_sum * np.square(rho + e) + a + e * (2.0 * rho + e)
 
 
 class _PairValues:
@@ -617,17 +623,14 @@ class _PairValues:
 def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
     """Candidate mask (grid x targets) from one float32 pass of the exact kernel's arithmetic.
 
-    S32 is ``_exact_loo_mse``'s per-lambda arithmetic in float32 and b bounds
-    |S32 - exact| plus |exact - the float64 kernel's value| (module
-    docstring). Each target first takes S32 at its anchor lambda; a lambda
-    whose ``bound.floor`` lies above the anchor's S32 + b cannot win and
-    leaves ``bound.live``, and S32 is computed only for the live pairs. A
-    live lambda stays a candidate where S32 - b <= min(S32 + b) over the
-    target's live lambdas; a target with a live S32 or b that is not finite
-    keeps every lambda. Targets go through in passes sized so that the
-    buffers hold no more floats than ``_exact_loo_mse`` takes for a full
-    chunk, (k + n + grid) x ``_CHUNK`` float64s; ``_PairValues`` runs each
-    step's pairs in blocks of a pass's width.
+    S32 is ``_exact_loo_mse``'s per-lambda arithmetic in float32, with width
+    ``bound.width`` (module docstring). Each target first takes S32 at its
+    anchor lambda; a lambda whose ``bound.floor`` lies above the anchor's
+    S32 + b cannot win and leaves ``bound.live``, and S32 is computed only
+    for the live pairs, which ``_candidates`` then narrows. Targets go
+    through in passes sized so that the buffers hold no more floats than
+    ``_exact_loo_mse`` takes for a full chunk, (k + n + grid) x ``_CHUNK``
+    float64s; ``_PairValues`` runs each step's pairs in blocks of a pass's width.
     """
     n, k = U.shape
     g, m = W.shape[0], Yc.shape[1]
@@ -637,7 +640,7 @@ def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
     pairs = _PairValues(U, D, W, width, np.float32)
     S32 = np.zeros((g, m), np.float32)
     live = bound.live
-    # values beyond float32's range turn into inf or nan; their targets keep every lambda
+    # values beyond float32's range turn into inf or nan; their targets keep their live lambdas
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, m, width):
             cols = slice(a, min(a + width, m))
@@ -647,20 +650,13 @@ def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
             anchored[bound.anchor[cols], np.arange(w)] = True
             pairs.values(anchored, S32[:, cols])
             S = S32[:, cols].astype(np.float64)
-            rho = bound.rho(S, np.float32, cols)
-            upper = (S + bound.error(np.float32, rho, cols) + bound.error(np.float64, rho, cols))[
-                bound.anchor[cols], np.arange(w)]
+            upper = (S + bound.width(S, np.float32, cols))[bound.anchor[cols], np.arange(w)]
             live[:, cols] = ~(bound.floor[:, cols] > upper)  # a nan on either side drops nothing
             pairs.values(live[:, cols] & ~anchored, S32[:, cols])
         # the buffers live until return: small arrays made after them then
         # leave whole the space they free, which the refit's weights reuse (p > k)
         S = S32.astype(np.float64)
-        rho = bound.rho(S, np.float32)
-        b = bound.error(np.float32, rho) + bound.error(np.float64, rho)
-        hi = np.where(live, S + b, np.inf)
-        cand = live & (S - b <= hi.min(axis=0))
-        cand[:, ~(np.isfinite(hi) | ~live).all(axis=0)] = True
-    return cand
+        return _candidates(S, bound.width(S, np.float32), live)
 
 
 def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
@@ -668,12 +664,9 @@ def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
 
     ``_PairValues`` computes in float64 the value at every candidate pair of
     the nonzero targets with more than one candidate, a block of pairs per
-    DGEMM. Those bits may differ from the whole chunk's, but both lie within
-    the float64 bound of the exact value, so a lambda stays a candidate where
-    S - 2 b64 <= min(S + 2 b64) over the target's candidates. A target with a
-    value or bound that is not finite keeps its candidates. The targets go
-    in passes whose row copies, the gathers that make them and the pair
-    buffers fit in (k + n + grid) x ``_CHUNK`` float64s beside S.
+    DGEMM, and ``_candidates`` narrows them with b = 2 b64 (module docstring).
+    The targets go in passes whose row copies, the gathers that make them and
+    the pair buffers fit in (k + n + grid) x ``_CHUNK`` float64s beside S.
     """
     n, k = U.shape
     g = W.shape[0]
@@ -691,11 +684,7 @@ def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
         pairs.values(sub[:, a:a + width], S[:, a:a + width])
     del pairs  # the bound's temporaries below take its space
     with np.errstate(over="ignore", invalid="ignore"):
-        b2 = 2.0 * bound.error(np.float64, bound.rho(S, np.float64, multi), multi)
-        hi = np.where(sub, S + b2, np.inf)
-        keep = sub & (S - b2 <= hi.min(axis=0))
-        sure = (~sub | np.isfinite(hi)).all(axis=0)
-    cand[:, multi[sure]] = keep[:, sure]
+        cand[:, multi] = _candidates(S, bound.width(S, np.float64, multi), sub)
 
 
 def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -378,3 +378,16 @@ def test_resample_block_edges(rate, monkeypatch):
     for n in range(n_filter - 2 * down, n_filter + 9 * down, max(1, down // 2)):
         _assert_matches_scipy(rng.uniform(-1.0, 1.0, n), rate)
 
+
+@pytest.mark.parametrize("up, down", [(160, 441), (1, 3), (5, 6), (4999, 5000)])
+def test_kaiser_lowpass_bitwise_equals_sinc_kaiser(up, down):
+    # (4999, 5000) takes 100,001 taps: several of _kaiser_lowpass's blocks
+    half_len = 10 * max(up, down)
+    cutoff = 1.0 / max(up, down)
+    want = cutoff * np.sinc(cutoff * (np.arange(2 * half_len + 1, dtype=np.float64) - half_len))
+    want *= np.kaiser(2 * half_len + 1, 5.0)
+    want /= np.sum(want)
+    want *= up
+    h, got_half_len = dsp._kaiser_lowpass(up, down)
+    assert got_half_len == half_len
+    assert np.array_equal(h.view(np.int64), want.view(np.int64))

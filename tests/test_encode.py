@@ -13,6 +13,7 @@ import voxenc
 from voxenc import encode
 from voxenc.encode import (
     DEFAULT_LAMBDA_GRID,
+    _candidates,
     _confirm_on_columns,
     _exact_loo_mse,
     _float32_screen,
@@ -248,6 +249,32 @@ class TestRidgeSolve:
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError, match=message):
             ridge_solve(rng.normal(size=(20, 3)), rng.normal(size=(20, 2)), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(1, 8), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       width=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+def test_candidates_rule(g, m, seed, width):
+    """``_candidates`` keeps within ``among`` every lambda that could hold the smallest value."""
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(g, m))
+    b = width * rng.exponential(size=(g, m))
+    special = rng.random((g, m)) < 0.1
+    S[special] = rng.choice([np.inf, -np.inf, np.nan], size=np.count_nonzero(special))
+    b[rng.random((g, m)) < 0.05] = np.inf
+    among = rng.random((g, m)) < 0.7
+    cand = _candidates(S, b, among)
+    assert not (cand & ~among).any()
+    with np.errstate(invalid="ignore"):
+        wild = (~np.isfinite(S + b) & among).any(axis=0)
+        lowest = np.where(among, S, np.inf).min(axis=0)
+        # every lambda whose S lies within b of the minimum
+        assert cand[(S - b <= lowest) & among & ~wild].all()
+        # any values within b of S take their minimum at a candidate
+        T = np.where(among, S + rng.uniform(-1.0, 1.0, (g, m)) * b, np.inf)
+    for j in np.flatnonzero(among.any(axis=0) & ~wild):
+        assert cand[T[:, j] == T[:, j].min(), j].all()
+    assert np.array_equal(cand[:, wild], among[:, wild])
 
 
 def _exact_choice(X, Y, grid):
@@ -689,9 +716,7 @@ class TestSmallChunks:
             pairs.values(at[:, a:a + width], S[:, a:a + width])
         assert np.isnan(S[~at]).all() and not np.isnan(S[at]).any()
         S = np.where(at, S, kernel)
-        rho = bound.rho(S, dtype)
-        b = bound.error(dtype, rho) + bound.error(np.float64, rho)
-        assert np.all(np.abs(S - kernel) <= b)
+        assert np.all(np.abs(S - kernel) <= bound.width(S, dtype))
 
 
 def pearson(y_true, y_pred):
