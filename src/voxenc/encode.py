@@ -142,15 +142,32 @@ and confirm in float64 only the lambdas a target could still pick:
   matrix would take more than half of that. Each pair block fits in the
   buffers of its pass's targets, so batching pairs takes no more memory
   than one lambda's targets did. ``standardize`` overwrites the fresh row
-  copies ``brain_score`` gives it, so a fold holds one train-sized copy of
-  Y, not two.
+  copies ``brain_score`` makes in its buffer, so a fold holds one
+  train-sized copy of Y, not two.
 
 Stages pass plain numpy arrays: ``detrend_blocks`` overwrites the caller's
 float64 response in place, and ``brain_score``, the one fold loop, takes one
-X, column sets of it and one Y and returns a ``ScoreMap``, the only
-container, per set; ``score_subjects``, the one subject loop, fills one
-sets x subjects x targets array with it. Finiteness is checked once here, in
-``ridge_solve``; the CLI's inputs were already checked when read.
+X, column sets of it and one Y and returns a ``ScoreMap`` per set;
+``score_subjects``, the one subject loop, fills one sets x subjects x
+targets array with it. Every subject is scored against the same X, so what
+a fold takes from X alone is one ``_Fold``: its train and test rows, X's
+standardized test rows and per set a ``RidgePath`` (the SVD path, the route
+and its lambda-only terms), built when the first subject reaches the fold.
+``score_subjects`` keeps folds in one ``_Folds`` while their bytes fit in
+one response's, which the loop holds anyway, and rebuilds the rest for each
+subject; a single response keeps nothing. The screen's stacked rows are not
+kept (g k (n + k) floats per fold and set, 5.7 MB at the replica's sizes
+against the 0.83 MB of all its folds). Each ``brain_score`` copies every
+fold's train rows of Y into one buffer. glibc hands the free top of its
+heap back to the system once it passes the trim threshold, and the next
+allocation there faults its pages in again; a fresh copy per fold, freed
+at the fold's end, set that off at every fold, now at most once a subject.
+Minor page faults in the score stage of a fresh replica ``run`` (seeds
+31-38, each measured twice, 2-vCPU x86-64): 2,600-17,000 with a copy per fold and
+the X work per subject, 1,200-67,600 with kept folds alone (where small
+arrays land decides), 1,400-12,700 with kept folds and the buffer.
+Finiteness is checked once here, in ``ridge_solve`` and ``RidgePath``; the
+CLI's inputs were already checked when read.
 
 Everything runs in the calling thread; the only parallelism is the BLAS
 library's. Results are bit-identical across reruns at a fixed BLAS thread
@@ -233,9 +250,11 @@ def standardize(
     if train.shape[0] < 2:
         raise ValueError("need >= 2 training rows to standardize")
     mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    safe = np.where(std > 0, std, 1.0)
     out_train = np.subtract(train, mean, out=train)
+    # np.std's own arithmetic on the deviations already in place: the same bits
+    # without subtracting the mean a second time
+    std = np.sqrt(np.square(out_train).sum(axis=0) / train.shape[0])
+    safe = np.where(std > 0, std, 1.0)
     out_train /= safe
     out_train[:, std == 0] = 0.0
     out_apply = None
@@ -245,7 +264,8 @@ def standardize(
     return out_train, out_apply, mean, std
 
 
-def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) -> RidgeFit:
+def ridge_solve(X: np.ndarray | RidgePath, Y: np.ndarray,
+                grid: np.ndarray | None = None) -> RidgeFit:
     """Per-target ridge with exact-LOO lambda selection over the grid.
 
     X and Y are assumed already standardized (no intercept is fit); a 1-D Y
@@ -259,56 +279,52 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, grid: np.ndarray | None = None) ->
     either way a rounding-error bound leaves each target
     the lambdas it could still pick, and ``_exact_loo_mse`` runs only for
     those. Both routes choose the lambdas the kernel over every lambda
-    would (module docstring). ``grid`` must be a non-empty 1-D array of
+    would (module docstring). ``X`` is an (n, p) array or a ``RidgePath`` of
+    one, which a caller solving several Y against one X builds once; ``grid``
+    is then None or the path's own. ``grid`` must be a non-empty 1-D array of
     finite lambdas > 0.
     """
-    grid = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"ridge_solve needs a non-empty 1-D lambda grid; got shape {grid.shape}")
-    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
-    if bad.size:
-        raise ValueError(f"lambda grid value {float(grid[bad[0]])} at index {bad[0]} "
-                         f"must be finite and > 0")
-    X = np.asarray(X, dtype=np.float64)
+    if isinstance(X, RidgePath):
+        path = X
+        if grid is not None and not np.array_equal(grid, path.grid):
+            raise ValueError("ridge_solve's grid differs from its RidgePath's")
+    else:
+        path = RidgePath(X, grid)
+    U, s, Vt, D, W = path.U, path.s, path.Vt, path.D, path.W
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0] or X.shape[1] == 0:
-        raise ValueError(f"ridge_solve needs X (n, p) with p >= 1 and Y (n,) or (n, targets); "
-                         f"got {X.shape} and {Y.shape}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+    if Y.ndim != 2 or Y.shape[0] != U.shape[0]:
+        raise ValueError(f"ridge_solve needs Y (n,) or (n, targets) for X's n = {U.shape[0]} "
+                         f"rows; got {Y.shape}")
+    if not np.all(np.isfinite(Y)):
         raise ValueError("non-finite inputs to ridge_solve")
-    if X.shape[0] < 2:
-        raise ValueError("need >= 2 training rows")
-    U, s, Vt, D, W = _svd_path(X, grid)
     UtY = U.T @ Y
     n_targets = Y.shape[1]
-    screen = _screen_pays(*U.shape)
-    defect = None if screen else _gram_defect(U)
     chosen_idx = np.empty(n_targets, dtype=np.intp)
     for a in range(0, n_targets, _CHUNK):
         chunk = slice(a, min(a + _CHUNK, n_targets))
         Yc, UtYc = Y[:, chunk], UtY[:, chunk]
-        if screen:
-            cand = _screen(U, D, W, Yc, UtYc)
+        if path.screen:
+            cand = _screen(path, Yc, UtYc)
         else:
-            bound = _LooErrorBound(U, D, W, Yc, UtYc, defect)
+            bound = _LooErrorBound(U, D, W, Yc, UtYc, path.defect)
             cand = _float32_screen(U, D, W, Yc, UtYc, bound)
             _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound)
         chosen_idx[chunk] = _confirm_on_chunk(U, D, W, Yc, UtYc, cand)
 
     # each column of U^T Y is read by one lambda group only, so with p == k its
     # weights can overwrite it: the refit then takes no p x targets array of its own
-    weights = UtY if X.shape[1] == U.shape[1] else np.empty((X.shape[1], n_targets))
-    for gi in range(len(grid)):
+    weights = UtY if Vt.shape[1] == U.shape[1] else np.empty((Vt.shape[1], n_targets))
+    for gi in range(len(path.grid)):
         cols = np.flatnonzero(chosen_idx == gi)
         if cols.size == 0:
             continue
-        shrink = s / (s**2 + grid[gi])
+        shrink = s / (s**2 + path.grid[gi])
         part = np.take(UtY, cols, axis=1)
         part *= shrink[:, None]  # the product's bits, in the one temporary
         weights[:, cols] = Vt.T @ part
-    return RidgeFit(weights=weights, chosen_lambda=grid[chosen_idx])
+    return RidgeFit(weights=weights, chosen_lambda=path.grid[chosen_idx])
 
 
 def _svd_path(X: np.ndarray, grid: np.ndarray):
@@ -321,6 +337,48 @@ def _svd_path(X: np.ndarray, grid: np.ndarray):
     D = s2 / (s2 + grid[:, None])
     W = 1.0 / (X.shape[0] * (1.0 - D @ (U**2).T) ** 2)
     return U, s, Vt, D, W
+
+
+class RidgePath:
+    """What ``ridge_solve`` takes from X and the grid alone, whatever the Y.
+
+    ``_svd_path``'s U, s, Vt, D and W, the route (``screen``, by
+    ``_screen_pays``) and the route's terms that depend on lambda only: the
+    tall screen's ``keep`` = 1 - D and ``nu`` = W . |U_i|^2 per lambda, or
+    the wide route's Gram ``defect`` of U (``_gram_defect``). X must be a
+    finite (n, p) array with n >= 2 and p >= 1; ``grid`` a non-empty 1-D
+    array of finite lambdas > 0, ``DEFAULT_LAMBDA_GRID`` if None.
+    """
+
+    def __init__(self, X, grid: np.ndarray | None = None):
+        grid = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=np.float64)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"ridge_solve needs a non-empty 1-D lambda grid; got shape {grid.shape}")
+        bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
+        if bad.size:
+            raise ValueError(f"lambda grid value {float(grid[bad[0]])} at index {bad[0]} "
+                             f"must be finite and > 0")
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] == 0:
+            raise ValueError(f"ridge_solve needs X (n, p) with p >= 1; got {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("non-finite inputs to ridge_solve")
+        if X.shape[0] < 2:
+            raise ValueError("need >= 2 training rows")
+        self.grid = grid
+        self.U, self.s, self.Vt, self.D, self.W = _svd_path(X, grid)
+        self.screen = _screen_pays(*self.U.shape)
+        if self.screen:
+            self.keep = 1.0 - self.D
+            self.nu = self.W @ np.einsum("ik,ik->i", self.U, self.U)
+        else:
+            self.defect = _gram_defect(self.U)
+
+    @staticmethod
+    def nbytes(n: int, p: int, g: int) -> int:
+        """At least the bytes of the arrays a path of an n x p X over g lambdas holds."""
+        k = min(n, p)
+        return 8 * (n * k + k + k * p + 2 * g * k + g * n + g)
 
 
 def _last_argmin(values: np.ndarray) -> np.ndarray:
@@ -414,20 +472,22 @@ def _confirm_on_chunk(U, D, W, Yc, UtYc, cand) -> np.ndarray:
     return chosen
 
 
-def _screen(U, D, W, Yc, UtYc) -> np.ndarray:
-    """Candidate mask (grid x targets) by ``_candidates`` over every lambda.
+def _screen(path, Yc, UtYc) -> np.ndarray:
+    """Candidate mask (grid x targets) by ``_candidates`` over every lambda of a ``RidgePath``.
 
     S is the screened LOO error and b its bound (module docstring). Targets
     go through in passes of ``width`` and lambdas in blocks of ``blk``, sized
     so that the buffers hold no more floats than ``_exact_loo_mse`` takes
-    for a full chunk, (k + n + grid) x ``_CHUNK``.
+    for a full chunk, (k + n + grid) x ``_CHUNK``. The stacked rows are built
+    per solve, not kept in the path: at g k (n + k) floats per fold and set
+    they would outgrow the kept folds' budget (module docstring).
     """
+    U, W, keep = path.U, path.W, path.keep
     n, k = U.shape
     g, m = W.shape[0], Yc.shape[1]
-    keep = 1.0 - D
     keep2 = 2.0 * keep
     gamma2 = 2.0 * _gamma(4 * n + 14 * k + 31)
-    nu2 = gamma2 * (W @ np.einsum("ik,ik->i", U, U))  # 2 gamma nu per lambda
+    nu2 = gamma2 * path.nu  # 2 gamma nu per lambda
     budget = (k + n + g) * _CHUNK
     blk = max(1, min(g, budget // 2 // (k * (n + k))))
     width = max(1, min(m, (budget - blk * k * (n + k) - g * m // 8)
@@ -700,12 +760,74 @@ def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.nda
     return r, flagged
 
 
+class _Fold:
+    """Fold k's work on X alone: its train rows ``tr``, test rows ``te``, X's
+    standardized test rows ``Xte`` and, per column set, the ``RidgePath`` of
+    X's standardized train rows (``path``).
+
+    A kept fold holds each path from its first use and then drops the train
+    rows; any other fold builds a set's path each time it is asked for.
+    """
+
+    def __init__(self, X, blocks, k, sets, grid, kept):
+        self.tr = np.concatenate([np.arange(a, b) for j, (a, b) in enumerate(blocks) if j != k])
+        self.te = np.arange(*blocks[k])
+        self._Xtr, self.Xte, _, _ = standardize(X[self.tr], X[self.te])
+        self._sets, self._grid = sets, grid
+        self._paths = [None] * len(sets) if kept else None
+
+    def path(self, j) -> RidgePath:
+        if self._paths is None:
+            return RidgePath(self._Xtr[:, self._sets[j]], self._grid)
+        if self._paths[j] is None:
+            self._paths[j] = RidgePath(self._Xtr[:, self._sets[j]], self._grid)
+            if all(p is not None for p in self._paths):
+                self._Xtr = None
+        return self._paths[j]
+
+
+class _Folds:
+    """The ``_Fold`` of each fold of X, shared by every Y scored against it.
+
+    ``folds[k]`` is fold k's. A fold is kept from its first use if its bytes
+    fit in what is left of ``budget``; one that does not is built anew on
+    each use, for each Y.
+    """
+
+    def __init__(self, X, blocks, sets, grid, budget):
+        self.X = np.asarray(X, dtype=np.float64)
+        self._blocks, self._sets, self._grid = blocks, sets, grid
+        self._left = budget
+        self._kept = [None] * len(blocks)
+
+    def __getitem__(self, k) -> _Fold:
+        if self._kept[k] is not None:
+            return self._kept[k]
+        size = self._nbytes(k)
+        kept = size <= self._left
+        fold = _Fold(self.X, self._blocks, k, self._sets, self._grid, kept)
+        if kept:
+            self._left -= size
+            self._kept[k] = fold
+        return fold
+
+    def _nbytes(self, k) -> int:
+        """At least the bytes fold k holds once kept: its indices, test rows and paths."""
+        blocks, p = self._blocks, self.X.shape[1]
+        n_te = blocks[k][1] - blocks[k][0]
+        n = sum(b - a for j, (a, b) in enumerate(blocks) if j != k)
+        g = len(DEFAULT_LAMBDA_GRID if self._grid is None else self._grid)
+        return 8 * (n + n_te + n_te * p) + sum(RidgePath.nbytes(n, len(range(p)[cols]), g)
+                                               for cols in self._sets)
+
+
 def brain_score(
     X: np.ndarray,
     Y: np.ndarray,
     blocks: list[tuple[int, int]],
     sets: list[slice],
     grid: np.ndarray | None = None,
+    folds: _Folds | None = None,
 ) -> list[ScoreMap]:
     """Cross-validated encoding score per target, one ``ScoreMap`` per column slice in ``sets``.
 
@@ -715,31 +837,37 @@ def brain_score(
     its columns, predict the held-out block and correlate per target.
     Standardizing is column-wise, so a set scores bit for bit as its columns
     alone. A score is the mean of the per-fold correlations.
+
+    The work on X alone comes from ``folds``, a ``_Folds`` of this X,
+    ``blocks``, ``sets`` and ``grid``, which a caller scoring several Y keeps
+    across calls; without it the call builds its own and keeps nothing.
     """
     if len(blocks) < 3:
         raise ValueError(f"need >= 3 blocks for leave-one-block-out, got {len(blocks)}")
-    Xd = np.asarray(X, dtype=np.float64)
+    folds = _Folds(X, blocks, sets, grid, 0) if folds is None else folds
     Yd = np.asarray(Y, dtype=np.float64)
-    if Xd.shape[0] != Yd.shape[0]:
-        raise ValueError(f"X has {Xd.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
+    if folds.X.shape[0] != Yd.shape[0]:
+        raise ValueError(f"X has {folds.X.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
     r_per_fold = np.zeros((len(sets), len(blocks), Yd.shape[1]))
     flagged = np.zeros((len(sets), Yd.shape[1]), dtype=bool)
+    # Every fold's train rows of Y go into one buffer: a fresh copy per fold, freed
+    # at the fold's end, let glibc trim the heap top and fault it back in at the
+    # next fold (module docstring).
+    sizes = [b - a for a, b in blocks]
+    rows = np.empty((sum(sizes) - min(sizes), Yd.shape[1]))
     for k in range(len(blocks)):
-        # rows per fold: index arrays kept across folds doubled the loop's page faults (glibc heap)
-        tr = np.concatenate([np.arange(a, b) for j, (a, b) in enumerate(blocks) if j != k])
-        te = np.arange(*blocks[k])
-        Xtr, Xte, _, _ = standardize(Xd[tr], Xd[te])
-        Ytr, Yte, _, _ = standardize(Yd[tr], Yd[te])
+        fold = folds[k]
+        Ytr = np.take(Yd, fold.tr, axis=0, out=rows[:fold.tr.size])
+        Ytr, Yte, _, _ = standardize(Ytr, Yd[fold.te])
         for j, cols in enumerate(sets):
-            fit = ridge_solve(Xtr[:, cols], Ytr, grid)
-            pred = Xte[:, cols] @ fit.weights
+            fit = ridge_solve(fold.path(j), Ytr, grid)
+            pred = fold.Xte[:, cols] @ fit.weights
             r_per_fold[j, k], fl = _pearson_columns(Yte, pred)
             flagged[j] |= fl
-            # Free each solve's and fold's largest arrays before the next allocates its
-            # own. Freeing the small ones too made glibc return and re-fault heap pages
+            # Free each solve's largest arrays before the next allocates its own.
+            # Freeing the small ones too made glibc return and re-fault heap pages
             # every fold, which cost 0.3-0.7 s per 480-solve replica run.
             del fit
-        del Ytr
     return [ScoreMap(r_mean=r.mean(axis=0), r_per_fold=r, undefined=fl)
             for r, fl in zip(r_per_fold, flagged)]
 
@@ -750,11 +878,15 @@ def score_subjects(X: np.ndarray, responses: Iterable[np.ndarray], n_subjects: i
     """Sets x subjects x targets mean scores of X's column ``sets``, one ``brain_score`` per response.
 
     ``responses`` yields the ``n_subjects`` >= 1 responses one at a time, so a
-    caller reading them from files holds one at once.
+    caller reading them from files holds one at once. Every response is
+    scored against the same X, so one ``_Folds`` serves them all. Its budget
+    is the first response's bytes, which the loop holds anyway; a single
+    response keeps nothing.
     """
-    scores = None
+    scores = folds = None
     for i, Y in zip(range(n_subjects), responses, strict=True):
         if scores is None:
             scores = np.empty((len(sets), n_subjects, Y.shape[1]))
-        scores[:, i] = [sm.r_mean for sm in brain_score(X, Y, blocks, sets, grid)]
+            folds = _Folds(X, blocks, sets, grid, np.asarray(Y).nbytes if n_subjects > 1 else 0)
+        scores[:, i] = [sm.r_mean for sm in brain_score(X, Y, blocks, sets, grid, folds)]
     return scores

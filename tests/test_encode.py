@@ -13,6 +13,7 @@ import voxenc
 from voxenc import encode
 from voxenc.encode import (
     DEFAULT_LAMBDA_GRID,
+    RidgePath,
     _candidates,
     _confirm_on_columns,
     _exact_loo_mse,
@@ -122,6 +123,23 @@ class TestStandardize:
         out, applied, _, _ = standardize(np.full((4, 1), 7.0), np.array([[9.0]]))
         assert np.all(out == 0)
         assert np.all(applied == 0)
+
+    @pytest.mark.parametrize("shape", [(733, 2048), (110, 1000), (110, 16), (9, 5), (733, 1)])
+    def test_std_bitwise_equals_numpy(self, shape):
+        """``std`` comes from the deviations written in place, with ``np.std``'s bits."""
+        rng = np.random.default_rng(17)
+        train = rng.normal(3.0, 2.0, size=shape) * rng.uniform(0.1, 10.0, shape[1])
+        train[:, ::7] = 4.25  # constant columns
+        test = rng.normal(size=(5, shape[1]))
+        mean, std = train.mean(axis=0), train.std(axis=0)
+        safe = np.where(std > 0, std, 1.0)
+        want_train, want_test = (train - mean) / safe, (test - mean) / safe
+        want_train[:, std == 0] = want_test[:, std == 0] = 0.0
+        out, applied, got_mean, got_std = standardize(train.copy(), test)
+        assert got_std.tobytes() == std.tobytes()
+        assert got_mean.tobytes() == mean.tobytes()
+        assert out.tobytes() == want_train.tobytes()
+        assert applied.tobytes() == want_test.tobytes()
 
 
 class TestRidgeSolve:
@@ -300,13 +318,13 @@ def _assert_screen_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
     assert _screen_pays(X.shape[0], min(X.shape))
     fit = ridge_solve(X, Y, grid)
     assert np.array_equal(fit.chosen_lambda, grid[_exact_choice(X, Y, grid)])
-    U, _, _, D, W = _svd_path(X, grid)
-    UtY = U.T @ Y
+    path = RidgePath(X, grid)
+    UtY = path.U.T @ Y
     unsettled = 0
     chunk = encode._CHUNK
     for a in range(0, Y.shape[1], chunk):
         Yc = Y[:, a:a + chunk]
-        cand = _screen(U, D, W, Yc, UtY[:, a:a + chunk])
+        cand = _screen(path, Yc, UtY[:, a:a + chunk])
         unsettled += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
     return unsettled
 
@@ -842,6 +860,75 @@ class TestColumnSets:
             assert sm.r_mean.tobytes() == alone.r_mean.tobytes()
             assert np.array_equal(sm.undefined, alone.undefined)
             assert sm.undefined[:5].all() and not sm.undefined[5:].any()
+
+
+class TestSharedFolds:
+    """``score_subjects`` builds each fold's work on X once per run (``encode._Folds``)."""
+
+    @staticmethod
+    def _cohort(n_subjects=3, n=120, p=24, targets=1200, seed=18):
+        # in 12 blocks each fold trains on n = 110 rows: the 8-column set is
+        # screened (k^2 < 4n), the 24-column one takes the float32 route; one
+        # response's bytes hold every fold
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        Ys = [rng.normal(size=(n, targets))
+              + X @ rng.normal(size=(p, targets)) * rng.uniform(0, 0.3, targets)
+              for _ in range(n_subjects)]
+        blocks, sets = even_blocks(n, 12), [slice(0, 8), slice(None)]
+        assert _screen_pays(110, 8) and not _screen_pays(110, 24)
+        return X, Ys, blocks, sets
+
+    def test_svd_path_once_per_fold_and_set(self, monkeypatch):
+        X, Ys, blocks, sets = self._cohort()
+        calls = []
+        svd_path = encode._svd_path
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return svd_path(*args)
+
+        monkeypatch.setattr(encode, "_svd_path", counted)
+        encode.score_subjects(X, Ys, len(Ys), blocks, sets)
+        assert len(calls) == len(blocks) * len(sets)  # not subjects x folds x sets
+
+    @pytest.mark.parametrize("budget", ["every fold", "some folds", "none"])
+    def test_scores_equal_one_subject_calls(self, budget):
+        """Kept or rebuilt, a fold's work gives each subject the bits of its own ``brain_score``."""
+        X, Ys, blocks, sets = self._cohort()
+        one = encode._Folds(X, blocks, sets, None, 0)._nbytes(0)
+        folds = encode._Folds(X, blocks, sets, None,
+                              {"every fold": np.inf, "some folds": 5 * one, "none": 0}[budget])
+        for Y in Ys:
+            shared = brain_score(X, Y, blocks, sets, folds=folds)
+            for sm, alone in zip(shared, brain_score(X, Y, blocks, sets)):
+                assert sm.r_per_fold.tobytes() == alone.r_per_fold.tobytes()
+                assert np.array_equal(sm.undefined, alone.undefined)
+        kept = sum(fold is not None for fold in folds._kept)
+        assert kept == {"every fold": len(blocks), "some folds": 5, "none": 0}[budget]
+
+    def test_score_subjects_equals_brain_score(self):
+        X, Ys, blocks, sets = self._cohort()
+        scores = encode.score_subjects(X, iter(Ys), len(Ys), blocks, sets)
+        for i, Y in enumerate(Ys):
+            for j, sm in enumerate(brain_score(X, Y, blocks, sets)):
+                assert scores[j, i].tobytes() == sm.r_mean.tobytes()
+
+    @pytest.mark.parametrize("n,p", [(110, 8), (110, 48), (30, 60)])
+    def test_path_nbytes_bounds_its_arrays(self, n, p):
+        path = RidgePath(np.random.default_rng(19).normal(size=(n, p)))
+        held = sum(v.nbytes for v in vars(path).values() if isinstance(v, np.ndarray)
+                   and v is not path.grid)
+        assert held <= RidgePath.nbytes(n, p, len(path.grid))
+
+    def test_path_grid_must_match(self):
+        rng = np.random.default_rng(20)
+        X, Y = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
+        path = RidgePath(X, DEFAULT_LAMBDA_GRID[:5])
+        assert np.array_equal(ridge_solve(path, Y, DEFAULT_LAMBDA_GRID[:5]).weights,
+                              ridge_solve(X, Y, DEFAULT_LAMBDA_GRID[:5]).weights)
+        with pytest.raises(ValueError, match="grid differs"):
+            ridge_solve(path, Y, DEFAULT_LAMBDA_GRID)
 
 
 # One brain_score in a fresh process, so the BLAS library reads its thread

@@ -3,9 +3,10 @@ and the resampling filter.
 
 Each command runs in a fresh process that imports everything it needs, notes
 its peak RSS, runs the command and notes the peak again. The growth must stay
-under a fixed multiple of the input's size in bytes. The last three tests,
-``test_run_score_memory``, ``test_standardize_peak_memory`` and
-``test_kaiser_lowpass_peak_memory``, trace allocations in this process.
+under a fixed multiple of the input's size in bytes. The last four tests,
+``test_run_score_memory``, ``test_fold_cache_within_budget``,
+``test_standardize_peak_memory`` and ``test_kaiser_lowpass_peak_memory``,
+trace allocations in this process.
 Measured on the code that makes each large array once (2-vCPU x86-64):
 
 - ``hrf-convolve``: 1.28x, the input read straight into its array plus
@@ -52,6 +53,10 @@ FEATURIZE_6CH_MAX_GROWTH = 1.3
 #: traced peak as a multiple of the levels x subjects x targets score array.
 SCORE_SUBJECTS, SCORE_LEVELS, SCORE_TARGETS = 20, 12, 20000
 SCORE_MAX_PEAK = 2.5
+#: Rows, levels, columns per level, targets and subjects of
+#: test_fold_cache_within_budget, and the bytes its bound allows for Python objects.
+FOLD_ROWS, FOLD_LEVELS, FOLD_LEVEL_COLS, FOLD_TARGETS, FOLD_SUBJECTS = 240, 8, 12, 700, 3
+FOLD_SLACK = 64 * 1024
 #: Bound on ``standardize``'s traced peak as a multiple of its train rows' bytes.
 STANDARDIZE_MAX_PEAK = 1.1
 #: Bound on ``dsp._kaiser_lowpass``'s traced peak as a multiple of its filter's bytes.
@@ -186,7 +191,7 @@ def test_run_score_memory(tmp_path, monkeypatch):
                                                    "manifest": str(tmp_path / "manifest.json")}))
     calls = iter(range(SCORE_SUBJECTS))
 
-    def seeded_scores(X, Y, blocks, sets, grid=None):
+    def seeded_scores(X, Y, blocks, sets, grid=None, folds=None):
         r = np.random.default_rng(next(calls)).uniform(-0.2, 0.4, size=(len(sets), Y.shape[1]))
         return [encode.ScoreMap(r_mean=row, r_per_fold=row[None], undefined=row < 0) for row in r]
 
@@ -203,6 +208,37 @@ def test_run_score_memory(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     score_bytes = SCORE_SUBJECTS * SCORE_LEVELS * SCORE_TARGETS * 8
     assert peak < SCORE_MAX_PEAK * score_bytes, peak / score_bytes
+
+
+def test_fold_cache_within_budget():
+    """``score_subjects`` keeps fold work on X within one response's bytes.
+
+    Three subjects are scored against 8 column prefixes of X (12 to 96
+    columns, 4 folds of 180 train rows, 700 targets). Kept, every fold and
+    level would hold 4.86 MB; the budget, one 240 x 700 response (1.34 MB),
+    holds one fold. So the traced peak may exceed that of one ``brain_score``
+    call, which keeps nothing, by no more than the budget and the score array
+    (bound 1.54 MB with the slack). Measured (2-vCPU x86-64): 1.36 MB with
+    one fold kept, 4.58 MB when every fold was kept.
+    """
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(FOLD_ROWS, FOLD_LEVELS * FOLD_LEVEL_COLS))
+    Ys = [rng.normal(size=(FOLD_ROWS, FOLD_TARGETS)) for _ in range(FOLD_SUBJECTS)]
+    blocks = even_blocks(FOLD_ROWS, 4)
+    sets = [slice(FOLD_LEVEL_COLS * (level + 1)) for level in range(FOLD_LEVELS)]
+    encode.brain_score(X, Ys[0], blocks, sets)  # first-call allocations are not the run's
+    peak = {}
+    for name, score in (("one call", lambda: encode.brain_score(X, Ys[0], blocks, sets)),
+                        ("run", lambda: encode.score_subjects(X, Ys, FOLD_SUBJECTS, blocks, sets))):
+        tracemalloc.start()
+        try:
+            score()
+            peak[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    budget = Ys[0].nbytes
+    scores = FOLD_LEVELS * FOLD_SUBJECTS * FOLD_TARGETS * 8
+    assert peak["run"] - peak["one call"] <= budget + scores + FOLD_SLACK, (peak, budget)
 
 
 def test_standardize_peak_memory():
