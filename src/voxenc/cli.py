@@ -271,8 +271,12 @@ def score(features: str, response_path: str, manifest_path: str, out_path: str,
 @click.option("--out", "out_path", required=True, callback=_out_path)
 def contrast_cmd(a_path: str, b_path: str, out_path: str) -> None:
     """Elementwise delta-R between two score files (a minus b)."""
+    a, b = _load(a_path), _load(b_path)
+    for path, scores in ((a_path, a), (b_path, b)):
+        if scores.size == 0:
+            _fail(EXIT_USAGE, f"score file {path} has no targets: shape {scores.shape}")
     try:
-        delta = contrast_mod.delta_vs_baseline(_load(a_path), _load(b_path))
+        delta = contrast_mod.delta_vs_baseline(a, b)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     matrixio.write_matrix(out_path, delta)

@@ -51,21 +51,21 @@ Tall designs (n >> p) screen every lambda first:
   >= gamma_N M^2. The bound assumes no square underflows or overflows, so
   a target whose b leaves 2 gamma_N [sqrt(tiny), sqrt(max) / 2] gets b = inf.
 
-Wide designs (p near or above n) certify the choice with one float32 pass
-and confirm in float64 only the lambdas a target could still pick:
+Wide designs (p near or above n) certify the choice with two pair passes,
+one in float32 and one in float64 on the lambdas a target could still pick:
 
-- Float32 pass. ``_float32_screen`` runs the exact kernel's arithmetic in
-  float32 (U, D, W, C and Y rounded to float32; shrink, SGEMM, subtract,
-  square, weighted sum), giving S32, on the (lambda, target) pairs the
-  bracket leaves. Each pass over targets holds them as float32 rows, and
-  ``_PairValues`` takes a step's pairs in lambda order in blocks that fill
-  the pass's buffers: gather the coefficient rows, scale each lambda's run
-  by its row of D, one SGEMM with U^T for the whole block, gather the Y
-  rows, subtract and square, and one GEMV per lambda's run with its row of
-  W. Each pair still gets exactly the roundings the bound below counts, so
-  which block a pair lands in changes no choice. A GEMM call costs about
-  0.12 ms on top of its rows (SGEMM of 8 rows against the 733 x 500 U^T:
-  18 us a row; of 512 rows: 3.0 us).
+- Pair pass. ``_pair_pass`` runs the exact kernel's arithmetic in a given
+  dtype (U, D, W, C and Y rounded to it; shrink, GEMM, subtract, square,
+  weighted sum) at a mask of (lambda, target) pairs, giving S, and hands S
+  and its width b to ``_candidates``. Each pass over targets holds them as
+  rows, and a step's pairs go in lambda order in blocks that fill the
+  pass's buffers: gather the coefficient rows, scale each lambda's run by
+  its row of D, one GEMM with U^T for the whole block, gather the Y rows,
+  subtract and square, and one GEMV per lambda's run with its row of W.
+  Each pair still gets exactly the roundings the bound below counts, so
+  which block a pair lands in changes S's bits but no choice. A GEMM call
+  has a fixed cost on top of its rows, so blocks of many pairs pay it
+  seldom. The float32 pass (S32) runs on the pairs the bracket leaves.
 - Bracket. Taking the computed U, D and c as exact, r satisfies
       ||r||^2 = ||y||^2 - ||c||^2 + ||(1 - D) c||^2 + 2 dc^T D c + c^T D E D c
   with E = U^T U - I and dc = c - U^T y, and min W ||r||^2 <= T <= max W ||r||^2
@@ -84,8 +84,8 @@ and confirm in float64 only the lambdas a target could still pick:
   lambda whose floor lies above the anchor's S32 + b cannot hold the
   kernel's minimum and leaves the pass. A target whose upper end is not
   finite keeps every lambda; below float64's normal range the tiny terms
-  take the floor below 0. On wide seeds 3 and 50-53 the bracket left
-  29.6-31.7 % of (target, lambda) pairs for the pass.
+  take the floor below 0. Only the float32 pair pass takes this anchor
+  step.
 - Bound. Let r = y - U D c be the exact residual, T = W . r^2 the exact
   value, R the computed residual, delta_i = |R_i - r_i| and |x|_W^2 =
   W . x^2. With |U_ik| <= 1 and 0 <= D < 1, Higham's model gives per row
@@ -108,40 +108,34 @@ and confirm in float64 only the lambdas a target could still pick:
   |S32 - the kernel's value| <= b; values beyond float32's range make S32 or
   b not finite.
 - Confirm on columns. A GEMM's bits for a column depend on which other
-  columns it is given: OpenBLAS 0.3.31's DGEMM of a 733 x 500 U with the
-  first 1, 255, 257 or 500 of 1024 columns gave other bits than with all
-  1024 in hundreds to thousands of entries. So ``_PairValues`` runs the
-  exact kernel's arithmetic in float64 on just the candidate pairs of the
-  targets with several, blocks of pairs as in the float32 pass (each
-  target's Y and U^T Y columns are copied in once per pass, not per pair),
-  and since both those bits and the whole chunk's lie within the float64
-  bound b64 of T, the width is 2 b64 (rho now from S). Only targets still
-  tied at float64 rounding level, or with duplicate lambdas, reach the
-  confirm on the chunk.
+  columns it is given: BLAS libraries pick kernels and blockings by the
+  operands' shapes, so the same column can be summed in another order. So
+  values on a subset of the chunk's columns need not equal the chunk's.
+  The float64 pair pass runs on just the candidate pairs of the targets
+  with several (each target's Y and U^T Y columns are copied in once per
+  pass, not per pair), and since both its bits and the whole chunk's lie
+  within the float64 bound b64 of T, the width is 2 b64 (rho now from S).
+  Only targets still tied at float64 rounding level, or with duplicate
+  lambdas, reach the confirm on the chunk.
 
 - Shape rule. Per lambda and target the screen and the exact kernel both
   do about n k multiply-adds (U times a k-vector, or the stacked rows
   against Y_perp) and an n-long weighted sum. On top, the exact kernel
   writes, subtracts, squares and reads an n-long residual (4n element
   operations), and the screen multiplies by the k x k block (k^2). Counting
-  both alike, the screen pays when k^2 < 4n. Timed at n = 60 to 733 (2-vCPU
-  x86-64, OpenBLAS at 2 threads) the crossover lay between k^2 = 3n and 8n.
-  The replica shape (n = 110, k = 8 or 16) is screened; the wide one
-  (n = 733, k = 500) takes the float32 pass, whose SGEMMs run at twice the
-  rate of the kernel's DGEMMs. On that shape (wide seed 3, 12 folds) the
-  bracket left 31.7 % of (target, lambda) pairs for the pass, the pass left
-  6.5 % for the confirm on columns (23 % of targets, about 5.5 candidates
-  each) and nothing for the confirm on the chunk. The pass took 333 SGEMMs
-  of 468 rows on average and the confirm 144 DGEMMs of 221 rows. A chunk
-  took about 0.06 s, bound included, against 0.22 s for the kernel over
-  every lambda (2-vCPU x86-64, OpenBLAS 0.3.31 at 2 threads).
-- Memory. Targets go in chunks of ``_CHUNK``. The screen's, the float32
-  pass's and the confirm's buffers hold no more floats than the exact
-  kernel's for a full chunk, (k + n + grid) x ``_CHUNK`` float64s: targets
-  go through in passes and the screen's lambdas in blocks if one stacked
-  matrix would take more than half of that. Each pair block fits in the
-  buffers of its pass's targets, so batching pairs takes no more memory
-  than one lambda's targets did. ``standardize`` overwrites the fresh row
+  both alike, the screen pays when k^2 < 4n. The replica shape (n = 110,
+  k = 8 or 16) is screened; the wide one (n = 733, k = 500) takes the pair
+  passes, whose float32 GEMMs run at about twice the rate of the kernel's
+  float64 ones, on the share of pairs the bracket leaves.
+- Memory. Targets go in chunks of ``_CHUNK``. The screen's and the pair
+  passes' buffers hold no more floats than the exact kernel's for a full
+  chunk, (k + n + grid) x ``_CHUNK`` float64s: targets go through in passes
+  (one width rule, ``_pass_width``, for both pair passes) and the screen's
+  lambdas in blocks if one stacked matrix would take more than half of
+  that. Each pair block fits in the buffers of its pass's targets, so
+  batching pairs takes no more memory than one lambda's targets did, and
+  a pass gathers its targets' columns 64 at a time, so no copy of all its
+  columns is made. ``standardize`` overwrites the fresh row
   copies ``brain_score`` makes in its buffer, so a fold holds one
   train-sized copy of Y, not two.
 
@@ -156,16 +150,12 @@ and its lambda-only terms), built when the first subject reaches the fold.
 ``score_subjects`` keeps folds in one ``_Folds`` while their bytes fit in
 one response's, which the loop holds anyway, and rebuilds the rest for each
 subject; a single response keeps nothing. The screen's stacked rows are not
-kept (g k (n + k) floats per fold and set, 5.7 MB at the replica's sizes
-against the 0.83 MB of all its folds). Each ``brain_score`` copies every
-fold's train rows of Y into one buffer. glibc hands the free top of its
-heap back to the system once it passes the trim threshold, and the next
-allocation there faults its pages in again; a fresh copy per fold, freed
-at the fold's end, set that off at every fold, now at most once a subject.
-Minor page faults in the score stage of a fresh replica ``run`` (seeds
-31-38, each measured twice, 2-vCPU x86-64): 2,600-17,000 with a copy per fold and
-the X work per subject, 1,200-67,600 with kept folds alone (where small
-arrays land decides), 1,400-12,700 with kept folds and the buffer.
+kept: at g k (n + k) floats per fold and set they outgrow a response at the
+replica's sizes. Each ``brain_score`` copies every fold's train rows of Y
+into one buffer. glibc hands the free top of its heap back to the system
+once it passes the trim threshold, and the next allocation there faults
+its pages in again; a fresh copy per fold, freed at the fold's end, set
+that off at every fold, now at most once a subject.
 Finiteness is checked once here, in ``ridge_solve`` and ``RidgePath``; the
 CLI's inputs were already checked when read.
 
@@ -275,14 +265,14 @@ def ridge_solve(X: np.ndarray | RidgePath, Y: np.ndarray,
     lambda), and that lambda is refit on the full training set.
 
     Tall designs (``_screen_pays``) screen every lambda at once, others rule
-    lambdas out with a norm bracket and take one float32 pass on the rest;
-    either way a rounding-error bound leaves each target
-    the lambdas it could still pick, and ``_exact_loo_mse`` runs only for
-    those. Both routes choose the lambdas the kernel over every lambda
-    would (module docstring). ``X`` is an (n, p) array or a ``RidgePath`` of
-    one, which a caller solving several Y against one X builds once; ``grid``
-    is then None or the path's own. ``grid`` must be a non-empty 1-D array of
-    finite lambdas > 0.
+    lambdas out with a norm bracket and take a float32 pair pass on the rest
+    and a float64 one on what it leaves; either way a rounding-error bound
+    leaves each target the lambdas it could still pick, and
+    ``_exact_loo_mse`` runs only for those. Both routes choose the lambdas
+    the kernel over every lambda would (module docstring). ``X`` is an
+    (n, p) array or a ``RidgePath`` of one, which a caller solving several Y
+    against one X builds once; ``grid`` is then None or the path's own.
+    ``grid`` must be a non-empty 1-D array of finite lambdas > 0.
     """
     if isinstance(X, RidgePath):
         path = X
@@ -309,8 +299,8 @@ def ridge_solve(X: np.ndarray | RidgePath, Y: np.ndarray,
             cand = _screen(path, Yc, UtYc)
         else:
             bound = _LooErrorBound(U, D, W, Yc, UtYc, path.defect)
-            cand = _float32_screen(U, D, W, Yc, UtYc, bound)
-            _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound)
+            cand = _pair_pass(U, D, W, Yc, UtYc, bound, bound.live, np.float32)
+            cand = _pair_pass(U, D, W, Yc, UtYc, bound, cand, np.float64)
         chosen_idx[chunk] = _confirm_on_chunk(U, D, W, Yc, UtYc, cand)
 
     # each column of U^T Y is read by one lambda group only, so with p == k its
@@ -554,11 +544,11 @@ class _LooErrorBound:
     docstring); ``cols`` picks targets of the chunk. It also holds the
     bracket: ``floor``, a lower bound on the float64 kernel's value per lambda
     and target, each target's ``anchor`` lambda, and ``live``, the pairs
-    ``_float32_screen`` has not ruled out. ``defect`` is ``_gram_defect(U)``,
-    which a caller with several chunks computes once.
+    the float32 ``_pair_pass`` has not ruled out. ``defect`` is
+    ``_gram_defect(U)``, which a caller with several chunks computes once.
     """
 
-    def __init__(self, U, D, W, Yc, UtYc, defect=None):
+    def __init__(self, U, D, W, Yc, UtYc, defect):
         self.n, self.k = U.shape
         g, m = W.shape[0], Yc.shape[1]
         self.root_nu = np.sqrt(W @ np.einsum("ik,ik->i", U, U))[:, None]
@@ -579,7 +569,7 @@ class _LooErrorBound:
             y2[cols] = sq.sum(axis=0)
         np.sqrt(self.norm_dc, out=self.norm_dc)
         np.sqrt(self.norm_y, out=self.norm_y)
-        self._bracket(W, y2, c2, r2, _gram_defect(U) if defect is None else defect)
+        self._bracket(W, y2, c2, r2, defect)
         self.live = np.ones((g, m), dtype=bool)
 
     def _bracket(self, W, y2, c2, r2, defect):
@@ -631,120 +621,95 @@ def _error(terms, rho):
     return g_sum * np.square(rho + e) + a + e * (2.0 * rho + e)
 
 
-class _PairValues:
-    """``_exact_loo_mse``'s per-lambda arithmetic at chosen (lambda, target) pairs, in ``dtype``.
+def _pass_width(n, k, g, m, dtype) -> int:
+    """Targets per pass of ``_pair_pass`` over ``m`` targets in ``dtype``.
 
-    ``load`` copies a pass of up to ``width`` targets in as rows of Y and of
-    C = U^T Y. ``values`` takes the pairs of a grid x pass mask in lambda
-    order and runs them in blocks of ``width``: gather the coefficient rows,
-    scale each lambda's run by its row of D, one GEMM with U^T, gather the Y
-    rows, subtract and square, then one GEMV per lambda's run with its row
-    of W. Each pair gets the roundings the bound counts: the shrink, a k-term
-    dot product, the subtract, the square and an n-term weighted sum. The
-    buffers are the rows of C (width x k) and one 3 x width x n block; the
-    shrunk rows take the space the Y rows are gathered into.
+    In slots of ``dtype``: (k + n + grid) x ``_CHUNK`` float64s, less 4 grid x
+    m float64s for S and the bound's temporaries and less the float32 copy of
+    U when there is one, over 3n + k per target (its rows of Y and C and its
+    share of the pair block). Passes are of equal width, the last one shorter
+    by fewer targets than there are passes.
     """
-
-    def __init__(self, U, D, W, width, dtype):
-        n, k = U.shape
-        self.U, self.D, self.W = (a.astype(dtype, copy=False) for a in (U, D, W))
-        self.C = np.empty((width, k), dtype)
-        self.Y, self.gathered, self.R = np.empty((3, width, n), dtype)
-        self.sums = np.empty(width, dtype)
-
-    def load(self, Yc, UtYc) -> None:
-        """Copy the pass's targets, the columns of ``Yc`` and ``UtYc``, in as rows."""
-        w = Yc.shape[1]
-        np.copyto(self.Y[:w], Yc.T)
-        np.copyto(self.C[:w], UtYc.T)
-
-    def values(self, at, out) -> None:
-        """Set ``out`` (grid x pass width) to the value at every pair where ``at`` is True."""
-        width, k = self.C.shape
-        lams, targets = np.nonzero(at)  # in lambda order
-        for a in range(0, lams.size, width):
-            lam, t = lams[a:a + width], targets[a:a + width]
-            b = lam.size
-            runs = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), b]
-            shrunk = self.gathered.reshape(-1)[:b * k].reshape(b, k)
-            np.take(self.C, t, axis=0, out=shrunk, mode="clip")
-            for r0, r1 in zip(runs, runs[1:]):
-                shrunk[r0:r1] *= self.D[lam[r0]]
-            R = self.R[:b]
-            np.matmul(shrunk, self.U.T, out=R)
-            Yr = np.take(self.Y, t, axis=0, out=self.gathered[:b], mode="clip")
-            np.subtract(Yr, R, out=R)
-            np.square(R, out=R)
-            for r0, r1 in zip(runs, runs[1:]):
-                np.matmul(R[r0:r1], self.W[lam[r0]], out=self.sums[r0:r1])
-            out[lam, t] = self.sums[:b]
+    itemsize = np.dtype(dtype).itemsize
+    slots = ((k + n + g) * _CHUNK - 4 * g * m) * 8 // itemsize - (n * k if itemsize < 8 else 0)
+    width = max(1, min(m, slots // (3 * n + k)))
+    return -(-m // -(-m // width))
 
 
-def _float32_screen(U, D, W, Yc, UtYc, bound) -> np.ndarray:
-    """Candidate mask (grid x targets) from one float32 pass of the exact kernel's arithmetic.
+def _pair_pass(U, D, W, Yc, UtYc, bound, at, dtype) -> np.ndarray:
+    """Candidate mask (grid x targets) from ``_exact_loo_mse``'s per-lambda arithmetic in ``dtype``
+    at the (lambda, target) pairs of ``at``, by ``_candidates`` with width ``bound.width``.
 
-    S32 is ``_exact_loo_mse``'s per-lambda arithmetic in float32, with width
-    ``bound.width`` (module docstring). Each target first takes S32 at its
-    anchor lambda; a lambda whose ``bound.floor`` lies above the anchor's
-    S32 + b cannot win and leaves ``bound.live``, and S32 is computed only
-    for the live pairs, which ``_candidates`` then narrows. Targets go
-    through in passes sized so that the buffers hold no more floats than
-    ``_exact_loo_mse`` takes for a full chunk, (k + n + grid) x ``_CHUNK``
-    float64s; ``_PairValues`` runs each step's pairs in blocks of a pass's width.
-    """
-    n, k = U.shape
-    g, m = W.shape[0], Yc.shape[1]
-    budget32 = 2 * (k + n + g) * _CHUNK - n * k - 9 * g * m  # float32 slots left
-    width = max(1, min(m, budget32 // (3 * n + k)))
-    width = -(-m // -(-m // width))  # passes of equal width, the last one shorter by < passes
-    pairs = _PairValues(U, D, W, width, np.float32)
-    S32 = np.zeros((g, m), np.float32)
-    live = bound.live
-    # values beyond float32's range turn into inf or nan; their targets keep their live lambdas
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, m, width):
-            cols = slice(a, min(a + width, m))
-            w = cols.stop - a
-            pairs.load(Yc[:, cols], UtYc[:, cols])
-            anchored = np.zeros((g, w), dtype=bool)
-            anchored[bound.anchor[cols], np.arange(w)] = True
-            pairs.values(anchored, S32[:, cols])
-            S = S32[:, cols].astype(np.float64)
-            upper = (S + bound.width(S, np.float32, cols))[bound.anchor[cols], np.arange(w)]
-            live[:, cols] = ~(bound.floor[:, cols] > upper)  # a nan on either side drops nothing
-            pairs.values(live[:, cols] & ~anchored, S32[:, cols])
-        # the buffers live until return: small arrays made after them then
-        # leave whole the space they free, which the refit's weights reuse (p > k)
-        S = S32.astype(np.float64)
-        return _candidates(S, bound.width(S, np.float32), live)
-
-
-def _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound) -> None:
-    """Drop candidates by float64 values computed on column subsets, in place.
-
-    ``_PairValues`` computes in float64 the value at every candidate pair of
-    the nonzero targets with more than one candidate, a block of pairs per
-    DGEMM, and ``_candidates`` narrows them with b = 2 b64 (module docstring).
-    The targets go in passes whose row copies, the gathers that make them and
-    the pair buffers fit in (k + n + grid) x ``_CHUNK`` float64s beside S.
+    Only the nonzero targets with more than one lambda in ``at`` go through;
+    the others keep their column of ``at``. They go in passes whose rows of
+    Y and C = U^T Y (gathered 64 targets at a time), the float32 copy of U
+    and one 3 x width x n pair block fit in (k + n + grid) x ``_CHUNK``
+    float64s beside S. A pass's pairs run in lambda order in blocks of its
+    width: gather the coefficient rows, scale each lambda's run by its row
+    of D, one GEMM with U^T, gather the Y rows, subtract and square, then one
+    GEMV per lambda's run with its row of W. Each pair gets the roundings the
+    bound counts, whatever block it lands in (module docstring). In float32
+    each target first takes its value at ``bound.anchor``; a lambda whose
+    ``bound.floor`` lies above the anchor's S + b leaves ``at``, which is
+    then ``bound.live``, and the pass goes on with the live pairs left.
     """
     n, k = U.shape
     g = W.shape[0]
-    multi = np.flatnonzero((np.count_nonzero(cand, axis=0) > 1) & Yc.any(axis=0))
-    if multi.size == 0:
-        return
-    sub = cand[:, multi]
-    S = np.full(sub.shape, np.inf)
-    width = max(1, min(multi.size, ((k + n + g) * _CHUNK - g * multi.size) // (4 * n + 2 * k)))
-    width = -(-multi.size // -(-multi.size // width))
-    pairs = _PairValues(U, D, W, width, np.float64)
-    for a in range(0, multi.size, width):
-        cols = multi[a:a + width]
-        pairs.load(Yc[:, cols], UtYc[:, cols])
-        pairs.values(sub[:, a:a + width], S[:, a:a + width])
-    del pairs  # the bound's temporaries below take its space
+    targets = np.flatnonzero((np.count_nonzero(at, axis=0) > 1) & Yc.any(axis=0))
+    cand = at.copy()
+    m = targets.size
+    if m == 0:
+        return cand
+    width = _pass_width(n, k, g, m, dtype)
+    U, D, W = (a.astype(dtype, copy=False) for a in (U, D, W))
+    C = np.empty((width, k), dtype)
+    Yr, gathered, R = np.empty((3, width, n), dtype)
+    sums = np.empty(width, dtype)
+    S = np.zeros((g, m), dtype)
+
+    def fill(mask, out):
+        lams, t_all = np.nonzero(mask)  # in lambda order
+        for i in range(0, lams.size, width):
+            lam, t = lams[i:i + width], t_all[i:i + width]
+            b = lam.size
+            runs = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), b]
+            shrunk = gathered.reshape(-1)[:b * k].reshape(b, k)
+            np.take(C, t, axis=0, out=shrunk, mode="clip")
+            for r0, r1 in zip(runs, runs[1:]):
+                shrunk[r0:r1] *= D[lam[r0]]
+            np.matmul(shrunk, U.T, out=R[:b])
+            np.take(Yr, t, axis=0, out=gathered[:b], mode="clip")
+            np.subtract(gathered[:b], R[:b], out=R[:b])
+            np.square(R[:b], out=R[:b])
+            for r0, r1 in zip(runs, runs[1:]):
+                np.matmul(R[r0:r1], W[lam[r0]], out=sums[r0:r1])
+            out[lam, t] = sums[:b]
+
+    # values beyond float32's range turn into inf or nan; their targets keep their lambdas of at
     with np.errstate(over="ignore", invalid="ignore"):
-        cand[:, multi] = _candidates(S, bound.width(S, np.float64, multi), sub)
+        for a in range(0, m, width):
+            cols = targets[a:a + width]
+            w = cols.size
+            for j in range(0, w, 64):  # a bounded gather: a whole pass's would copy Yc[:, cols]
+                part = cols[j:j + 64]
+                np.copyto(Yr[j:j + part.size], Yc[:, part].T)
+                np.copyto(C[j:j + part.size], UtYc[:, part].T)
+            mask = at[:, cols]
+            if dtype is np.float32:
+                anchored = np.zeros((g, w), dtype=bool)
+                anchored[bound.anchor[cols], np.arange(w)] = True
+                fill(anchored, S[:, a:a + w])
+                Sa = S[:, a:a + w].astype(np.float64)
+                upper = (Sa + bound.width(Sa, dtype, cols))[bound.anchor[cols], np.arange(w)]
+                mask &= ~(bound.floor[:, cols] > upper)  # a nan on either side drops nothing
+                at[:, cols] = mask
+                mask &= ~anchored
+            fill(mask, S[:, a:a + w])
+        # the buffers live until return: small arrays made after them then
+        # leave whole the space they free, which the refit's weights reuse (p > k)
+        S = S.astype(np.float64, copy=False)
+        cand[:, targets] = _candidates(S, bound.width(S, dtype, targets), at[:, targets])
+    return cand
 
 
 def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -796,6 +761,8 @@ class _Folds:
 
     def __init__(self, X, blocks, sets, grid, budget):
         self.X = np.asarray(X, dtype=np.float64)
+        if self.X.ndim != 2:
+            raise ValueError(f"brain_score needs X (n, p); got shape {self.X.shape}")
         self._blocks, self._sets, self._grid = blocks, sets, grid
         self._left = budget
         self._kept = [None] * len(blocks)
@@ -834,7 +801,8 @@ def brain_score(
     Fold k of the >= 3 half-open row ranges in ``blocks`` tests on block k and
     trains on the others in order. Per fold: standardize X and Y on the train
     rows once; for each set, fit ridge with per-target LOO lambda selection on
-    its columns, predict the held-out block and correlate per target.
+    its columns, predict the held-out block and correlate per target. A 1-D
+    Y is one target.
     Standardizing is column-wise, so a set scores bit for bit as its columns
     alone. A score is the mean of the per-fold correlations.
 
@@ -846,6 +814,8 @@ def brain_score(
         raise ValueError(f"need >= 3 blocks for leave-one-block-out, got {len(blocks)}")
     folds = _Folds(X, blocks, sets, grid, 0) if folds is None else folds
     Yd = np.asarray(Y, dtype=np.float64)
+    if Yd.ndim == 1:
+        Yd = Yd[:, None]
     if folds.X.shape[0] != Yd.shape[0]:
         raise ValueError(f"X has {folds.X.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
     r_per_fold = np.zeros((len(sets), len(blocks), Yd.shape[1]))
@@ -866,7 +836,7 @@ def brain_score(
             flagged[j] |= fl
             # Free each solve's largest arrays before the next allocates its own.
             # Freeing the small ones too made glibc return and re-fault heap pages
-            # every fold, which cost 0.3-0.7 s per 480-solve replica run.
+            # every fold.
             del fit
     return [ScoreMap(r_mean=r.mean(axis=0), r_per_fold=r, undefined=fl)
             for r, fl in zip(r_per_fold, flagged)]
@@ -883,6 +853,8 @@ def score_subjects(X: np.ndarray, responses: Iterable[np.ndarray], n_subjects: i
     is the first response's bytes, which the loop holds anyway; a single
     response keeps nothing.
     """
+    if n_subjects < 1:
+        raise ValueError(f"score_subjects needs n_subjects >= 1; got {n_subjects}")
     scores = folds = None
     for i, Y in zip(range(n_subjects), responses, strict=True):
         if scores is None:

@@ -439,12 +439,18 @@ _SCORE_ARGS = ["--features", "X", "--response", "Y", "--manifest", "M", "--out",
      "log-probs LP with targets LABEL3: target label 3 outside [1, 3)"),
     (["ctc-eval", "--logprobs", "G", "--targets", "T"],
      "log-probs G with targets T: frame 5: probabilities sum to"),
+    (["contrast", "--a", "E04", "--b", "E04", "--out", "out/c.fmx"],
+     "score file E04 has no targets: shape (0, 4)"),
+    (["contrast", "--a", "G", "--b", "E30", "--out", "out/c.fmx"],
+     "score file E30 has no targets: shape (3, 0)"),
 ])
 def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
     (tmp_path / "DIR").mkdir()
     (tmp_path / "out").mkdir()
     matrixio.write_matrix(tmp_path / "G", np.arange(1.0, 19.0).reshape(6, 3))
     matrixio.write_matrix(tmp_path / "LP", np.log(np.full((4, 3), 1 / 3)))
+    matrixio.write_matrix(tmp_path / "E04", np.zeros((0, 4)))
+    matrixio.write_matrix(tmp_path / "E30", np.zeros((3, 0)))
     (tmp_path / "T").write_text("1 2")
     (tmp_path / "LATIN1").write_bytes("1 2 \xe9".encode("latin-1"))
     (tmp_path / "NOTINT").write_text("1 x 3")
@@ -453,8 +459,8 @@ def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
     paths = {"X": score_inputs / "features.fmx", "Y": score_inputs / "sub000.fmx",
              "M": score_inputs / "manifest.json",
              **{name: tmp_path / name
-                for name in ("DIR", "G", "LP", "T", "LATIN1", "NOTINT", "LABEL3", "AUDIO", "out",
-                             "nodir")}}
+                for name in ("DIR", "G", "LP", "T", "LATIN1", "NOTINT", "LABEL3", "AUDIO", "E04",
+                             "E30", "out", "nodir")}}
 
     def fill(word):  # a placeholder, alone or before "/" or ":", becomes its path
         head, sep, tail = word.partition(":" if word.endswith(":") else "/")

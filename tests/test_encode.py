@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,13 +16,11 @@ from voxenc.encode import (
     DEFAULT_LAMBDA_GRID,
     RidgePath,
     _candidates,
-    _confirm_on_columns,
     _exact_loo_mse,
-    _float32_screen,
     _gram_defect,
     _last_argmin,
     _LooErrorBound,
-    _PairValues,
+    _pair_pass,
     _pearson_columns,
     _screen,
     _screen_pays,
@@ -431,10 +430,10 @@ def _assert_float32_exact(X, Y, grid=DEFAULT_LAMBDA_GRID):
     chunk = encode._CHUNK
     for a in range(0, Y.shape[1], chunk):
         Yc, UtYc = Y[:, a:a + chunk], UtY[:, a:a + chunk]
-        bound = _LooErrorBound(U, D, W, Yc, UtYc)
-        cand = _float32_screen(U, D, W, Yc, UtYc, bound)
+        bound = _LooErrorBound(U, D, W, Yc, UtYc, _gram_defect(U))
+        cand = _pair_pass(U, D, W, Yc, UtYc, bound, bound.live, np.float32)
         after_float32 += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
-        _confirm_on_columns(U, D, W, Yc, UtYc, cand, bound)
+        cand = _pair_pass(U, D, W, Yc, UtYc, bound, cand, np.float64)
         after_columns += np.count_nonzero((cand.sum(axis=0) > 1) & Yc.any(axis=0))
     return after_float32, after_columns
 
@@ -508,7 +507,8 @@ class TestFloat32Selection:
         Y[:, :10] *= scale
         _assert_float32_exact(X, Y)
         U, _, _, D, W = _svd_path(X, DEFAULT_LAMBDA_GRID)
-        cand = _float32_screen(U, D, W, Y, U.T @ Y, _LooErrorBound(U, D, W, Y, U.T @ Y))
+        bound = _LooErrorBound(U, D, W, Y, U.T @ Y, _gram_defect(U))
+        cand = _pair_pass(U, D, W, Y, U.T @ Y, bound, bound.live, np.float32)
         assert cand[:, :10].all()
 
     def test_multi_chunk_target_count(self):
@@ -561,10 +561,10 @@ def _assert_bracket(X, Y, grid=DEFAULT_LAMBDA_GRID):
     chunk = encode._CHUNK
     for a in range(0, Y.shape[1], chunk):
         Yc, UtYc = Y[:, a:a + chunk], UtY[:, a:a + chunk]
-        bound = _LooErrorBound(U, D, W, Yc, UtYc)
+        bound = _LooErrorBound(U, D, W, Yc, UtYc, _gram_defect(U))
         exact = _exact_loo_mse(U, D, W, Yc, UtYc, every)
         assert np.all(bound.floor <= exact)
-        cand = _float32_screen(U, D, W, Yc, UtYc, bound)
+        cand = _pair_pass(U, D, W, Yc, UtYc, bound, bound.live, np.float32)
         picked = (_last_argmin(exact), np.arange(Yc.shape[1]))
         assert bound.live[picked].all() and cand[picked].all()
         assert not (cand & ~bound.live).any()
@@ -634,7 +634,7 @@ class TestBracket:
         UtY = U.T @ Y
         assert _gram_defect(U) >= np.linalg.norm(U.T @ U - np.eye(80), 2)
         exact = _exact_loo_mse(U, D, W, Y, UtY, np.arange(len(DEFAULT_LAMBDA_GRID)))
-        assert np.all(_LooErrorBound(U, D, W, Y, UtY).floor <= exact)
+        assert np.all(_LooErrorBound(U, D, W, Y, UtY, _gram_defect(U)).floor <= exact)
 
     def test_one_lambda_grid(self):
         X, rng = self._design(n=120, p=80, seed=17)
@@ -664,13 +664,14 @@ class TestSmallChunks:
     def small_chunk(self, monkeypatch):
         monkeypatch.setattr(encode, "_CHUNK", 8)
         self.widths = set()
-        init = _PairValues.__init__
+        rule = encode._pass_width
 
-        def spy(pairs, U, D, W, width, dtype):
+        def spy(n, k, g, m, dtype):
+            width = rule(n, k, g, m, dtype)
             self.widths.add((np.dtype(dtype).name, width))
-            init(pairs, U, D, W, width, dtype)
+            return width
 
-        monkeypatch.setattr(_PairValues, "__init__", spy)
+        monkeypatch.setattr(encode, "_pass_width", spy)
 
     def test_wide_fold_solve(self):
         X, rng = self._design()
@@ -715,26 +716,40 @@ class TestSmallChunks:
         _assert_bracket(X, Y)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("width", [1, 3, 40])
-    def test_pair_values_within_bound(self, dtype, width):
-        """``_PairValues`` writes just the asked pairs, each within b of the chunk's kernel value:
+    @pytest.mark.parametrize("width", [1, 3, 40, None])
+    def test_pair_values_within_bound(self, monkeypatch, dtype, width):
+        """Every S that ``_pair_pass`` hands ``_candidates`` in a wide-route ``ridge_solve`` lies
+        within the b it is given of the chunk's kernel value, at every pair among its lambdas:
         b = b32 + b64 in float32, as the float32 pass assumes, and 2 b64 in float64, as the
-        confirm on columns does."""
+        confirm on columns does. Passes are ``width`` targets wide (None: the width rule's),
+        at ``_CHUNK`` 8 and 1024."""
         X, rng = self._design(n=120, p=80, seed=19)
         Y = self._targets(X, rng, 40)
-        U, _, _, D, W = _svd_path(X, DEFAULT_LAMBDA_GRID)
-        UtY = U.T @ Y
-        bound = _LooErrorBound(U, D, W, Y, UtY)
-        kernel = _exact_loo_mse(U, D, W, Y, UtY, np.arange(len(DEFAULT_LAMBDA_GRID)))
-        at = rng.random(kernel.shape) < 0.5
-        S = np.full(kernel.shape, np.nan)
-        pairs = _PairValues(U, D, W, width, dtype)
-        for a in range(0, Y.shape[1], width):
-            pairs.load(Y[:, a:a + width], UtY[:, a:a + width])
-            pairs.values(at[:, a:a + width], S[:, a:a + width])
-        assert np.isnan(S[~at]).all() and not np.isnan(S[at]).any()
-        S = np.where(at, S, kernel)
-        assert np.all(np.abs(S - kernel) <= bound.width(S, dtype))
+        if width is not None:
+            monkeypatch.setattr(encode, "_pass_width", lambda n, k, g, m, dt: min(m, width))
+        calls, checked = [], []
+        pair_pass, candidates = encode._pair_pass, encode._candidates
+
+        def pass_spy(U, D, W, Yc, UtYc, bound, at, dt):
+            targets = np.flatnonzero((np.count_nonzero(at, axis=0) > 1) & Yc.any(axis=0))
+            calls.append((dt, _exact_loo_mse(U, D, W, Yc, UtYc, np.arange(len(D)))[:, targets]))
+            return pair_pass(U, D, W, Yc, UtYc, bound, at, dt)
+
+        def candidates_spy(S, b, among):
+            dt, kernel = calls[-1]
+            if dt is dtype:
+                assert np.all(np.abs(S - kernel)[among] <= b[among])
+                checked.append(np.count_nonzero(among))
+            return candidates(S, b, among)
+
+        monkeypatch.setattr(encode, "_pair_pass", pass_spy)
+        monkeypatch.setattr(encode, "_candidates", candidates_spy)
+        for chunk in (8, 1024):
+            monkeypatch.setattr(encode, "_CHUNK", chunk)
+            checked.clear()
+            assert np.array_equal(ridge_solve(X, Y).chosen_lambda,
+                                  DEFAULT_LAMBDA_GRID[_exact_choice(X, Y, DEFAULT_LAMBDA_GRID)])
+            assert sum(checked) > 0
 
 
 def pearson(y_true, y_pred):
@@ -801,6 +816,20 @@ class TestBrainScore:
     def test_row_mismatch(self):
         with pytest.raises(ValueError, match="align"):
             brain_score(np.zeros((30, 2)), np.zeros((29, 2)), even_blocks(30, 3), [slice(None)])
+
+    def test_1d_response_is_one_target(self):
+        rng = np.random.default_rng(21)
+        X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+        sm, = brain_score(X, y, even_blocks(40, 4), [slice(None)])
+        one, = brain_score(X, y[:, None], even_blocks(40, 4), [slice(None)])
+        assert sm.r_per_fold.shape == (4, 1)
+        assert sm.r_per_fold.tobytes() == one.r_per_fold.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3, 1)])
+    def test_x_not_2d(self, shape):
+        X = np.random.default_rng(22).normal(size=shape)
+        with pytest.raises(ValueError, match=rf"brain_score needs X \(n, p\); got shape {re.escape(str(shape))}"):
+            brain_score(X, np.zeros((40, 2)), even_blocks(40, 4), [slice(None)])
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(10)
@@ -906,6 +935,11 @@ class TestSharedFolds:
                 assert np.array_equal(sm.undefined, alone.undefined)
         kept = sum(fold is not None for fold in folds._kept)
         assert kept == {"every fold": len(blocks), "some folds": 5, "none": 0}[budget]
+
+    def test_score_subjects_needs_a_subject(self):
+        X, Ys, blocks, sets = self._cohort(n_subjects=1, targets=4)
+        with pytest.raises(ValueError, match="score_subjects needs n_subjects >= 1; got 0"):
+            encode.score_subjects(X, iter([]), 0, blocks, sets)
 
     def test_score_subjects_equals_brain_score(self):
         X, Ys, blocks, sets = self._cohort()
