@@ -296,6 +296,8 @@ def group_stats(in_path: str, alternative: str, q: float, rois_path: str | None,
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
     values = _load_2d(in_path, "input", "subjects x targets")
+    if values.shape[1] == 0:
+        _fail(EXIT_USAGE, f"input file {in_path} has no targets: shape {values.shape}")
     rois = _read(rois_path, matrixio.read_manifest, "manifest")["rois"] if rois_path else None
     try:  # every error group_test raises here describes the input
         stats = groupstats.group_test(values, alternative, q)

@@ -146,10 +146,11 @@ X, column sets of it and one Y and returns a ``ScoreMap`` per set;
 targets array with it. Every subject is scored against the same X, so what
 a fold takes from X alone is one ``_Fold``: its train and test rows, X's
 standardized test rows and per set a ``RidgePath`` (the SVD path, the route
-and its lambda-only terms), built when the first subject reaches the fold.
-``score_subjects`` keeps folds in one ``_Folds`` while their bytes fit in
-one response's, which the loop holds anyway, and rebuilds the rest for each
-subject; a single response keeps nothing. The screen's stacked rows are not
+and its lambda-only terms). ``score_subjects`` keeps folds in one ``_Folds``
+while their bytes fit in one response's, which the loop holds anyway: a kept
+fold is built whole, every set's path at once, when a subject first reaches
+it. The rest are rebuilt for each subject, a set's path when it is asked
+for; a single response keeps nothing. The screen's stacked rows are not
 kept: at g k (n + k) floats per fold and set they outgrow a response at the
 replica's sizes. Each ``brain_score`` copies every fold's train rows of Y
 into one buffer. glibc hands the free top of its heap back to the system
@@ -167,7 +168,7 @@ a product differently (OpenBLAS at 1 thread versus 2 or more).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -725,38 +726,25 @@ def _pearson_columns(Yt: np.ndarray, Yp: np.ndarray) -> tuple[np.ndarray, np.nda
     return r, flagged
 
 
+@dataclass
 class _Fold:
     """Fold k's work on X alone: its train rows ``tr``, test rows ``te``, X's
-    standardized test rows ``Xte`` and, per column set, the ``RidgePath`` of
-    X's standardized train rows (``path``).
+    standardized test rows ``Xte`` and ``path(j)``, the ``RidgePath`` of X's
+    standardized train rows in column set j."""
 
-    A kept fold holds each path from its first use and then drops the train
-    rows; any other fold builds a set's path each time it is asked for.
-    """
-
-    def __init__(self, X, blocks, k, sets, grid, kept):
-        self.tr = np.concatenate([np.arange(a, b) for j, (a, b) in enumerate(blocks) if j != k])
-        self.te = np.arange(*blocks[k])
-        self._Xtr, self.Xte, _, _ = standardize(X[self.tr], X[self.te])
-        self._sets, self._grid = sets, grid
-        self._paths = [None] * len(sets) if kept else None
-
-    def path(self, j) -> RidgePath:
-        if self._paths is None:
-            return RidgePath(self._Xtr[:, self._sets[j]], self._grid)
-        if self._paths[j] is None:
-            self._paths[j] = RidgePath(self._Xtr[:, self._sets[j]], self._grid)
-            if all(p is not None for p in self._paths):
-                self._Xtr = None
-        return self._paths[j]
+    tr: np.ndarray
+    te: np.ndarray
+    Xte: np.ndarray
+    path: Callable[[int], RidgePath]
 
 
 class _Folds:
     """The ``_Fold`` of each fold of X, shared by every Y scored against it.
 
-    ``folds[k]`` is fold k's. A fold is kept from its first use if its bytes
-    fit in what is left of ``budget``; one that does not is built anew on
-    each use, for each Y.
+    ``folds[k]`` is fold k's. A fold whose bytes fit in what is left of
+    ``budget`` is built whole, every set's path at once, and kept; any other
+    is built anew on each use, for each Y, and builds a set's path each time
+    it is asked for.
     """
 
     def __init__(self, X, blocks, sets, grid, budget):
@@ -770,13 +758,19 @@ class _Folds:
     def __getitem__(self, k) -> _Fold:
         if self._kept[k] is not None:
             return self._kept[k]
+        tr = np.concatenate([np.arange(a, b) for j, (a, b) in enumerate(self._blocks) if j != k])
+        te = np.arange(*self._blocks[k])
+        Xtr, Xte, _, _ = standardize(self.X[tr], self.X[te])
+
+        def path(j) -> RidgePath:
+            return RidgePath(Xtr[:, self._sets[j]], self._grid)
+
         size = self._nbytes(k)
-        kept = size <= self._left
-        fold = _Fold(self.X, self._blocks, k, self._sets, self._grid, kept)
-        if kept:
-            self._left -= size
-            self._kept[k] = fold
-        return fold
+        if size > self._left:
+            return _Fold(tr, te, Xte, path)
+        self._left -= size
+        self._kept[k] = _Fold(tr, te, Xte, [path(j) for j in range(len(self._sets))].__getitem__)
+        return self._kept[k]
 
     def _nbytes(self, k) -> int:
         """At least the bytes fold k holds once kept: its indices, test rows and paths."""
@@ -858,7 +852,11 @@ def score_subjects(X: np.ndarray, responses: Iterable[np.ndarray], n_subjects: i
     scores = folds = None
     for i, Y in zip(range(n_subjects), responses, strict=True):
         if scores is None:
-            scores = np.empty((len(sets), n_subjects, Y.shape[1]))
+            scores = np.empty((len(sets), n_subjects, np.shape(Y)[1] if np.ndim(Y) > 1 else 1))
             folds = _Folds(X, blocks, sets, grid, np.asarray(Y).nbytes if n_subjects > 1 else 0)
-        scores[:, i] = [sm.r_mean for sm in brain_score(X, Y, blocks, sets, grid, folds)]
+        # One statement, so no ScoreMap lives on into the next subject's call: each
+        # r_per_fold is a view that keeps every set's per-fold scores alive. The
+        # reshape also fits an empty ``sets`` to its empty slice.
+        scores[:, i] = np.reshape([sm.r_mean for sm in brain_score(X, Y, blocks, sets, grid, folds)],
+                                  scores.shape[::2])
     return scores

@@ -69,31 +69,27 @@ def _worker_count(n_blocks: int, block_bytes: int, input_bytes: int) -> int:
 def _run_tasks(make_task: Callable[[], Callable[[int], None]], items: range, n_workers: int) -> None:
     """Run a task on each item on ``n_workers`` threads, this one included.
 
-    Each thread calls ``make_task()`` once and runs the task it returns on
-    the items it takes, which are handed out in order as threads come free;
-    one worker starts no thread. After an error no thread starts another
-    item, and the first error is raised here once every thread has stopped.
+    Thread i calls ``make_task()`` once and runs the task it returns on every
+    ``n_workers``-th item from item i; one worker starts no thread. After an
+    error no thread starts another item, and the first error is raised here
+    once every thread has stopped.
     """
-    todo = iter(items)
-    lock = threading.Lock()
     errors: list[BaseException] = []
 
-    def work() -> None:
+    def work(i: int) -> None:
         try:
             task = make_task()
-            while not errors:
-                with lock:
-                    item = next(todo, None)
-                if item is None:
+            for item in items[i::n_workers]:
+                if errors:
                     return
                 task(item)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(n_workers - 1)]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, n_workers)]
     for thread in threads:
         thread.start()
-    work()
+    work(0)
     for thread in threads:
         thread.join()
     if errors:

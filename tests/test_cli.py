@@ -397,10 +397,18 @@ def test_group_stats_bad_rois_exit_2(runner, tmp_path, content, needle):
     assert not (tmp_path / "stats.json").exists()
 
 
+def _case(name, *values):
+    """A case whose explicit id is the one pytest gave it by position, name + "-" + needle.
+
+    Explicit ids let a case be inserted without renaming the cases after it.
+    """
+    return pytest.param(*values, id=f"{name}-{values[-1]}")
+
+
 @pytest.mark.parametrize("shape, needle", [
-    ((6,), "must be a 2-D subjects x targets matrix, got shape (6,)"),
-    ((6, 3, 2), "must be a 2-D subjects x targets matrix, got shape (6, 3, 2)"),
-    ((3, 4), "need >= 5 subjects, got 3"),
+    _case("shape0", (6,), "must be a 2-D subjects x targets matrix, got shape (6,)"),
+    _case("shape1", (6, 3, 2), "must be a 2-D subjects x targets matrix, got shape (6, 3, 2)"),
+    _case("shape2", (3, 4), "need >= 5 subjects, got 3"),
 ])
 def test_group_stats_bad_in_exit_2(runner, tmp_path, shape, needle):
     matrixio.write_matrix(tmp_path / "group.fmx", np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
@@ -416,33 +424,40 @@ _SCORE_ARGS = ["--features", "X", "--response", "Y", "--manifest", "M", "--out",
 @pytest.mark.parametrize("args, needle", [
     *(pytest.param(["score", *(a.replace(key, "DIR") for a in _SCORE_ARGS)], "cannot read DIR",
                    id=f"score_{key}_dir") for key in "XYM"),
-    (["group-stats", "--in", "DIR", "--out", "out/s.json"], "cannot read DIR"),
-    (["group-stats", "--in", "G", "--rois", "DIR", "--out", "out/s.json"], "cannot read DIR"),
-    (["contrast", "--a", "DIR", "--b", "G", "--out", "out/c.fmx"], "cannot read DIR"),
-    (["hrf-convolve", "--in", "DIR", "--n-scans", "5", "--out", "out/h.fmx"], "cannot read DIR"),
-    (["ctc-eval", "--logprobs", "DIR", "--targets", "T"], "cannot read DIR"),
-    (["ctc-eval", "--logprobs", "LP", "--targets", "DIR"], "cannot read DIR"),
-    (["ctc-eval", "--logprobs", "LP", "--targets", "LATIN1"], "malformed targets file LATIN1"),
-    (["run", "--config", "DIR"], "cannot read DIR"),
-    (["featurize", "--wav", "DIR", "--out", "out/f.fmx"], "cannot read WAV file DIR"),
-    (["score", *_SCORE_ARGS[:-1], "nodir/o.fmx"], "directory nodir does not exist"),
-    (["score", *_SCORE_ARGS, "--report", "nodir/r.json"], "directory nodir does not exist"),
-    (["score", *_SCORE_ARGS[:-1], "DIR"], "DIR is a directory"),
-    (["featurize", "--wav", "AUDIO", "--out", "nodir/f.fmx"], "directory nodir does not exist"),
-    (["hrf-convolve", "--in", "G", "--n-scans", "1", "--out", "nodir/h.fmx"],
-     "directory nodir does not exist"),
-    (["contrast", "--a", "G", "--b", "G", "--out", "nodir/c.fmx"], "directory nodir does not exist"),
-    (["group-stats", "--in", "G", "--out", "nodir/s.json"], "directory nodir does not exist"),
-    (["ctc-eval", "--logprobs", "LP", "--targets", "NOTINT"],
-     "malformed targets file NOTINT: ValueError: invalid literal for int() with base 10: 'x'"),
-    (["ctc-eval", "--logprobs", "LP", "--targets", "LABEL3"],
-     "log-probs LP with targets LABEL3: target label 3 outside [1, 3)"),
-    (["ctc-eval", "--logprobs", "G", "--targets", "T"],
-     "log-probs G with targets T: frame 5: probabilities sum to"),
-    (["contrast", "--a", "E04", "--b", "E04", "--out", "out/c.fmx"],
-     "score file E04 has no targets: shape (0, 4)"),
-    (["contrast", "--a", "G", "--b", "E30", "--out", "out/c.fmx"],
-     "score file E30 has no targets: shape (3, 0)"),
+    _case("args3", ["group-stats", "--in", "DIR", "--out", "out/s.json"], "cannot read DIR"),
+    _case("args4", ["group-stats", "--in", "G", "--rois", "DIR", "--out", "out/s.json"],
+          "cannot read DIR"),
+    _case("args5", ["contrast", "--a", "DIR", "--b", "G", "--out", "out/c.fmx"], "cannot read DIR"),
+    _case("args6", ["hrf-convolve", "--in", "DIR", "--n-scans", "5", "--out", "out/h.fmx"],
+          "cannot read DIR"),
+    _case("args7", ["ctc-eval", "--logprobs", "DIR", "--targets", "T"], "cannot read DIR"),
+    _case("args8", ["ctc-eval", "--logprobs", "LP", "--targets", "DIR"], "cannot read DIR"),
+    _case("args9", ["ctc-eval", "--logprobs", "LP", "--targets", "LATIN1"],
+          "malformed targets file LATIN1"),
+    _case("args10", ["run", "--config", "DIR"], "cannot read DIR"),
+    _case("args11", ["featurize", "--wav", "DIR", "--out", "out/f.fmx"], "cannot read WAV file DIR"),
+    _case("args12", ["score", *_SCORE_ARGS[:-1], "nodir/o.fmx"], "directory nodir does not exist"),
+    _case("args13", ["score", *_SCORE_ARGS, "--report", "nodir/r.json"],
+          "directory nodir does not exist"),
+    _case("args14", ["score", *_SCORE_ARGS[:-1], "DIR"], "DIR is a directory"),
+    _case("args15", ["featurize", "--wav", "AUDIO", "--out", "nodir/f.fmx"],
+          "directory nodir does not exist"),
+    _case("args16", ["hrf-convolve", "--in", "G", "--n-scans", "1", "--out", "nodir/h.fmx"],
+          "directory nodir does not exist"),
+    _case("args17", ["contrast", "--a", "G", "--b", "G", "--out", "nodir/c.fmx"],
+          "directory nodir does not exist"),
+    _case("args18", ["group-stats", "--in", "G", "--out", "nodir/s.json"],
+          "directory nodir does not exist"),
+    _case("args19", ["ctc-eval", "--logprobs", "LP", "--targets", "NOTINT"],
+          "malformed targets file NOTINT: ValueError: invalid literal for int() with base 10: 'x'"),
+    _case("args20", ["ctc-eval", "--logprobs", "LP", "--targets", "LABEL3"],
+          "log-probs LP with targets LABEL3: target label 3 outside [1, 3)"),
+    _case("args21", ["ctc-eval", "--logprobs", "G", "--targets", "T"],
+          "log-probs G with targets T: frame 5: probabilities sum to"),
+    _case("args22", ["contrast", "--a", "E04", "--b", "E04", "--out", "out/c.fmx"],
+          "score file E04 has no targets: shape (0, 4)"),
+    _case("args23", ["contrast", "--a", "G", "--b", "E30", "--out", "out/c.fmx"],
+          "score file E30 has no targets: shape (3, 0)"),
 ])
 def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
     (tmp_path / "DIR").mkdir()
@@ -469,6 +484,76 @@ def test_file_errors_exit_2(runner, tmp_path, score_inputs, args, needle):
     res = runner.invoke(main, [fill(a) for a in args])
     _assert_input_error(res, " ".join(map(fill, needle.split(" "))))
     assert list((tmp_path / "out").iterdir()) == [] and not (tmp_path / "nodir").exists()
+
+
+def _write_fmx(path, values, code=None):
+    """Write ``values`` as FMX1; ``code``, if given, replaces the header's dtype byte."""
+    matrixio.write_matrix(path, values)
+    if code is not None:
+        raw = bytearray(Path(path).read_bytes())
+        raw[4] = code
+        Path(path).write_bytes(raw)
+
+
+def _bad_matrix(data, fault, good):
+    """A matrix and a dtype byte (or None) for ``fault``: "dtype" is ``good`` under
+    an unknown dtype code, "nan" a copy of it with a drawn non-finite entry."""
+    if fault == "dtype":
+        return good, data.draw(st.integers(2, 255), label="dtype code")
+    values = good.astype(data.draw(st.sampled_from([np.float32, np.float64]), label="dtype"))
+    values.flat[data.draw(st.integers(0, values.size - 1), label="at")] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    return values, None
+
+
+_SHAPES = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fault=st.sampled_from(["mismatch", "empty", "dtype", "nan"]), bad=st.sampled_from("ab"),
+       shape=_SHAPES, data=st.data())
+def test_contrast_bad_input_exit_2(fault, bad, shape, data):
+    """Score files of other shapes, with no targets, an unknown dtype or a non-finite value."""
+    good = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    code = None
+    if fault == "mismatch":
+        values = np.ones(data.draw(_SHAPES.filter(lambda s: s != shape), label="other shape"))
+    elif fault == "empty":
+        values = np.ones(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)
+                                   .filter(lambda s: 0 in s), label="empty shape"))
+    else:
+        values, code = _bad_matrix(data, fault, good)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {side: os.path.join(tmp, f"{side}.fmx") for side in "ab"}
+        for side, path in paths.items():
+            _write_fmx(path, *((values, code) if side == bad else (good,)))
+        res = CliRunner().invoke(main, ["contrast", "--a", paths["a"], "--b", paths["b"],
+                                        "--out", os.path.join(tmp, "c.fmx")])
+        _assert_input_error(res)
+        assert sorted(os.listdir(tmp)) == ["a.fmx", "b.fmx"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(fault=st.sampled_from(["ndim", "subjects", "targets", "dtype", "nan"]),
+       n_subjects=st.integers(5, 8), n_targets=st.integers(1, 4), data=st.data())
+def test_group_stats_bad_input_exit_2(fault, n_subjects, n_targets, data):
+    """A matrix that is not 2-D, has < 5 subjects or no targets, an unknown dtype or a non-finite value."""
+    code = None
+    if fault == "ndim":
+        values = np.ones(data.draw(st.lists(st.integers(1, 4), max_size=4)
+                                   .filter(lambda s: len(s) != 2), label="shape"))
+    elif fault == "subjects":
+        values = np.ones((data.draw(st.integers(0, 4), label="subjects"), n_targets))
+    elif fault == "targets":
+        values = np.ones((n_subjects, 0))
+    else:
+        values, code = _bad_matrix(data, fault, np.ones((n_subjects, n_targets)))
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_fmx(os.path.join(tmp, "g.fmx"), values, code)
+        res = CliRunner().invoke(main, ["group-stats", "--in", os.path.join(tmp, "g.fmx"),
+                                        "--out", os.path.join(tmp, "s.json")])
+        _assert_input_error(res)
+        assert os.listdir(tmp) == ["g.fmx"]
 
 
 def test_ctc_eval_cmd(runner, tmp_path):

@@ -941,6 +941,16 @@ class TestSharedFolds:
         with pytest.raises(ValueError, match="score_subjects needs n_subjects >= 1; got 0"):
             encode.score_subjects(X, iter([]), 0, blocks, sets)
 
+    def test_score_subjects_one_dimensional_response(self):
+        """A 1-D response is one target, as in ``brain_score``, with or without sets."""
+        X, Ys, blocks, sets = self._cohort(n_subjects=1, targets=4)
+        y = Ys[0][:, 0]
+        scores = encode.score_subjects(X, [y], 1, blocks, sets)
+        assert scores.shape == (len(sets), 1, 1)
+        for j, sm in enumerate(brain_score(X, y, blocks, sets)):
+            assert scores[j, 0].tobytes() == sm.r_mean.tobytes()
+        assert encode.score_subjects(X, [y], 1, blocks, []).shape == (0, 1, 1)
+
     def test_score_subjects_equals_brain_score(self):
         X, Ys, blocks, sets = self._cohort()
         scores = encode.score_subjects(X, iter(Ys), len(Ys), blocks, sets)
