@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import shutil
 import sys
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,22 +245,19 @@ def hrf_convolve(in_path: str, out_path: str, input_rate: float, tr: float, n_sc
 def score(features: str, response_path: str, manifest_path: str, out_path: str,
           report_path: str | None, detrend: bool) -> None:
     """Cross-validated ridge brain scores per target."""
+    if report_path is not None and Path(report_path).resolve() == Path(out_path).resolve():
+        _fail(EXIT_USAGE, f"'--out' and '--report' name the same file: {out_path}, {report_path}")
     data = _load_dataset(manifest_path, features.split(","), detrend)
-    Y = _read_response(response_path, data)
-    try:
-        r_mean = score_subjects(data.X, [Y], 1, data.manifest["blocks"], [slice(None)])[0, 0]
-    except ValueError as exc:
-        _fail(EXIT_COMPUTE, str(exc))
+    timings: dict[str, float] = {}
+    with report.timed(timings, "score"):
+        Y = _read_response(response_path, data)
+        try:
+            r_mean = score_subjects(data.X, [Y], 1, data.manifest["blocks"], [slice(None)])[0, 0]
+        except ValueError as exc:
+            _fail(EXIT_COMPUTE, str(exc))
     matrixio.write_matrix(out_path, r_mean)
     if report_path:
-        report.write_report(
-            report_path,
-            {
-                "stages": {"score": {"n_folds": len(data.manifest["blocks"]), "n_targets": r_mean.size}},
-                "scores": report.summarize_scores(r_mean, data.manifest["rois"] or None),
-                "contrasts": {},
-            },
-        )
+        report.write_report(report_path, timings, r_mean, data.manifest["rois"])
     click.echo(f"mean R = {r_mean.mean():.4f} over {r_mean.size} targets")
 
 
@@ -492,15 +488,14 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
     timings: dict[str, float] = {}
     grid = _grid_from(cfg)
 
-    t0 = time.perf_counter()
-    if "synth" in cfg:
-        manifest_path = out_dir / "data" / "manifest.json"
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_synth_dataset(manifest_path.parent, synthbench.build_cohort(*_synth_config(cfg)))
-        written.extend(manifest_path.parent.iterdir())
-    else:
-        manifest_path = Path(cfg["manifest"])
-    timings["synth"] = time.perf_counter() - t0
+    with report.timed(timings, "synth"):
+        if "synth" in cfg:
+            manifest_path = out_dir / "data" / "manifest.json"
+            manifest_path.parent.mkdir(parents=True, exist_ok=True)
+            _write_synth_dataset(manifest_path.parent, synthbench.build_cohort(*_synth_config(cfg)))
+            written.extend(manifest_path.parent.iterdir())
+        else:
+            manifest_path = Path(cfg["manifest"])
 
     features = cfg.get("features")
     data = _load_dataset(manifest_path, features and [f["path"] for f in features], cfg["detrend"])
@@ -515,39 +510,37 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
 
     # levels x subjects x targets: every concatenation level, a column prefix of X, for
     # every subject, whose response is read and detrended as it is scored
-    t0 = time.perf_counter()
-    responses = (_read_response(manifest_path.parent / sub["response"], data)
-                 for sub in manifest["subjects"])
-    scores = score_subjects(data.X, responses, len(manifest["subjects"]), manifest["blocks"],
-                            [slice(end) for end in data.ends], grid)
-    timings["score"] = time.perf_counter() - t0
+    with report.timed(timings, "score"):
+        responses = (_read_response(manifest_path.parent / sub["response"], data)
+                     for sub in manifest["subjects"])
+        scores = score_subjects(data.X, responses, len(manifest["subjects"]), manifest["blocks"],
+                                [slice(end) for end in data.ends], grid)
     n_levels = len(names)
 
     # contrasts: per-level deltas relative to the previous level
-    t0 = time.perf_counter()
     contrasts: dict[str, dict] = {}
     level_deltas: list[float] = []
     group_block = {}
-    if n_levels >= 2:
-        # subjects x (levels-1) x targets: a contiguous level delta would sum in another
-        # order; freed before the group test's working set is taken
-        deltas = contrast_mod.delta_layerwise(scores)
-        level_deltas = [float(deltas[:, L - 1].mean()) for L in range(1, n_levels)]
-        del deltas
-        for L, delta in enumerate(level_deltas, start=1):
-            contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {"mean_delta_r": delta, "per_level_index": L}
-        if len(manifest["subjects"]) >= 5:
-            top_delta = contrast_mod.delta_vs_baseline(scores[-1], scores[0])
-            stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
-            group_block = {
-                "contrast": f"{names[-1]}_vs_{names[0]}",
-                "n_significant": int(stats.significant.sum()),
-                "n_targets": int(stats.significant.size),
-                "positive_mean_delta": float(top_delta.mean()),
-            }
-            matrixio.write_matrix(out_dir / "group_delta.fmx", top_delta)
-            written.append(out_dir / "group_delta.fmx")
-    timings["contrast"] = time.perf_counter() - t0
+    with report.timed(timings, "contrast"):
+        if n_levels >= 2:
+            # subjects x (levels-1) x targets: a contiguous level delta would sum in another
+            # order; freed before the group test's working set is taken
+            deltas = contrast_mod.delta_layerwise(scores)
+            level_deltas = [float(deltas[:, L - 1].mean()) for L in range(1, n_levels)]
+            del deltas
+            for L, delta in enumerate(level_deltas, start=1):
+                contrasts[f"{names[L]}_vs_{names[L - 1]}"] = {"mean_delta_r": delta, "per_level_index": L}
+            if len(manifest["subjects"]) >= 5:
+                top_delta = contrast_mod.delta_vs_baseline(scores[-1], scores[0])
+                stats = groupstats.group_test(top_delta, cfg["alternative"], cfg["q"])
+                group_block = {
+                    "contrast": f"{names[-1]}_vs_{names[0]}",
+                    "n_significant": int(stats.significant.sum()),
+                    "n_targets": int(stats.significant.size),
+                    "positive_mean_delta": float(top_delta.mean()),
+                }
+                matrixio.write_matrix(out_dir / "group_delta.fmx", top_delta)
+                written.append(out_dir / "group_delta.fmx")
 
     mean_scores_per_level = [float(level.mean()) for level in scores]
     charts = {"scores_per_level.svg": report.bar_chart_svg(
@@ -559,20 +552,10 @@ def _run_pipeline(cfg: dict, out_dir: Path, written: list[Path]) -> None:
         (out_dir / chart).write_text(svg, encoding="utf-8")
         written.append(out_dir / chart)
 
-    subject_mean = scores[-1].mean(axis=0)
-    doc = {
-        "stages": {"timings_seconds": timings},
-        "scores": {
-            "per_level_mean_r": dict(zip(names, mean_scores_per_level)),
-            **report.summarize_scores(subject_mean, manifest["rois"] or None),
-        },
-        "contrasts": contrasts,
-        "group": group_block,
-        "config_snapshot": "resolved_config.json",
-    }
-    report.write_report(out_dir / "report.json", doc)
+    report.write_report(out_dir / "report.json", timings, scores[-1].mean(axis=0), manifest["rois"],
+                        levels=dict(zip(names, mean_scores_per_level)), contrasts=contrasts,
+                        group=group_block, config_snapshot=snapshot.name)
     written.append(out_dir / "report.json")
-
 
 if __name__ == "__main__":
     main()

@@ -812,8 +812,9 @@ def brain_score(
         Yd = Yd[:, None]
     if folds.X.shape[0] != Yd.shape[0]:
         raise ValueError(f"X has {folds.X.shape[0]} rows, Y has {Yd.shape[0]}; must align at TR")
-    r_per_fold = np.zeros((len(sets), len(blocks), Yd.shape[1]))
-    flagged = np.zeros((len(sets), Yd.shape[1]), dtype=bool)
+    # each set's arrays are its own, so a ScoreMap kept keeps no other set's
+    r_per_fold = [np.zeros((len(blocks), Yd.shape[1])) for _ in sets]
+    flagged = [np.zeros(Yd.shape[1], dtype=bool) for _ in sets]
     # Every fold's train rows of Y go into one buffer: a fresh copy per fold, freed
     # at the fold's end, let glibc trim the heap top and fault it back in at the
     # next fold (module docstring).
@@ -826,7 +827,7 @@ def brain_score(
         for j, cols in enumerate(sets):
             fit = ridge_solve(fold.path(j), Ytr, grid)
             pred = fold.Xte[:, cols] @ fit.weights
-            r_per_fold[j, k], fl = _pearson_columns(Yte, pred)
+            r_per_fold[j][k], fl = _pearson_columns(Yte, pred)
             flagged[j] |= fl
             # Free each solve's largest arrays before the next allocates its own.
             # Freeing the small ones too made glibc return and re-fault heap pages
@@ -854,9 +855,6 @@ def score_subjects(X: np.ndarray, responses: Iterable[np.ndarray], n_subjects: i
         if scores is None:
             scores = np.empty((len(sets), n_subjects, np.shape(Y)[1] if np.ndim(Y) > 1 else 1))
             folds = _Folds(X, blocks, sets, grid, np.asarray(Y).nbytes if n_subjects > 1 else 0)
-        # One statement, so no ScoreMap lives on into the next subject's call: each
-        # r_per_fold is a view that keeps every set's per-fold scores alive. The
-        # reshape also fits an empty ``sets`` to its empty slice.
-        scores[:, i] = np.reshape([sm.r_mean for sm in brain_score(X, Y, blocks, sets, grid, folds)],
-                                  scores.shape[::2])
+        for j, sm in enumerate(brain_score(X, Y, blocks, sets, grid, folds)):
+            scores[j, i] = sm.r_mean
     return scores

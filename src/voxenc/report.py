@@ -1,7 +1,17 @@
-"""Run reports: versioned JSON schema plus dependency-free SVG bar charts."""
+"""Run reports: report.json's one writer and stage timer, plus dependency-free SVG bar charts.
+
+``write_report`` lays out every report.json, ``score --report``'s and
+``run``'s. Its seconds per stage, which ``timed`` measures, go under
+``stages.timings_seconds``, so everything else in a report is
+byte-identical across reruns. ``validate_report`` is the readers' check of
+that layout.
+"""
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +34,33 @@ def validate_report(doc: dict) -> list[str]:
     return problems
 
 
-def write_report(path: str | Path, doc: dict) -> None:
-    """Write ``doc`` with the schema version; raises ValueError, writing nothing, if it is invalid."""
-    doc = {"schema_version": REPORT_SCHEMA_VERSION, **doc}
-    problems = validate_report(doc)
-    if problems:
-        raise ValueError(f"report {path}: " + "; ".join(problems))
+@contextmanager
+def timed(timings: dict[str, float], stage: str) -> Iterator[None]:
+    """Set ``timings[stage]`` to the seconds the ``with`` block takes."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
+def write_report(path: str | Path, timings: dict[str, float], r_mean: np.ndarray,
+                 rois: dict[str, list[int]], levels: dict[str, float] | None = None,
+                 contrasts: dict | None = None, group: dict | None = None,
+                 config_snapshot: str | None = None) -> None:
+    """Write report.json: ``timings`` under ``stages``, the summary of the per-target
+    scores ``r_mean`` with each ROI's mean and any ``levels``' mean scores, and
+    ``contrasts`` (default none); ``group`` and ``config_snapshot`` only if given."""
+    scores = {"mean_r": float(np.mean(r_mean)), "max_r": float(np.max(r_mean)),
+              "n_targets": int(len(r_mean))}
+    if rois:
+        scores["roi_mean_r"] = {name: roi_mean(r_mean, idx) for name, idx in rois.items()}
+    if levels is not None:
+        scores["per_level_mean_r"] = levels
+    doc = {"schema_version": REPORT_SCHEMA_VERSION, "stages": {"timings_seconds": timings},
+           "scores": scores, "contrasts": {} if contrasts is None else contrasts}
+    if group is not None:
+        doc["group"] = group
+    if config_snapshot is not None:
+        doc["config_snapshot"] = config_snapshot
     write_json(path, doc)
 
 
@@ -71,13 +102,3 @@ def bar_chart_svg(
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def summarize_scores(r_mean: np.ndarray, rois: dict[str, list[int]] | None = None) -> dict:
-    out = {
-        "mean_r": float(np.mean(r_mean)),
-        "max_r": float(np.max(r_mean)),
-        "n_targets": int(len(r_mean)),
-    }
-    if rois:
-        out["roi_mean_r"] = {name: roi_mean(r_mean, idx) for name, idx in rois.items()}
-    return out

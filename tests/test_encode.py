@@ -958,6 +958,14 @@ class TestSharedFolds:
             for j, sm in enumerate(brain_score(X, Y, blocks, sets)):
                 assert scores[j, i].tobytes() == sm.r_mean.tobytes()
 
+    def test_score_maps_own_their_arrays(self):
+        """Keeping one set's ``ScoreMap`` keeps no other set's arrays alive."""
+        X, Ys, blocks, _ = self._cohort(n_subjects=1, targets=5)
+        maps = brain_score(X, Ys[0], blocks, [slice(0, 8), slice(0, 16), slice(None)])
+        assert len(maps) == 3
+        for sm in maps:
+            assert sm.r_mean.base is None and sm.r_per_fold.base is None and sm.undefined.base is None
+
     @pytest.mark.parametrize("n,p", [(110, 8), (110, 48), (30, 60)])
     def test_path_nbytes_bounds_its_arrays(self, n, p):
         path = RidgePath(np.random.default_rng(19).normal(size=(n, p)))
